@@ -34,7 +34,7 @@ from .config import (
 )
 from .core import AngleConfig, CountMatrix, chsh_count_statistic, expected_statistic_per_trial
 from .logfile import LogFormatError, TrialLog, read_raw_log, validate_raw_records
-from .net import DEFAULT_TRIAL_TIMEOUT, referee_serve, station_client
+from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
 from .referee import (
     ABORT_VALIDATION,
     StatisticTrace,
@@ -167,7 +167,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
     ]
     if structural:
         last_good = 0
-        for doc in raw_records:
+        for doc in raw_records[: header.n]:
             if doc.get("m") == last_good + 1 and all(k in doc for k in ("i", "j", "x", "y")):
                 last_good += 1
             else:
@@ -185,9 +185,9 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
         if candidate.exists():
             report = json.loads(candidate.read_text(encoding="utf-8"))
 
-    counts = CountMatrix.from_records(log.records())
     cells = log.cells()
     _, _, x, y = log.columns()
+    counts = CountMatrix.from_columns(cells, x, y)
     trace = StatisticTrace.from_columns(cells, x, y)
     analysis = {
         "log": str(log_path),
@@ -287,7 +287,8 @@ def cmd_validate(args) -> int:
 def cmd_serve(args) -> int:
     try:
         config = _load_config_with_overrides(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        parse_endpoint(args.endpoint)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -304,6 +305,9 @@ def cmd_serve(args) -> int:
             transcript_path=args.transcript,
             ready_callback=announce,
         )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ProtocolAbort, OSError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
@@ -315,13 +319,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_station(args) -> int:
-    strategy = None
-    if args.strategy is not None:
-        try:
-            strategy = build_strategy(args.strategy)
-        except Exception as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    try:
+        parse_endpoint(args.endpoint)
+        strategy = None if args.strategy is None else build_strategy(args.strategy)
+    except Exception as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     status = station_client(
         args.role,
         args.endpoint,

@@ -184,6 +184,15 @@ class CountMatrix:
         )
 
     @classmethod
+    def from_columns(cls, cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> "CountMatrix":
+        """Count from per-trial columns: cell codes 0..3 and both outcome bits."""
+        trials = np.bincount(cells, minlength=4)
+        coincidences = np.bincount(cells[x == y], minlength=4)
+        return cls.from_cell_counts(
+            tuple(int(v) for v in trials), tuple(int(v) for v in coincidences)
+        )
+
+    @classmethod
     def from_cell_counts(
         cls, trials: tuple[int, int, int, int], coincidences: tuple[int, int, int, int]
     ) -> "CountMatrix":

@@ -5,10 +5,15 @@ File layout is one JSON object per line: a header record
     {"kind": "header", "version": 1, "config_hash": ..., "seed": ...,
      "mode": ..., "angles": [a1, a2, b1, b2], "n": ..., "critical_value": ...}
 
-followed by one record per trial, fields {m, i, j, x, y}, in trial order.
-Serialization is canonical (sorted keys, no whitespace), so two runs that
-commit the same trials produce byte-identical files; replay verification
-relies on that.
+followed by one record per trial, in trial order, written straight from the
+log's columns with the fixed template
+
+    {"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}
+
+For int fields that template is byte-identical to the canonical JSON
+(sorted keys, no whitespace) that the header line gets from ``json.dumps``.
+So two runs that commit the same trials produce byte-identical files; replay
+verification relies on that.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class LogHeader:
     @classmethod
     def from_dict(cls, doc: dict) -> "LogHeader":
         try:
-            return cls(
+            header = cls(
                 config_hash=doc["config_hash"],
                 seed=doc["seed"],
                 mode=doc["mode"],
@@ -62,12 +67,20 @@ class LogHeader:
                 critical_value=doc["critical_value"],
                 version=doc["version"],
             )
-        except (KeyError, TypeError) as exc:
+            AngleConfig(*header.angles)
+        except (KeyError, TypeError, ValueError) as exc:
             raise LogFormatError(f"malformed log header: {doc!r}") from exc
+        integers = (header.seed, header.n, header.critical_value)
+        if any(type(v) is not int for v in integers) or header.n < 0:
+            raise LogFormatError(f"malformed log header: {doc!r}")
+        return header
 
     @property
     def angle_config(self) -> AngleConfig:
         return AngleConfig(*self.angles)
+
+
+_RECORD_LINE = '{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}'
 
 
 def _dump_line(doc: dict) -> str:
@@ -132,16 +145,8 @@ class TrialLog:
 
     def to_lines(self) -> Iterator[str]:
         yield _dump_line(self.header.to_dict())
-        for m in range(self._count):
-            yield _dump_line(
-                {
-                    "m": m + 1,
-                    "i": int(self._i[m]),
-                    "j": int(self._j[m]),
-                    "x": int(self._x[m]),
-                    "y": int(self._y[m]),
-                }
-            )
+        i, j, x, y = (col.tolist() for col in self.columns())
+        yield from map(_RECORD_LINE.__mod__, zip(i, j, range(1, self._count + 1), x, y))
 
     def to_bytes(self) -> bytes:
         return ("\n".join(self.to_lines()) + "\n").encode("ascii")
@@ -152,14 +157,15 @@ class TrialLog:
 
     @classmethod
     def from_raw(cls, header: LogHeader, raw_records: list[dict]) -> "TrialLog":
-        """Build from already-validated raw record dicts."""
+        """Build from already-validated raw record dicts: trials 1..len, in
+        order, possibly fewer than ``header.n`` (an aborted run's log)."""
+        count = len(raw_records)
+        if count > header.n:
+            raise ValueError(f"{count} records exceed the header's {header.n} trials")
         log = cls(header)
-        for doc in raw_records:
-            log.append(
-                TrialRecord(
-                    m=doc["m"], setting=Setting(doc["i"], doc["j"]), x=doc["x"], y=doc["y"]
-                )
-            )
+        for name, col in (("i", log._i), ("j", log._j), ("x", log._x), ("y", log._y)):
+            col[:count] = [doc[name] for doc in raw_records]
+        log._count = count
         return log
 
     @classmethod
@@ -213,6 +219,8 @@ def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"{path}:{lineno}: unparseable record") from exc
+        if not isinstance(doc, dict):
+            raise LogFormatError(f"{path}:{lineno}: record is not a JSON object")
         records.append(doc)
     return header, records
 
@@ -251,10 +259,17 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
             v = doc.get(field)
             if field in doc and (isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1)):
                 violations.append(f"{label}: outcome {field}={v!r} is not a bit")
-    if len(records) != header.n:
+    if len(records) < header.n:
         violations.append(
             f"log holds {len(records)} trials but the design requires {header.n} "
             "(incomplete experiment)"
+        )
+    elif len(records) > header.n:
+        extra = [doc.get("m") for doc in records[header.n :]]
+        named = ", ".join(repr(m) for m in extra[:5]) + (", ..." if len(extra) > 5 else "")
+        violations.append(
+            f"log holds {len(records)} trials but the design allows only {header.n} "
+            f"(extra trials: {named})"
         )
     return LogValidation(ok=not violations, violations=tuple(violations))
 

@@ -213,11 +213,7 @@ def simulate_result(config: ExperimentConfig) -> RunResult:
         critical_value=config.critical_value,
     )
     log = TrialLog.from_columns(header, run.i, run.j, run.x, run.y)
-    trials = np.bincount(run.cells, minlength=4)
-    coincidences = np.bincount(run.cells[run.x == run.y], minlength=4)
-    counts = CountMatrix.from_cell_counts(
-        tuple(int(v) for v in trials), tuple(int(v) for v in coincidences)
-    )
+    counts = CountMatrix.from_columns(run.cells, run.x, run.y)
     trace = StatisticTrace.from_columns(run.cells, run.x, run.y)
     design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
     verdict = adjudicate(trace, design)

@@ -39,7 +39,7 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .config import ExperimentConfig, SIDE_STRATEGY, config_from_dict
+from .config import ConfigError, ExperimentConfig, SIDE_STRATEGY, config_from_dict
 from .referee import ProtocolAbort, RefereeEngine, RunResult
 from .strategies import (
     LEFT,
@@ -133,6 +133,8 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
+    if int(port) > 65535:
+        raise ValueError(f"endpoint port must be 0-65535, got {endpoint!r}")
     return host, int(port)
 
 
@@ -306,7 +308,7 @@ def referee_serve(
     receive the hidden message only via LAMBDA frames.
     """
     if config.side.kind != SIDE_STRATEGY:
-        raise ValueError("networked runs need a strategy side (the oracle runs in-referee only)")
+        raise ConfigError("networked runs need a strategy side (the oracle runs in-referee only)")
     host, port = parse_endpoint(endpoint)
     transcript = Transcript()
     listener = socket.create_server((host, port))
@@ -505,7 +507,6 @@ def station_client(
 ) -> int:
     """Convenience wrapper: run a station to completion, return exit status
     (0 verdict received, 2 config mismatch, 3 protocol abort)."""
-    from .config import ConfigError
     from .strategies import StrategyError
 
     client = StationClient(

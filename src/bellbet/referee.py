@@ -98,12 +98,6 @@ class StatisticTrace:
         deltas.flags.writeable = False
         return cls(deltas)
 
-    @classmethod
-    def from_records(cls, records: Sequence[TrialRecord]) -> "StatisticTrace":
-        deltas = np.array([rec.delta for rec in records], dtype=np.int8)
-        deltas.flags.writeable = False
-        return cls(deltas)
-
     @property
     def n(self) -> int:
         return int(self.deltas.shape[0])
@@ -631,11 +625,7 @@ def replay_verify(log: TrialLog, report: dict | None = None) -> ReplayReport:
 
     cells_arr = log.cells()
     _, _, x_arr, y_arr = log.columns()
-    cell_trials = np.bincount(cells_arr, minlength=4)
-    cell_coincidences = np.bincount(cells_arr[x_arr == y_arr], minlength=4)
-    counts = CountMatrix.from_cell_counts(
-        tuple(int(v) for v in cell_trials), tuple(int(v) for v in cell_coincidences)
-    )
+    counts = CountMatrix.from_columns(cells_arr, x_arr, y_arr)
     recomputed_counts = {
         "trials": {f"{i}{j}": counts.trial_count(i, j) for i in (1, 2) for j in (1, 2)},
         "coincidences": {

@@ -170,6 +170,18 @@ class TestAnalyzeValidate:
         assert doc["trials_committed"] == 300
         assert "last valid trial 300" in doc["incomplete"]
 
+    def test_over_long_log_is_a_validation_failure(self, finished_run, capsys):
+        over_long = finished_run.parent / "over-long.log"
+        extra = '{"i":1,"j":1,"m":801,"x":0,"y":0}\n{"i":2,"j":1,"m":802,"x":1,"y":1}\n'
+        over_long.write_text(finished_run.read_text() + extra)
+        assert main(["analyze", "--log", str(over_long)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: corrupt log (last valid trial 800)")
+        assert main(["validate", "--log", str(over_long)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "allows only 800 (extra trials: 801, 802)" in out
+        assert "incomplete" not in out
+
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "nope.log")]) == EXIT_CONFIG
 
@@ -205,3 +217,24 @@ class TestAnalyzeValidate:
         assert status == EXIT_VALIDATION
         doc = json.loads(capsys.readouterr().out)
         assert doc["replay_verify"]["ok"] is False
+
+
+class TestNetworkCommandErrors:
+    @pytest.mark.parametrize("command", ["serve", "station"])
+    def test_out_of_range_port_is_config_error(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path, side={"kind": "strategy", "strategy": "independent-coin", "params": {}}
+        )
+        args = {
+            "serve": ["serve", "--config", str(config)],
+            "station": ["station", "--role", "left"],
+        }[command]
+        assert main(args + ["--endpoint", "127.0.0.1:70000"]) == EXIT_CONFIG
+        assert "config error: endpoint port must be 0-65535" in capsys.readouterr().err
+
+    def test_serve_quantum_side_is_config_error(self, tmp_path, capsys):
+        assert main(["run", "--print-config"]) == EXIT_OK
+        config = tmp_path / "default.json"
+        config.write_text(capsys.readouterr().out)
+        assert main(["serve", "--config", str(config)]) == EXIT_CONFIG
+        assert "config error: networked runs need a strategy side" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from bellbet.core import (
     photon_to_spin_angles,
     spin_half_coincidence_probability,
 )
+from bellbet.logfile import LogHeader, TrialLog
 
 
 def brute_force_slack(p: np.ndarray) -> float:
@@ -193,6 +194,26 @@ class TestCountStatistic:
     def test_invariants(self):
         with pytest.raises(ValueError):
             CountMatrix.from_cell_counts((5, 5, 5, 5), (6, 0, 0, 0))
+
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    def test_from_columns_matches_from_records(self, count):
+        header = LogHeader(
+            config_hash="0" * 64,
+            seed=1,
+            mode="sequential",
+            angles=OPTIMAL_ANGLES.as_tuple(),
+            n=40,
+            critical_value=3,
+        )
+        rng = np.random.default_rng(count)
+        log = TrialLog(header)
+        for m in range(1, count + 1):
+            i, j, x, y = rng.integers(0, 2, size=4).tolist()
+            log.append(TrialRecord(m=m, setting=Setting(i + 1, j + 1), x=x, y=y))
+        _, _, x, y = log.columns()
+        from_columns = CountMatrix.from_columns(log.cells(), x, y)
+        assert from_columns == CountMatrix.from_records(log.records())
+        assert from_columns.total_trials == count
 
 
 class TestPhotonToSpin:

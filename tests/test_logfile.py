@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellbet.core import Setting, TrialRecord
 from bellbet.logfile import (
@@ -13,6 +15,12 @@ from bellbet.logfile import (
     load_log,
     read_raw_log,
     validate_raw_records,
+)
+
+
+# One trial's (i, j, x, y).
+TRIAL = st.tuples(
+    st.sampled_from((1, 2)), st.sampled_from((1, 2)), st.sampled_from((0, 1)), st.sampled_from((0, 1))
 )
 
 
@@ -48,6 +56,53 @@ class TestRoundTrip:
         assert small_log().to_bytes() == small_log().to_bytes()
         first_line = small_log().to_bytes().decode().splitlines()[1]
         assert first_line == '{"i":1,"j":2,"m":1,"x":1,"y":1}'
+
+    @given(
+        st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(TRIAL, max_size=n)))
+    )
+    @settings(max_examples=200)
+    def test_bytes_match_canonical_json(self, design):
+        # Partial logs included: the committed count ranges over 0..n.
+        n, trials = design
+        log = TrialLog(make_header(n=n))
+        for m, (i, j, x, y) in enumerate(trials, 1):
+            log.append(TrialRecord(m=m, setting=Setting(i, j), x=x, y=y))
+        docs = [log.header.to_dict()] + [
+            {"m": m, "i": i, "j": j, "x": x, "y": y}
+            for m, (i, j, x, y) in enumerate(trials, 1)
+        ]
+        reference = "".join(
+            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs
+        )
+        assert log.to_bytes() == reference.encode("ascii")
+
+    def test_load_gives_back_columns(self, tmp_path):
+        log = small_log()
+        path = tmp_path / "trial.log"
+        log.write(path)
+        loaded = load_log(path)
+        for got, want in zip(loaded.columns(), log.columns()):
+            assert got.dtype == want.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+        assert len(loaded) == len(log) == 4
+        assert loaded.complete and log.complete
+
+    def test_from_raw_partial_log(self):
+        _, records = read_raw_records_from(small_log())
+        partial = TrialLog.from_raw(make_header(), records[:3])
+        assert len(partial) == 3
+        assert not partial.complete
+        assert list(partial.records()) == list(small_log().records())[:3]
+        assert partial.to_bytes().decode().splitlines()[1:] == [
+            json.dumps(doc, sort_keys=True, separators=(",", ":")) for doc in records[:3]
+        ]
+        empty = TrialLog.from_raw(make_header(), [])
+        assert len(empty) == 0 and not empty.complete
+
+    def test_from_raw_rejects_too_many_records(self):
+        _, records = read_raw_records_from(small_log())
+        with pytest.raises(ValueError):
+            TrialLog.from_raw(make_header(n=3), records)
 
     def test_append_enforces_sequence(self):
         log = TrialLog(make_header())
@@ -112,6 +167,13 @@ class TestValidation:
         assert not result.ok
         assert any("incomplete" in v for v in result.violations)
 
+    def test_over_long_log_fails_and_names_extra_trials(self):
+        _, records = read_raw_records_from(small_log())
+        result = validate_raw_records(make_header(n=3), records)
+        assert result.violations == (
+            "log holds 4 trials but the design allows only 3 (extra trials: 4)",
+        )
+
     def test_reordered_trials_fail(self):
         # Swapped records violate the strictly increasing sequence invariant.
         _, records = read_raw_records_from(small_log())
@@ -138,6 +200,23 @@ class TestFileErrors:
         path = tmp_path / "headless.log"
         path.write_text('{"m":1,"i":1,"j":1,"x":0,"y":0}\n')
         with pytest.raises(LogFormatError):
+            read_raw_log(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", "4"), ("n", None), ("n", -1), ("seed", True), ("angles", [0, 0])]
+    )
+    def test_malformed_header(self, tmp_path, field, value):
+        doc = make_header().to_dict()
+        doc[field] = value
+        path = tmp_path / "bad-header.log"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(LogFormatError, match="malformed log header"):
+            read_raw_log(path)
+
+    def test_record_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list-record.log"
+        path.write_text(small_log().to_bytes().decode() + "[1, 2]\n")
+        with pytest.raises(LogFormatError, match=r":6: record is not a JSON object"):
             read_raw_log(path)
 
     def test_truncated_load_rejected(self, tmp_path):

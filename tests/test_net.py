@@ -118,8 +118,10 @@ class TestFraming:
 
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:881") == ("127.0.0.1", 881)
-        with pytest.raises(ValueError):
-            parse_endpoint("no-port")
+        assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        for bad in ("no-port", "127.0.0.1:65536", "127.0.0.1:70000"):
+            with pytest.raises(ValueError):
+                parse_endpoint(bad)
 
 
 class TestLoopbackEquivalence:
