@@ -197,12 +197,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
         "n": header.n,
         "critical_value": header.critical_value,
         "trials_committed": len(log),
-        "counts": {
-            "trials": {f"{i}{j}": counts.trial_count(i, j) for i in (1, 2) for j in (1, 2)},
-            "coincidences": {
-                f"{i}{j}": counts.coincidence_count(i, j) for i in (1, 2) for j in (1, 2)
-            },
-        },
+        "counts": counts.as_dict(),
         "statistic": trace.statistic,
         "sup_statistic": trace.sup,
         "variance_budget": trace.variance_budget(),

@@ -17,13 +17,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import midpoint_critical_value
-from .core import AngleConfig, Setting, expected_statistic_per_trial
-from .quantum import (
-    CORRELATION_SENSES,
-    EQUAL_POLARIZATION,
-    QuantumModel,
-    cell_coincidence_probability,
-)
+from .core import AngleConfig, expected_statistic_per_trial
+from .quantum import CORRELATION_SENSES, EQUAL_POLARIZATION, QuantumModel, cell_probabilities
 from .strategies import NONLOCAL_CHEATER, STRATEGY_REGISTRY
 
 MODES = ("sequential", "cloned-source", "batch")
@@ -39,10 +34,8 @@ class ConfigError(ValueError):
 def quantum_expected_statistic(model: QuantumModel) -> float:
     """Per-trial mean of the statistic for a quantum model of either
     correlation sense (uniform settings)."""
-    probs = {
-        (i, j): cell_coincidence_probability(model, Setting(i, j)) for i in (1, 2) for j in (1, 2)
-    }
-    return 0.25 * (probs[(1, 2)] - probs[(1, 1)] - probs[(2, 1)] - probs[(2, 2)])
+    p11, p12, p21, p22 = cell_probabilities(model).tolist()
+    return 0.25 * (p12 - p11 - p21 - p22)
 
 
 @dataclass(frozen=True)
@@ -101,6 +94,15 @@ class SideSpec:
         )
 
 
+def mean_per_trial(side: SideSpec, angles: AngleConfig) -> float:
+    """mu, the per-trial quantum mean a config's design is built on: the
+    oracle's own law for a quantum side, the equal-polarization law at these
+    angles for a strategy side."""
+    if side.kind == SIDE_QUANTUM:
+        return quantum_expected_statistic(QuantumModel(angles, side.correlation_sense))
+    return expected_statistic_per_trial(angles)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One pre-agreed experiment. ``critical_value`` may be given explicitly
@@ -137,10 +139,7 @@ class ExperimentConfig:
     def qm_mean_per_trial(self) -> float:
         """The quantum expectation the claimant aims for at these angles (used
         for the midpoint rule and both error bounds)."""
-        if self.side.kind == SIDE_QUANTUM:
-            model = QuantumModel(self.angles, self.side.correlation_sense)
-            return quantum_expected_statistic(model)
-        return expected_statistic_per_trial(self.angles)
+        return mean_per_trial(self.side, self.angles)
 
     def to_dict(self) -> dict:
         doc = {
@@ -208,10 +207,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
 
     raw_c = doc.get("critical_value", "auto")
     if raw_c == "auto":
-        if side.kind == SIDE_QUANTUM:
-            mu = quantum_expected_statistic(QuantumModel(angles, side.correlation_sense))
-        else:
-            mu = expected_statistic_per_trial(angles)
+        mu = mean_per_trial(side, angles)
         if not mu > 0:
             raise ConfigError(
                 f"cannot resolve critical_value='auto': expected statistic {mu:.6g} is not positive"

@@ -200,6 +200,15 @@ class CountMatrix:
         n, c = trials, coincidences
         return cls(trials=((n[0], n[1]), (n[2], n[3])), coincidences=((c[0], c[1]), (c[2], c[3])))
 
+    def as_dict(self) -> dict[str, dict[str, int]]:
+        """The counts document of reports and analyses: per-cell trials and
+        coincidences keyed "11", "12", "21", "22"."""
+        cells = [(i, j) for i in (1, 2) for j in (1, 2)]
+        return {
+            "trials": {f"{i}{j}": self.trial_count(i, j) for i, j in cells},
+            "coincidences": {f"{i}{j}": self.coincidence_count(i, j) for i, j in cells},
+        }
+
     def symmetric_slacks(self) -> dict[str, int]:
         """Each cell's count minus the sum of the other three.
 

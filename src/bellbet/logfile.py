@@ -19,6 +19,7 @@ verification relies on that.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -87,8 +88,12 @@ def _dump_line(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-class TrialLog:
-    """In-memory trial log backed by compact per-column arrays."""
+class TrialLog(Sequence):
+    """In-memory trial log backed by compact per-column arrays.
+
+    As a ``Sequence[TrialRecord]`` it indexes from 0 (negative indices count
+    from the end), so ``log[-1]`` is the last committed trial.
+    """
 
     def __init__(self, header: LogHeader):
         self.header = header
@@ -136,6 +141,9 @@ class TrialLog:
             x=int(self._x[idx]),
             y=int(self._y[idx]),
         )
+
+    def __getitem__(self, index: int) -> TrialRecord:
+        return self.record(index + 1 if index >= 0 else self._count + index + 1)
 
     def records(self) -> Iterator[TrialRecord]:
         for m in range(1, self._count + 1):
@@ -233,7 +241,10 @@ class LogValidation:
 
 def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidation:
     """Structural validation: every outcome an exact bit, every trial complete
-    and present, sequence numbers contiguous from 1 to header.n."""
+    and present, sequence numbers contiguous from 1 to header.n.
+
+    Every field must be a JSON integer: ``type(v) is int`` also refuses
+    ``true``/``false``, which ``isinstance(v, int)`` would let through."""
     violations: list[str] = []
     expected = 1
     for doc in records:
@@ -246,18 +257,18 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
             extras = sorted(set(doc) - {"i", "j", "m", "x", "y"})
             if extras:
                 violations.append(f"{label}: unknown fields {extras}")
-        if not isinstance(m, int) or m != expected:
+        if type(m) is not int or m != expected:
             violations.append(f"{label}: expected sequence number {expected}")
-            if isinstance(m, int):
+            if type(m) is int:
                 expected = m
         expected += 1
         for field in ("i", "j"):
             v = doc.get(field)
-            if field in doc and (not isinstance(v, int) or v not in (1, 2)):
+            if field in doc and (type(v) is not int or v not in (1, 2)):
                 violations.append(f"{label}: setting {field}={v!r} not in {{1,2}}")
         for field in ("x", "y"):
             v = doc.get(field)
-            if field in doc and (isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1)):
+            if field in doc and (type(v) is not int or v not in (0, 1)):
                 violations.append(f"{label}: outcome {field}={v!r} is not a bit")
     if len(records) < header.n:
         violations.append(

@@ -64,10 +64,20 @@ def sample_pair(model: QuantumModel, setting: Setting, u: float) -> tuple[int, i
     return x, 1 - x
 
 
+def cell_probabilities(model: QuantumModel) -> np.ndarray:
+    """``cell_coincidence_probability`` for cell codes 0..3 (11, 12, 21, 22)."""
+    return np.array([cell_coincidence_probability(model, Setting.from_cell(v)) for v in range(4)])
+
+
 def sample_pairs(model: QuantumModel, setting: Setting, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``sample_pair`` for one fixed cell: same region layout,
     bit-identical to the scalar path for equal uniforms."""
-    c = cell_coincidence_probability(model, setting)
+    return _pairs(cell_coincidence_probability(model, setting), u)
+
+
+def _pairs(c, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uint8 outcome columns for uniforms ``u`` and coincidence probability
+    ``c`` (one for all trials, or one per trial)."""
     coincide = u < c
     x = np.where(coincide, u >= 0.5 * c, u >= 0.5 * (1.0 + c)).astype(np.uint8)
     y = np.where(coincide, x, 1 - x).astype(np.uint8)
@@ -83,3 +93,8 @@ class OracleSampler:
 
     def sample_trial(self, m: int, setting: Setting) -> tuple[int, int]:
         return sample_pair(self.model, setting, self._uniforms.at(m))
+
+    def sample_columns(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome columns for a whole run of cell codes; the same values
+        ``sample_trial`` gives trial by trial."""
+        return _pairs(cell_probabilities(self.model)[cells], self._uniforms.values)

@@ -9,9 +9,12 @@ One experiment is one logical sequential loop. Per trial the referee:
   3. collects both raw outcomes, validates that each is exactly a bit
      (anything else aborts the experiment), and commits the trial to the
      append-only log;
-  4. updates counts and the running statistic, then runs the between-trial
-     broadcast (full trial data in sequential mode; own-wing data only in
-     cloned-source and batch modes).
+  4. runs the between-trial broadcast (full trial data in sequential mode;
+     own-wing data only in cloned-source and batch modes).
+
+The committed log is the engine's only record of the trials: the source's
+history in sequential mode is the log itself, and counts, the statistic and
+its running supremum are computed from the log's columns.
 
 Settings come from a private, documented counter-based stream (Philox keyed
 by the experiment seed), so a finished log can be replayed bit-exactly. The
@@ -119,9 +122,8 @@ class StatisticTrace:
 
     @property
     def sup(self) -> int:
-        if self.n == 0:
-            return 0
-        return int(self.running_sup[-1])
+        """sup_{m<=n} S_m (0 for an empty trace)."""
+        return int(self.running_sum.max()) if self.n else 0
 
     def variance_budget(self, m: int | None = None) -> float:
         """Upper bound on the predictable variance V_m: 3/4 per trial."""
@@ -310,7 +312,6 @@ class RefereeEngine:
         self._design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
         self._events: list[tuple[int, str, int]] | None = [] if record_events else None
         self._seq = 0
-        self._history: list[TrialRecord] = []
         self._batch_settings: list[Setting] | None = None
 
         self._oracle: OracleSampler | None = None
@@ -354,12 +355,6 @@ class RefereeEngine:
         )
         self.log = TrialLog(self.header)
 
-        # Running monitor state (the committed log is authoritative).
-        self.running_statistic = 0
-        self.running_sup = 0
-        self._cell_trials = [0, 0, 0, 0]
-        self._cell_coincidences = [0, 0, 0, 0]
-
     # --- event trace -----------------------------------------------------
 
     def _event(self, kind: str, m: int) -> None:
@@ -372,7 +367,7 @@ class RefereeEngine:
     def _dispatch_lambda(self, m: int) -> None:
         if self.strategy is None or self._nonlocal:
             return
-        history: Sequence[TrialRecord] = self._history if self.mode == "sequential" else ()
+        history: Sequence[TrialRecord] = self.log if self.mode == "sequential" else ()
         payload = self.strategy.source_emit(m, history).payload
         self._event("lambda", m)
         left, right = self._stations
@@ -403,14 +398,6 @@ class RefereeEngine:
     def _commit(self, m: int, setting: Setting, x: int, y: int) -> TrialRecord:
         record = TrialRecord(m=m, setting=setting, x=x, y=y)
         self.log.append(record)
-        self._history.append(record)
-        cell = setting.cell
-        self._cell_trials[cell] += 1
-        if x == y:
-            self._cell_coincidences[cell] += 1
-            self.running_statistic += 1 if cell == 1 else -1
-            if self.running_statistic > self.running_sup:
-                self.running_sup = self.running_statistic
         self._event("outcome", m)
         return record
 
@@ -499,11 +486,9 @@ class RefereeEngine:
         return self._finalize(abort)
 
     def _finalize(self, abort: AbortReport | None) -> RunResult:
-        counts = CountMatrix.from_cell_counts(
-            tuple(self._cell_trials), tuple(self._cell_coincidences)
-        )
         cells = self.log.cells()
         _, _, x, y = self.log.columns()
+        counts = CountMatrix.from_columns(cells, x, y)
         trace = StatisticTrace.from_columns(cells, x, y)
         verdict = None
         if abort is None and self.log.complete:
@@ -556,14 +541,7 @@ def build_report(result: RunResult) -> dict:
         "n": result.header.n,
         "critical_value": result.header.critical_value,
         "trials_committed": len(result.log),
-        "counts": {
-            "trials": {
-                f"{i}{j}": counts.trial_count(i, j) for i in (1, 2) for j in (1, 2)
-            },
-            "coincidences": {
-                f"{i}{j}": counts.coincidence_count(i, j) for i in (1, 2) for j in (1, 2)
-            },
-        },
+        "counts": counts.as_dict(),
         "statistic": result.trace.statistic,
         "sup_statistic": result.trace.sup,
         "variance_budget": result.trace.variance_budget(),
@@ -626,13 +604,7 @@ def replay_verify(log: TrialLog, report: dict | None = None) -> ReplayReport:
     cells_arr = log.cells()
     _, _, x_arr, y_arr = log.columns()
     counts = CountMatrix.from_columns(cells_arr, x_arr, y_arr)
-    recomputed_counts = {
-        "trials": {f"{i}{j}": counts.trial_count(i, j) for i in (1, 2) for j in (1, 2)},
-        "coincidences": {
-            f"{i}{j}": counts.coincidence_count(i, j) for i in (1, 2) for j in (1, 2)
-        },
-    }
-    if report.get("counts") != recomputed_counts:
+    if report.get("counts") != counts.as_dict():
         return ReplayReport(False, "recomputed counts do not match report")
 
     trace = StatisticTrace.from_columns(cells_arr, x_arr, y_arr)

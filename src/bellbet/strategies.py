@@ -9,6 +9,11 @@ which one wing can read the other wing's setting or outcome. Between trials
 the referee broadcasts the completed trial (plus optional opaque blobs), and
 stations fold it into their memory.
 
+Each honest strategy also answers a whole run at once, in
+``respond_columns``, from the same draw buffers ``prepare`` builds. The
+Monte-Carlo kernels run that rule; a contract test over the registry checks
+it against the engine byte for byte.
+
 Built-in roster: constant, independent-coin, classical-polarizer,
 deterministic-optimal, adaptive-frequency-tracker, plus the two deliberately
 ill-behaved ones used by validation tests: nonlocal-cheater (only
@@ -91,27 +96,19 @@ class TrialView:
     blobs: Mapping[str, bytes] = field(default_factory=dict)
 
 
-def _assignment_bits(k: int) -> tuple[int, int, int, int]:
-    """Deterministic assignment k in 0..15 -> (x1, x2, y1, y2) bits."""
-    return (k >> 3) & 1, (k >> 2) & 1, (k >> 1) & 1, k & 1
+# Deterministic assignment k in 0..15 -> bits (x1, x2, y1, y2), one row per k.
+ASSIGNMENT_BITS = np.array(
+    [[(k >> 3) & 1, (k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(16)], dtype=np.uint8
+)
+ASSIGNMENT_BITS.flags.writeable = False
 
-
-def _assignment_value_matrix() -> np.ndarray:
-    """values[k, cell] = statistic increment when cell is drawn and both
-    stations answer per deterministic assignment k (cell codes 11,12,21,22)."""
-    values = np.zeros((16, 4), dtype=np.int64)
-    for k in range(16):
-        x1, x2, y1, y2 = _assignment_bits(k)
-        x = (x1, x2)
-        y = (y1, y2)
-        for cell in range(4):
-            i, j = cell >> 1, cell & 1
-            if x[i] == y[j]:
-                values[k, cell] = 1 if cell == 1 else -1
-    return values
-
-
-ASSIGNMENT_VALUES = _assignment_value_matrix()
+# values[k, cell] = statistic increment when cell is drawn and both stations
+# answer per deterministic assignment k (cell codes 11, 12, 21, 22).
+ASSIGNMENT_VALUES = np.where(
+    ASSIGNMENT_BITS[:, [0, 0, 1, 1]] == ASSIGNMENT_BITS[:, [2, 3, 2, 3]],
+    np.array([-1, 1, -1, -1]),
+    0,
+).astype(np.int64)
 ASSIGNMENT_VALUES.flags.writeable = False
 
 
@@ -120,10 +117,13 @@ def best_deterministic_assignment() -> int:
     maximizers in enumeration order; the maximum slack is exactly 0)."""
     best_k, best_slack = 0, -math.inf
     for k in range(16):
-        slack = bell_inequality_slack(JointBitDistribution.point_mass(*_assignment_bits(k)))
+        slack = bell_inequality_slack(JointBitDistribution.point_mass(*ASSIGNMENT_BITS[k]))
         if slack > best_slack:
             best_k, best_slack = k, slack
     return best_k
+
+
+OPTIMAL_ASSIGNMENT = best_deterministic_assignment()
 
 
 def angular_distance(a, b):
@@ -191,6 +191,17 @@ class Strategy:
         """
         raise NotImplementedError
 
+    def respond_columns(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both stations' outcome bits (uint8) for a whole run at once.
+
+        ``cells`` holds the run's joint-setting codes 0..3 for trials 1..n.
+        The answers must equal, value for value, what ``station_respond``
+        gives the engine for the same prepared experiment and mode; the
+        registry-wide contract test compares logs byte for byte. Strategies
+        without a local whole-run rule refuse.
+        """
+        raise StrategyError(f"strategy {self.name!r} has no local whole-run rule")
+
     def update_memory(self, side: str, memory: StationMemory, view: TrialView) -> StationMemory:
         """Fold the completed trial into this station's memory."""
         return replace(memory, next_trial=memory.next_trial + 1)
@@ -221,6 +232,10 @@ class ConstantStrategy(Strategy):
     def station_respond(self, side, setting_index, message, memory):
         return self.bit
 
+    def respond_columns(self, cells):
+        fixed = np.full(len(cells), self.bit, dtype=np.uint8)
+        return fixed, fixed.copy()
+
 
 class IndependentCoinStrategy(Strategy):
     """Each station answers an independent fair coin each trial."""
@@ -237,6 +252,10 @@ class IndependentCoinStrategy(Strategy):
     def station_respond(self, side, setting_index, message, memory):
         self._require_prepared()
         return int(self._coins[side].at(memory.next_trial) < 0.5)
+
+    def respond_columns(self, cells):
+        self._require_prepared()
+        return tuple((self._coins[side].values < 0.5).astype(np.uint8) for side in SIDES)
 
 
 class ClassicalPolarizerStrategy(Strategy):
@@ -267,8 +286,42 @@ class ClassicalPolarizerStrategy(Strategy):
         )
         return int(angular_distance(theta, analyzer) < math.pi / 4.0)
 
+    def respond_columns(self, cells):
+        self._require_prepared()
+        theta = math.pi * self._polarizations.values
+        a = self.angles
+        left_analyzer = np.where(cells >> 1 == 0, a.alpha1, a.alpha2)
+        right_analyzer = np.where(cells & 1 == 0, a.beta1, a.beta2)
+        quarter = math.pi / 4.0
+        x = (angular_distance(theta, left_analyzer) < quarter).astype(np.uint8)
+        y = (angular_distance(theta, right_analyzer) < quarter).astype(np.uint8)
+        return x, y
 
-class DeterministicOptimalStrategy(Strategy):
+
+class AssignmentStrategy(Strategy):
+    """Both stations answer per a deterministic assignment, a row of
+    ``ASSIGNMENT_BITS`` whose index the source sends as a one-byte message.
+
+    Subclasses only choose the assignment: per trial in ``source_emit`` and
+    for a whole run in ``assignments``.
+    """
+
+    def assignments(self, cells: np.ndarray):
+        """Assignment index per trial of a whole run (or one for every trial)."""
+        raise NotImplementedError
+
+    def station_respond(self, side, setting_index, message, memory):
+        column = setting_index - 1 if side == LEFT else setting_index + 1
+        return ASSIGNMENT_BITS.item(message.payload[0], column)
+
+    def respond_columns(self, cells):
+        self._require_prepared()
+        row = 4 * self.assignments(cells)
+        bits = ASSIGNMENT_BITS.ravel()
+        return bits[row + (cells >> 1)], bits[row + 2 + (cells & 1)]
+
+
+class DeterministicOptimalStrategy(AssignmentStrategy):
     """Fixed deterministic assignment maximizing the CHSH slack.
 
     Found by enumerating all 16 point masses; the maximum slack is exactly
@@ -277,18 +330,11 @@ class DeterministicOptimalStrategy(Strategy):
 
     name = "deterministic-optimal"
 
-    def __init__(self):
-        super().__init__()
-        self.assignment = best_deterministic_assignment()
-
     def source_emit(self, m, history):
-        return SourceMessage(bytes([self.assignment]))
+        return SourceMessage(bytes([OPTIMAL_ASSIGNMENT]))
 
-    def station_respond(self, side, setting_index, message, memory):
-        x1, x2, y1, y2 = _assignment_bits(message.payload[0])
-        if side == LEFT:
-            return x1 if setting_index == 1 else x2
-        return y1 if setting_index == 1 else y2
+    def assignments(self, cells):
+        return OPTIMAL_ASSIGNMENT
 
 
 @dataclass(frozen=True)
@@ -303,7 +349,7 @@ class FrequencyMemory(StationMemory):
     own_counts: tuple[int, int] = (0, 0)
 
 
-class AdaptiveFrequencyTracker(Strategy):
+class AdaptiveFrequencyTracker(AssignmentStrategy):
     """Re-picks the deterministic assignment before every trial.
 
     The source scores each of the 16 assignments by the integer sum over
@@ -337,22 +383,26 @@ class AdaptiveFrequencyTracker(Strategy):
             self._cached_trials = len(history)
         return self._cached_counts
 
-    def choose_assignment(self, cell_counts: np.ndarray) -> int:
-        scores = cell_counts @ ASSIGNMENT_VALUES.T
-        return int(np.argmax(scores))
+    def choose_assignment(self, cell_counts: np.ndarray):
+        """Argmax assignment for one count vector, or one per row of a stack."""
+        return np.argmax(cell_counts @ ASSIGNMENT_VALUES.T, axis=-1)
 
     def source_emit(self, m, history):
         counts = self._history_cell_counts(history)
         return SourceMessage(bytes([self.choose_assignment(counts)]))
 
+    def assignments(self, cells):
+        """The assignment at trial m is a pure function of the joint settings
+        of trials 1..m-1, so a whole run vectorizes: cumulative one-hot
+        counts, then one argmax per trial. Cloned-source and batch sources
+        see an empty history."""
+        counts = np.zeros((len(cells), 4), dtype=np.int64)
+        if self.mode == "sequential":
+            np.cumsum(np.eye(4, dtype=np.int64)[cells[:-1]], axis=0, out=counts[1:])
+        return self.choose_assignment(counts)
+
     def initial_memory(self, side):
         return FrequencyMemory()
-
-    def station_respond(self, side, setting_index, message, memory):
-        x1, x2, y1, y2 = _assignment_bits(message.payload[0])
-        if side == LEFT:
-            return x1 if setting_index == 1 else x2
-        return y1 if setting_index == 1 else y2
 
     def update_memory(self, side, memory, view):
         own = list(memory.own_counts)

@@ -182,6 +182,19 @@ class TestAnalyzeValidate:
         assert "allows only 800 (extra trials: 801, 802)" in out
         assert "incomplete" not in out
 
+    @pytest.mark.parametrize("field", ["m", "i", "j"])
+    def test_boolean_index_is_a_validation_failure(self, finished_run, field, capsys):
+        lines = finished_run.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc[field] = True
+        lines[1] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        tampered = finished_run.parent / "boolean.log"
+        tampered.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--log", str(tampered)]) == EXIT_VALIDATION
+        assert capsys.readouterr().out.startswith("FAIL: ")
+        assert main(["analyze", "--log", str(tampered)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation failure: corrupt log")
+
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "nope.log")]) == EXIT_CONFIG
 

@@ -4,14 +4,25 @@ import math
 
 import pytest
 
+import numpy as np
+
+from bellbet.bounds import midpoint_critical_value
 from bellbet.config import (
     ConfigError,
+    SideSpec,
     config_from_dict,
     default_config_dict,
+    mean_per_trial,
     quantum_expected_statistic,
 )
-from bellbet.core import OPTIMAL_ANGLES
-from bellbet.quantum import QuantumModel
+from bellbet.core import (
+    OPTIMAL_ANGLES,
+    PI_THIRD_ANGLES,
+    AngleConfig,
+    Setting,
+    expected_statistic_per_trial,
+)
+from bellbet.quantum import QuantumModel, cell_coincidence_probability
 
 
 def base_doc(**overrides):
@@ -129,3 +140,54 @@ class TestQuantumExpectedStatistic:
         assert quantum_expected_statistic(opposite) == pytest.approx(
             -0.5 - mu_equal, abs=1e-12
         )
+
+
+def reference_mu(side, angles):
+    """mu as each branch computes it: the oracle's four cell probabilities
+    for a quantum side, the equal-polarization law for a strategy side."""
+    if side["kind"] == "strategy":
+        return expected_statistic_per_trial(angles)
+    model = QuantumModel(angles, side["correlation_sense"])
+    probs = {
+        (i, j): cell_coincidence_probability(model, Setting(i, j)) for i in (1, 2) for j in (1, 2)
+    }
+    return 0.25 * (probs[(1, 2)] - probs[(1, 1)] - probs[(2, 1)] - probs[(2, 2)])
+
+
+def _mu_angle_grid():
+    # Uniform angles, plus jitter around the optimal set and around its
+    # perpendicular variant, where each correlation sense has mu > 0.
+    rng = np.random.default_rng(2024)
+    optimal = np.array(OPTIMAL_ANGLES.as_tuple())
+    rows = [
+        *rng.uniform(-4.0, 4.0, (20, 4)),
+        *(optimal + rng.normal(0.0, 0.1, (10, 4))),
+        *(optimal + [0.0, 0.0, math.pi / 2, math.pi / 2] + rng.normal(0.0, 0.1, (10, 4))),
+    ]
+    return [OPTIMAL_ANGLES, PI_THIRD_ANGLES] + [AngleConfig(*row.tolist()) for row in rows]
+
+
+MU_ANGLES = _mu_angle_grid()
+MU_SIDES = [
+    {"kind": "quantum", "correlation_sense": "equal-polarization"},
+    {"kind": "quantum", "correlation_sense": "opposite-polarization"},
+    {"kind": "strategy", "strategy": "constant", "params": {}},
+]
+
+
+@pytest.mark.parametrize("side", MU_SIDES, ids=lambda s: s.get("correlation_sense", "strategy"))
+def test_mean_per_trial_is_bit_identical(side):
+    n = 25_000
+    spec = SideSpec.from_dict(side)
+    for angles in MU_ANGLES:
+        mu = reference_mu(side, angles)
+        assert type(mean_per_trial(spec, angles)) is float
+        assert mean_per_trial(spec, angles) == mu
+        doc = base_doc(angles=list(angles.as_tuple()), side=side, n=n, critical_value="auto")
+        if not mu > 0:
+            with pytest.raises(ConfigError):
+                config_from_dict(doc)
+            continue
+        config = config_from_dict(doc)
+        assert config.qm_mean_per_trial == mu
+        assert config.critical_value == midpoint_critical_value(n, mu)

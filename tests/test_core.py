@@ -1,6 +1,7 @@
 """Core math: deterministic CHSH implication, slack, coincidence laws."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -194,6 +195,15 @@ class TestCountStatistic:
     def test_invariants(self):
         with pytest.raises(ValueError):
             CountMatrix.from_cell_counts((5, 5, 5, 5), (6, 0, 0, 0))
+
+    def test_counts_document(self):
+        counts = CountMatrix.from_cell_counts((50, 51, 52, 53), (10, 40, 5, 6))
+        assert json.dumps(counts.as_dict()) == json.dumps(
+            {
+                "trials": {"11": 50, "12": 51, "21": 52, "22": 53},
+                "coincidences": {"11": 10, "12": 40, "21": 5, "22": 6},
+            }
+        )
 
     @pytest.mark.parametrize("count", [0, 1, 37])
     def test_from_columns_matches_from_records(self, count):

@@ -104,6 +104,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             TrialLog.from_raw(make_header(n=3), records)
 
+    def test_sequence_indexing(self):
+        log = small_log()
+        records = list(log.records())
+        assert [log[k] for k in range(4)] == records
+        assert [log[k] for k in range(-4, 0)] == records
+        assert list(log) == records
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                log[index]
+        with pytest.raises(IndexError):
+            TrialLog(make_header())[-1]
+
     def test_append_enforces_sequence(self):
         log = TrialLog(make_header())
         log.append(TrialRecord(m=1, setting=Setting(1, 1), x=0, y=0))
@@ -173,6 +185,15 @@ class TestValidation:
         assert result.violations == (
             "log holds 4 trials but the design allows only 3 (extra trials: 4)",
         )
+
+    @pytest.mark.parametrize("field", ["m", "i", "j"])
+    def test_boolean_index_fails(self, field):
+        # JSON true is not the integer 1, although Python's bool is an int.
+        _, records = read_raw_records_from(small_log())
+        records[0][field] = True
+        result = validate_raw_records(small_log().header, records)
+        assert not result.ok
+        assert any("True" in v for v in result.violations)
 
     def test_reordered_trials_fail(self):
         # Swapped records violate the strictly increasing sequence invariant.

@@ -1,4 +1,8 @@
-"""Contract: the vectorized kernels reproduce the referee engine bit-exactly."""
+"""Contract: every participant's whole-run rule reproduces the referee engine
+bit-exactly, for every honest strategy in the registry and both quantum
+correlation senses, in every mode."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,18 +10,22 @@ import pytest
 from bellbet.config import SideSpec, config_from_dict
 from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES
 from bellbet.montecarlo import simulate_many, simulate_result, simulate_run
-from bellbet.referee import build_report, run_experiment
+from bellbet.quantum import CORRELATION_SENSES
+from bellbet.referee import StatisticTrace, build_report, run_experiment
+from bellbet.strategies import LOCAL_STRATEGY_NAMES, StrategyError
 
+# Both quantum senses, every honest registry strategy with its default
+# parameters, and the constant strategy's other bit.
 SIDES = [
-    {"kind": "quantum", "correlation_sense": "equal-polarization"},
-    {"kind": "quantum", "correlation_sense": "opposite-polarization"},
-    {"kind": "strategy", "strategy": "constant", "params": {}},
+    *({"kind": "quantum", "correlation_sense": sense} for sense in CORRELATION_SENSES),
+    *({"kind": "strategy", "strategy": name, "params": {}} for name in LOCAL_STRATEGY_NAMES),
     {"kind": "strategy", "strategy": "constant", "params": {"bit": 0}},
-    {"kind": "strategy", "strategy": "independent-coin", "params": {}},
-    {"kind": "strategy", "strategy": "classical-polarizer", "params": {}},
-    {"kind": "strategy", "strategy": "deterministic-optimal", "params": {}},
-    {"kind": "strategy", "strategy": "adaptive-frequency-tracker", "params": {}},
 ]
+SEEDS = (1, 2, 3)
+
+
+def side_id(side):
+    return side.get("strategy", side.get("correlation_sense"))
 
 
 def make_config(side, *, n=400, seed=1, mode="sequential", angles=None, critical_value=10):
@@ -37,26 +45,24 @@ def make_config(side, *, n=400, seed=1, mode="sequential", angles=None, critical
     )
 
 
+def assert_kernel_matches_engine(config):
+    engine_result = run_experiment(config)
+    kernel_result = simulate_result(config)
+    assert kernel_result.log.to_bytes() == engine_result.log.to_bytes()
+    assert build_report(kernel_result) == build_report(engine_result)
+
+
 class TestEngineEquality:
-    @pytest.mark.parametrize("side", SIDES, ids=lambda s: s.get("strategy", s.get("correlation_sense")))
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("side", SIDES, ids=side_id)
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_sequential_logs_byte_identical(self, side, seed):
-        config = make_config(side, seed=seed)
-        engine_result = run_experiment(config)
-        kernel_result = simulate_result(config)
-        assert kernel_result.log.to_bytes() == engine_result.log.to_bytes()
-        assert build_report(kernel_result) == build_report(engine_result)
+        assert_kernel_matches_engine(make_config(side, seed=seed))
 
     @pytest.mark.parametrize("mode", ["cloned-source", "batch"])
-    @pytest.mark.parametrize(
-        "name", ["classical-polarizer", "adaptive-frequency-tracker", "independent-coin"]
-    )
-    def test_other_modes_match(self, mode, name):
-        side = {"kind": "strategy", "strategy": name, "params": {}}
-        config = make_config(side, seed=5, mode=mode)
-        engine_result = run_experiment(config)
-        kernel_result = simulate_result(config)
-        assert kernel_result.log.to_bytes() == engine_result.log.to_bytes()
+    @pytest.mark.parametrize("side", SIDES, ids=side_id)
+    def test_other_modes_match(self, side, mode):
+        for seed in SEEDS:
+            assert_kernel_matches_engine(make_config(side, seed=seed, mode=mode))
 
     def test_pi_third_angles_quantum(self):
         config = make_config(
@@ -64,7 +70,7 @@ class TestEngineEquality:
             angles=PI_THIRD_ANGLES,
             seed=17,
         )
-        assert simulate_result(config).log.to_bytes() == run_experiment(config).log.to_bytes()
+        assert_kernel_matches_engine(config)
 
 
 class TestBatchHelpers:
@@ -73,11 +79,19 @@ class TestBatchHelpers:
         seeds = list(range(40, 55))
         finals, sups = simulate_many(side, OPTIMAL_ANGLES, 250, seeds)
         for idx, seed in enumerate(seeds):
-            run = simulate_run(side, OPTIMAL_ANGLES, 250, seed)
-            path = run.statistic_path()
+            cells, x, y = simulate_run(side, OPTIMAL_ANGLES, 250, seed)
+            path = np.cumsum(np.where(x == y, np.where(cells == 1, 1, -1), 0))
             assert finals[idx] == path[-1]
             assert sups[idx] == path.max()
+            trace = StatisticTrace.from_columns(cells, x, y)
+            assert (finals[idx], sups[idx]) == (trace.statistic, trace.sup)
 
     def test_unknown_strategy_rejected(self):
+        # Neither ill-behaved strategy has a local whole-run rule. A config
+        # cannot name the cheater, so its side is passed as a bare record.
+        for name in ("range-violator", "nonlocal-cheater"):
+            side = SimpleNamespace(kind="strategy", strategy=name, params={})
+            with pytest.raises(StrategyError):
+                simulate_run(side, OPTIMAL_ANGLES, 10, 1)
         with pytest.raises(ValueError):
             simulate_run(SideSpec(kind="strategy", strategy="range-violator"), OPTIMAL_ANGLES, 10, 1)

@@ -195,7 +195,7 @@ class TestLocalStrategyRuns:
 
         for idx in range(runs):
             run = simulate_run(side, OPTIMAL_ANGLES, n, 1000 + idx, mode)
-            finals[idx] = run.final_statistic()
+            finals[idx] = StatisticTrace.from_columns(*run).statistic
         assert finals.mean() <= 4.0 * math.sqrt(0.75 * n / runs)
 
     def test_polarizer_drift_nonpositive(self):
@@ -336,6 +336,52 @@ class TestEngineConstruction:
         engine.run_trial(1)
         with pytest.raises(ProtocolAbort):
             engine.run_trial(3)
+
+
+class HistoryProbe(Strategy):
+    """Answers 1 and records what the source is shown before each trial."""
+
+    name = "history-probe"
+
+    def __init__(self):
+        super().__init__()
+        self.shown = []
+
+    def source_emit(self, m, history):
+        last = history[-1].m if len(history) else None
+        self.shown.append((m, history, len(history), last))
+        return super().source_emit(m, history)
+
+    def station_respond(self, side, setting_index, message, memory):
+        return 1
+
+
+class TestTrialState:
+    def test_sequential_source_reads_the_log(self):
+        config = make_config(strategy_side("constant"), n=12, seed=13)
+        probe = HistoryProbe()
+        engine = RefereeEngine(config, strategy=probe)
+        engine.run()
+        for m, history, length, last in probe.shown:
+            assert history is engine.log
+            assert (length, last) == (m - 1, m - 1 if m > 1 else None)
+
+    def test_cloned_source_sees_no_history(self):
+        config = make_config(strategy_side("constant"), n=12, seed=13, mode="cloned-source")
+        probe = HistoryProbe()
+        RefereeEngine(config, strategy=probe).run()
+        assert all(history == () for _, history, _, _ in probe.shown)
+
+    def test_tracker_reads_one_trial_per_trial(self):
+        # The tracker's cache grows by the log's last trial each time; a
+        # recount over the whole history would make the engine O(m) per trial.
+        config = make_config(strategy_side("adaptive-frequency-tracker"), n=200, seed=4)
+        engine = RefereeEngine(config)
+        read = []
+        record = engine.log.record
+        engine.log.record = lambda m: read.append(m) or record(m)
+        engine.run()
+        assert read == list(range(1, 200))
 
 
 class BlobCollector(Strategy):

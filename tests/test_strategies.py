@@ -9,18 +9,19 @@ from scipy import stats
 
 from bellbet.core import OPTIMAL_ANGLES, Setting, TrialRecord
 from bellbet.strategies import (
+    ASSIGNMENT_BITS,
+    ASSIGNMENT_VALUES,
     LEFT,
     LOCAL_STRATEGY_NAMES,
     OUTCOME_RANGE_HALF_WIDTH,
     RIGHT,
+    OPTIMAL_ASSIGNMENT,
     ConstantStrategy,
     SourceMessage,
     StationMemory,
     StrategyError,
     TrialView,
-    best_deterministic_assignment,
     build_strategy,
-    _assignment_bits,
 )
 
 
@@ -45,6 +46,8 @@ class TestRegistry:
         assert cheater.respond_nonlocal(LEFT, 1, 1) != cheater.respond_nonlocal(RIGHT, 1, 1)
         with pytest.raises(StrategyError):
             cheater.station_respond(LEFT, 1, SourceMessage(b""), StationMemory())
+        with pytest.raises(StrategyError):
+            cheater.respond_columns(np.zeros(4, dtype=np.int64))
 
     def test_local_roster(self):
         assert set(LOCAL_STRATEGY_NAMES) == {
@@ -181,32 +184,57 @@ class TestClassicalPolarizer:
 
         angles = AngleConfig(0.3, 1.2, -0.5, 0.9)
         n = 400_000
-        run = simulate_run(
+        cells, x, y = simulate_run(
             SideSpec(kind="strategy", strategy="classical-polarizer"), angles, n, seed=606
         )
-        coincide = run.x == run.y
+        coincide = x == y
         for cell in range(4):
             i, j = (cell >> 1) + 1, (cell & 1) + 1
             d = float(angular_distance(angles.left(i), angles.right(j)))
             expected = 1.0 - 2.0 * d / math.pi
-            mask = run.cells == cell
+            mask = cells == cell
             freq = float(coincide[mask].mean())
             se = math.sqrt(expected * (1.0 - expected) / int(mask.sum()))
             assert abs(freq - expected) <= 4.0 * se, (cell, freq, expected)
 
 
+def reference_assignment_bits(k):
+    """Assignment k in 0..15 -> (x1, x2, y1, y2), most significant bit first."""
+    return (k >> 3) & 1, (k >> 2) & 1, (k >> 1) & 1, k & 1
+
+
 class TestDeterministicOptimal:
     def test_assignment_attains_zero_slack(self):
-        k = best_deterministic_assignment()
-        x1, x2, y1, y2 = _assignment_bits(k)
+        x1, x2, y1, y2 = (int(b) for b in ASSIGNMENT_BITS[OPTIMAL_ASSIGNMENT])
         from bellbet.core import JointBitDistribution, bell_inequality_slack
 
         assert bell_inequality_slack(JointBitDistribution.point_mass(x1, x2, y1, y2)) == 0.0
 
+    def test_optimal_assignment_is_first_maximizer(self):
+        from bellbet.core import JointBitDistribution, bell_inequality_slack
+
+        slacks = [
+            bell_inequality_slack(JointBitDistribution.point_mass(*reference_assignment_bits(k)))
+            for k in range(16)
+        ]
+        assert OPTIMAL_ASSIGNMENT == slacks.index(max(slacks))
+
+    def test_assignment_tables_match_loop_reference(self):
+        values = np.zeros((16, 4), dtype=np.int64)
+        for k in range(16):
+            bits = reference_assignment_bits(k)
+            assert tuple(ASSIGNMENT_BITS[k]) == bits
+            x, y = bits[:2], bits[2:]
+            for cell in range(4):
+                if x[cell >> 1] == y[cell & 1]:
+                    values[k, cell] = 1 if cell == 1 else -1
+        assert ASSIGNMENT_VALUES.dtype == np.int64
+        assert np.array_equal(ASSIGNMENT_VALUES, values)
+
     def test_responses_follow_assignment(self):
         strategy = prepared("deterministic-optimal")
         message = strategy.source_emit(1, ())
-        x1, x2, y1, y2 = _assignment_bits(message.payload[0])
+        x1, x2, y1, y2 = reference_assignment_bits(message.payload[0])
         memory = StationMemory()
         assert strategy.station_respond(LEFT, 1, message, memory) == x1
         assert strategy.station_respond(LEFT, 2, message, memory) == x2
