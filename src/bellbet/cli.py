@@ -32,16 +32,18 @@ from .config import (
     config_from_dict,
     default_config_dict,
 )
-from .core import AngleConfig, CountMatrix, chsh_count_statistic, expected_statistic_per_trial
+from .core import AngleConfig, chsh_count_statistic, expected_statistic_per_trial
 from .logfile import LogFormatError, TrialLog, read_raw_log, validate_raw_records
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
 from .referee import (
     ABORT_VALIDATION,
-    StatisticTrace,
     adjudicate,
     build_report,
     replay_verify,
     run_experiment,
+    summarize,
+    tally,
+    winner_for,
 )
 from .strategies import build_strategy
 
@@ -92,7 +94,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
     try:
         config = _load_config_with_overrides(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     result = run_experiment(config)
@@ -159,6 +161,16 @@ def eval_angle(token: str) -> float:
     return sign * factor * math.pi / divisor
 
 
+def _read_report(path) -> dict:
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LogFormatError(f"report {path} is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise LogFormatError(f"report {path} is not a JSON object")
+    return report
+
+
 def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
     header, raw_records = read_raw_log(log_path)
     validation = validate_raw_records(header, raw_records)
@@ -166,43 +178,19 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
         v for v in validation.violations if "incomplete experiment" not in v
     ]
     if structural:
-        last_good = 0
-        for doc in raw_records[: header.n]:
-            if doc.get("m") == last_good + 1 and all(k in doc for k in ("i", "j", "x", "y")):
-                last_good += 1
-            else:
-                break
         raise LogFormatError(
-            f"corrupt log (last valid trial {last_good}): " + "; ".join(structural[:4])
+            f"corrupt log (last valid trial {validation.last_valid}): "
+            + "; ".join(structural[:4])
         )
     log = TrialLog.from_raw(header, raw_records)
 
-    report = None
-    if report_path:
-        report = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    else:
-        candidate = Path(str(log_path) + ".report.json")
-        if candidate.exists():
-            report = json.loads(candidate.read_text(encoding="utf-8"))
+    default_report = Path(str(log_path) + ".report.json")
+    if not report_path and default_report.exists():
+        report_path = default_report
+    report = _read_report(report_path) if report_path else None
 
-    cells = log.cells()
-    _, _, x, y = log.columns()
-    counts = CountMatrix.from_columns(cells, x, y)
-    trace = StatisticTrace.from_columns(cells, x, y)
-    analysis = {
-        "log": str(log_path),
-        "config_hash": header.config_hash,
-        "seed": header.seed,
-        "mode": header.mode,
-        "n": header.n,
-        "critical_value": header.critical_value,
-        "trials_committed": len(log),
-        "counts": counts.as_dict(),
-        "statistic": trace.statistic,
-        "sup_statistic": trace.sup,
-        "variance_budget": trace.variance_budget(),
-        "symmetric_slacks": counts.symmetric_slacks(),
-    }
+    counts, trace = tally(log)
+    analysis = {"log": str(log_path), **summarize(log, counts, trace)}
     status = EXIT_OK
     if log.complete:
         # The header does not pin the correlation sense; bounds are reported
@@ -222,11 +210,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
             analysis["verdict"] = {
                 "statistic": trace.statistic,
                 "critical_value": header.critical_value,
-                "winner": (
-                    "quantum-claimant"
-                    if trace.statistic > header.critical_value
-                    else "local-realist"
-                ),
+                "winner": winner_for(trace.statistic, header.critical_value),
             }
     else:
         analysis["verdict"] = None

@@ -19,7 +19,7 @@ from typing import Any, Mapping
 from .bounds import midpoint_critical_value
 from .core import AngleConfig, expected_statistic_per_trial
 from .quantum import CORRELATION_SENSES, EQUAL_POLARIZATION, QuantumModel, cell_probabilities
-from .strategies import NONLOCAL_CHEATER, STRATEGY_REGISTRY
+from .strategies import NONLOCAL_CHEATER, STRATEGY_REGISTRY, build_strategy
 
 MODES = ("sequential", "cloned-source", "batch")
 
@@ -87,11 +87,10 @@ class SideSpec:
             raise ConfigError(f"unknown side fields: {sorted(unknown)}")
         if kind == SIDE_QUANTUM:
             return cls(kind=kind, correlation_sense=doc.get("correlation_sense", EQUAL_POLARIZATION))
-        return cls(
-            kind=kind or "",
-            strategy=doc.get("strategy", ""),
-            params=dict(doc.get("params", {})),
-        )
+        params = doc.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ConfigError(f"side.params must be an object, got {params!r}")
+        return cls(kind=kind or "", strategy=doc.get("strategy", ""), params=dict(params))
 
 
 def mean_per_trial(side: SideSpec, angles: AngleConfig) -> float:
@@ -196,6 +195,11 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"bad angles {angles_doc!r}: {exc}") from exc
 
     side = SideSpec.from_dict(doc["side"])
+    if side.kind == SIDE_STRATEGY:
+        try:
+            build_strategy(side.strategy, side.params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad params for strategy {side.strategy!r}: {exc}") from exc
 
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

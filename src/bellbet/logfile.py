@@ -129,7 +129,7 @@ class TrialLog(Sequence):
 
     def cells(self) -> np.ndarray:
         i, j, _, _ = self.columns()
-        return 2 * (i.astype(np.int64) - 1) + (j.astype(np.int64) - 1)
+        return (2 * i + j - 3).astype(np.int64)  # exact in uint8: 2*i + j is 3..6
 
     def record(self, m: int) -> TrialRecord:
         if not 1 <= m <= self._count:
@@ -209,7 +209,11 @@ def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
     non-bit outcomes instead of choking on them.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().decode("utf-8").splitlines()
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"{path}: log is not UTF-8 text: {exc}") from exc
     if not lines:
         raise LogFormatError(f"{path}: empty log file")
     try:
@@ -237,6 +241,7 @@ def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
 class LogValidation:
     ok: bool
     violations: tuple[str, ...]
+    last_valid: int  # leading records within header.n that have no violation
 
 
 def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidation:
@@ -247,6 +252,7 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
     ``true``/``false``, which ``isinstance(v, int)`` would let through."""
     violations: list[str] = []
     expected = 1
+    last_valid = 0
     for doc in records:
         m = doc.get("m")
         label = f"trial {m!r}"
@@ -270,6 +276,8 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
             v = doc.get(field)
             if field in doc and (type(v) is not int or v not in (0, 1)):
                 violations.append(f"{label}: outcome {field}={v!r} is not a bit")
+        if not violations:
+            last_valid += 1
     if len(records) < header.n:
         violations.append(
             f"log holds {len(records)} trials but the design requires {header.n} "
@@ -282,7 +290,9 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
             f"log holds {len(records)} trials but the design allows only {header.n} "
             f"(extra trials: {named})"
         )
-    return LogValidation(ok=not violations, violations=tuple(violations))
+    return LogValidation(
+        ok=not violations, violations=tuple(violations), last_valid=min(last_valid, header.n)
+    )
 
 
 def load_log(path) -> TrialLog:

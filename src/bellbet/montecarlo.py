@@ -19,10 +19,10 @@ import numpy as np
 
 from .bounds import design_for
 from .config import SIDE_QUANTUM, ExperimentConfig, SideSpec
-from .core import AngleConfig, CountMatrix
+from .core import AngleConfig
 from .logfile import TrialLog
 from .quantum import OracleSampler, QuantumModel
-from .referee import LogHeader, RunResult, StatisticTrace, adjudicate
+from .referee import RunResult, StatisticTrace, log_header
 from .rng import settings_cells
 from .strategies import build_strategy
 
@@ -67,24 +67,10 @@ def simulate_result(config: ExperimentConfig) -> RunResult:
     """A RunResult equal to what the referee engine produces for this config
     (the equality is pinned by contract tests)."""
     cells, x, y = simulate_run(config.side, config.angles, config.n, config.seed, config.mode)
-    header = LogHeader(
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        mode=config.mode,
-        angles=config.angles.as_tuple(),
-        n=config.n,
-        critical_value=config.critical_value,
-    )
     i = ((cells >> 1) + 1).astype(np.uint8)
     j = ((cells & 1) + 1).astype(np.uint8)
-    trace = StatisticTrace.from_columns(cells, x, y)
-    design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
     return RunResult(
-        header=header,
-        log=TrialLog.from_columns(header, i, j, x, y),
-        counts=CountMatrix.from_columns(cells, x, y),
-        trace=trace,
-        design=design,
-        verdict=adjudicate(trace, design),
+        log=TrialLog.from_columns(log_header(config), i, j, x, y),
+        design=design_for(config.n, config.critical_value, config.qm_mean_per_trial),
         abort=None,
     )

@@ -255,9 +255,6 @@ class RemoteStation:
         for m, index in enumerate(settings, start=1):
             self._send_setting(m, index)
 
-    def finish(self, completed: bool) -> None:
-        pass
-
     def send_verdict(self, report: dict) -> None:
         self._send(KIND_VERDICT, None, json.dumps(report, sort_keys=True).encode("ascii"))
 

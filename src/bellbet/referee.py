@@ -26,7 +26,7 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -147,8 +147,7 @@ class Verdict:
     quantum_claimant_error_bound: float
 
     def __post_init__(self) -> None:
-        expected = WINNER_QUANTUM if self.statistic > self.critical_value else WINNER_LOCAL
-        if self.winner != expected:
+        if self.winner != winner_for(self.statistic, self.critical_value):
             raise ValueError(
                 f"winner {self.winner!r} inconsistent with statistic {self.statistic} "
                 f"vs critical value {self.critical_value}"
@@ -166,48 +165,30 @@ class Verdict:
         }
 
 
-def adjudicate(trace: StatisticTrace, design: ProtocolDesign) -> Verdict:
+def winner_for(statistic: int, critical_value: int) -> str:
     """Winner per S_n > C; the quantum side must strictly exceed the critical
     value (ties favor the null)."""
+    return WINNER_QUANTUM if statistic > critical_value else WINNER_LOCAL
+
+
+def adjudicate(trace: StatisticTrace, design: ProtocolDesign) -> Verdict:
+    """The verdict of a complete trace under ``design`` (see ``winner_for``)."""
     if trace.n != design.n:
         raise ValueError(f"trace holds {trace.n} trials, design requires {design.n}")
-    statistic = trace.statistic
-    quantum_wins = statistic > design.critical_value
+    winner = winner_for(trace.statistic, design.critical_value)
     return Verdict(
-        statistic=statistic,
+        statistic=trace.statistic,
         critical_value=design.critical_value,
-        winner=WINNER_QUANTUM if quantum_wins else WINNER_LOCAL,
+        winner=winner,
         error_bound_used=(
-            design.local_realist_error_bound if quantum_wins else design.quantum_claimant_error_bound
+            design.local_realist_error_bound
+            if winner == WINNER_QUANTUM
+            else design.quantum_claimant_error_bound
         ),
         n=design.n,
         local_realist_error_bound=design.local_realist_error_bound,
         quantum_claimant_error_bound=design.quantum_claimant_error_bound,
     )
-
-
-class SettingStream:
-    """The referee's private settings source.
-
-    The whole buffer is materialized from the documented counter-based stream
-    (rng.settings_cells); ``draw`` reveals one joint setting per trial. The
-    buffer never leaves the referee.
-    """
-
-    def __init__(self, seed: int, n: int):
-        self._cells = settings_cells(seed, n)
-        self._drawn = 0
-
-    def draw(self) -> Setting:
-        if self._drawn >= len(self._cells):
-            raise ProtocolAbort(f"settings exhausted after {self._drawn} trials")
-        cell = int(self._cells[self._drawn])
-        self._drawn += 1
-        return Setting.from_cell(cell)
-
-    @property
-    def drawn(self) -> int:
-        return self._drawn
 
 
 @dataclass
@@ -231,16 +212,69 @@ class AbortReport:
         }
 
 
+# --- one derivation from a committed log ----------------------------------
+
+
+def log_header(config: ExperimentConfig) -> LogHeader:
+    """The header every log of this config carries."""
+    return LogHeader(
+        config_hash=config.config_hash(),
+        seed=config.seed,
+        mode=config.mode,
+        angles=config.angles.as_tuple(),
+        n=config.n,
+        critical_value=config.critical_value,
+    )
+
+
+def tally(log: TrialLog) -> tuple[CountMatrix, StatisticTrace]:
+    """The cell counts and the statistic trace of the committed trials."""
+    cells = log.cells()
+    _, _, x, y = log.columns()
+    return CountMatrix.from_columns(cells, x, y), StatisticTrace.from_columns(cells, x, y)
+
+
+def summarize(log: TrialLog, counts: CountMatrix, trace: StatisticTrace) -> dict:
+    """The report fields the log alone determines (``tally(log)`` gives
+    ``counts`` and ``trace``); reports and ``analyze`` share them."""
+    header = log.header
+    return {
+        "config_hash": header.config_hash,
+        "seed": header.seed,
+        "mode": header.mode,
+        "n": header.n,
+        "critical_value": header.critical_value,
+        "trials_committed": len(log),
+        "counts": counts.as_dict(),
+        "statistic": trace.statistic,
+        "sup_statistic": trace.sup,
+        "variance_budget": trace.variance_budget(),
+        "symmetric_slacks": counts.symmetric_slacks(),
+    }
+
+
 @dataclass
 class RunResult:
-    header: LogHeader
+    """One experiment's committed log and everything derived from it.
+
+    Counts, trace and verdict are computed from the log when the result is
+    built; the verdict exists only for a complete log with no abort."""
+
     log: TrialLog
-    counts: CountMatrix
-    trace: StatisticTrace
     design: ProtocolDesign
-    verdict: Verdict | None
     abort: AbortReport | None
     events: list[tuple[int, str, int]] | None = None
+    counts: CountMatrix = field(init=False)
+    trace: StatisticTrace = field(init=False)
+    verdict: Verdict | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.counts, self.trace = tally(self.log)
+        self.verdict = adjudicate(self.trace, self.design) if self.completed else None
+
+    @property
+    def header(self) -> LogHeader:
+        return self.log.header
 
     @property
     def completed(self) -> bool:
@@ -279,9 +313,6 @@ class LocalStation:
     def deliver_batch_settings(self, settings: Sequence[int]) -> None:
         self.memory = self.strategy.receive_batch_settings(self.side, settings, self.memory)
 
-    def finish(self, completed: bool) -> None:
-        pass
-
 
 class RefereeEngine:
     """Runs one experiment under one config.
@@ -308,11 +339,13 @@ class RefereeEngine:
         self.config = config
         self.n = config.n
         self.mode = config.mode
-        self._settings = SettingStream(config.seed, config.n)
+        # The referee's private settings: the documented counter-based stream
+        # (rng.settings_cells), revealed one trial at a time except in batch
+        # mode. The buffer never leaves the referee.
+        self._cells = settings_cells(config.seed, config.n)
         self._design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
         self._events: list[tuple[int, str, int]] | None = [] if record_events else None
         self._seq = 0
-        self._batch_settings: list[Setting] | None = None
 
         self._oracle: OracleSampler | None = None
         self.strategy: Strategy | None = None
@@ -345,15 +378,7 @@ class RefereeEngine:
                     LocalStation(strategy, RIGHT),
                 )
 
-        self.header = LogHeader(
-            config_hash=config.config_hash(),
-            seed=config.seed,
-            mode=config.mode,
-            angles=config.angles.as_tuple(),
-            n=config.n,
-            critical_value=config.critical_value,
-        )
-        self.log = TrialLog(self.header)
+        self.log = TrialLog(log_header(config))
 
     # --- event trace -----------------------------------------------------
 
@@ -375,12 +400,9 @@ class RefereeEngine:
         right.deliver_lambda(m, payload)
 
     def _draw_setting(self, m: int) -> Setting:
-        if self._batch_settings is not None:
-            setting = self._batch_settings[m - 1]
-        else:
-            setting = self._settings.draw()
+        if self.mode != "batch":
             self._event("settings", m)
-        return setting
+        return Setting.from_cell(int(self._cells[m - 1]))
 
     def _collect_outcomes(self, m: int, setting: Setting):
         if self._oracle is not None:
@@ -435,6 +457,8 @@ class RefereeEngine:
         """Execute trial m. Trial m-1 must already be committed."""
         if m != len(self.log) + 1:
             raise ProtocolAbort(f"trial {m} requested but {len(self.log)} trials committed")
+        if m > self.n:
+            raise ProtocolAbort(f"settings exhausted after {self.n} trials")
         self._dispatch_lambda(m)
         setting = self._draw_setting(m)
         x_raw, y_raw = self._collect_outcomes(m, setting)
@@ -451,14 +475,12 @@ class RefereeEngine:
         return record
 
     def _reveal_batch_settings(self) -> None:
-        settings = [self._settings.draw() for _ in range(self.n)]
-        self._batch_settings = settings
         for m in range(1, self.n + 1):
             self._event("settings", m)
         if self._stations is not None:
             left, right = self._stations
-            left.deliver_batch_settings(tuple(s.i for s in settings))
-            right.deliver_batch_settings(tuple(s.j for s in settings))
+            left.deliver_batch_settings(tuple(((self._cells >> 1) + 1).tolist()))
+            right.deliver_batch_settings(tuple(((self._cells & 1) + 1).tolist()))
             self._event("batch-settings", 0)
 
     def run(self) -> RunResult:
@@ -483,30 +505,7 @@ class RefereeEngine:
                 trial=exc.trial,
                 side=exc.side,
             )
-        return self._finalize(abort)
-
-    def _finalize(self, abort: AbortReport | None) -> RunResult:
-        cells = self.log.cells()
-        _, _, x, y = self.log.columns()
-        counts = CountMatrix.from_columns(cells, x, y)
-        trace = StatisticTrace.from_columns(cells, x, y)
-        verdict = None
-        if abort is None and self.log.complete:
-            verdict = adjudicate(trace, self._design)
-        if self._stations is not None:
-            left, right = self._stations
-            left.finish(verdict is not None)
-            right.finish(verdict is not None)
-        return RunResult(
-            header=self.header,
-            log=self.log,
-            counts=counts,
-            trace=trace,
-            design=self._design,
-            verdict=verdict,
-            abort=abort,
-            events=self._events,
-        )
+        return RunResult(log=self.log, design=self._design, abort=abort, events=self._events)
 
 
 def run_experiment(
@@ -532,20 +531,9 @@ def run_experiment(
 def build_report(result: RunResult) -> dict:
     """Structured summary a jury can recheck by hand: counts, statistic,
     running supremum, verdict and the exact (log-space) bound values."""
-    counts = result.counts
     return {
-        "config_hash": result.header.config_hash,
-        "seed": result.header.seed,
-        "mode": result.header.mode,
+        **summarize(result.log, result.counts, result.trace),
         "angles": list(result.header.angles),
-        "n": result.header.n,
-        "critical_value": result.header.critical_value,
-        "trials_committed": len(result.log),
-        "counts": counts.as_dict(),
-        "statistic": result.trace.statistic,
-        "sup_statistic": result.trace.sup,
-        "variance_budget": result.trace.variance_budget(),
-        "symmetric_slacks": counts.symmetric_slacks(),
         "design": result.design.as_dict(),
         "verdict": result.verdict.to_dict() if result.verdict else None,
         "abort": result.abort.to_dict() if result.abort else None,
@@ -601,13 +589,9 @@ def replay_verify(log: TrialLog, report: dict | None = None) -> ReplayReport:
                 f"abort at trial {abort.get('trial')} but log holds {len(log)} trials",
             )
 
-    cells_arr = log.cells()
-    _, _, x_arr, y_arr = log.columns()
-    counts = CountMatrix.from_columns(cells_arr, x_arr, y_arr)
+    counts, trace = tally(log)
     if report.get("counts") != counts.as_dict():
         return ReplayReport(False, "recomputed counts do not match report")
-
-    trace = StatisticTrace.from_columns(cells_arr, x_arr, y_arr)
     if report.get("statistic") != trace.statistic:
         return ReplayReport(False, "recomputed statistic does not match report")
     if report.get("sup_statistic") != trace.sup:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import socket
+import threading
 
 import pytest
 
@@ -13,6 +15,11 @@ from bellbet.cli import (
     main,
 )
 from bellbet.core import OPTIMAL_ANGLES
+from bellbet.logfile import load_log
+from bellbet.net import KIND_CONFIG, encode_frame, recv_frame
+from bellbet.referee import summarize, tally
+
+BAD_PARAMS = [("constant", {"bit": 2}), ("classical-polarizer", {"bogus": 1})]
 
 
 def write_config(tmp_path, **overrides):
@@ -56,6 +63,20 @@ class TestRun:
     def test_unknown_field_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, gremlins=True)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"n": "\xff"}')
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("name, params", BAD_PARAMS)
+    def test_bad_strategy_params_are_config_error(self, tmp_path, capsys, command, name, params):
+        side = {"kind": "strategy", "strategy": name, "params": params}
+        config = write_config(tmp_path, side=side)
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: bad params for strategy {name!r}")
 
     def test_range_violator_is_validation_failure(self, tmp_path, capsys):
         config = write_config(
@@ -138,8 +159,11 @@ class TestAnalyzeValidate:
         )
         main(["analyze", "--log", str(finished_run)])
         analysis = json.loads(capsys.readouterr().out)
-        assert analysis["statistic"] == report["statistic"]
-        assert analysis["counts"] == report["counts"]
+        log = load_log(finished_run)
+        shared = summarize(log, *tally(log))
+        assert len(shared) == 11
+        for key in shared:
+            assert analysis[key] == report[key] == shared[key], key
         assert analysis["verdict"] == report["verdict"]
 
     def test_validate_catches_non_bit_outcome(self, finished_run, capsys):
@@ -151,6 +175,43 @@ class TestAnalyzeValidate:
         tampered.write_text("\n".join(lines) + "\n")
         assert main(["validate", "--log", str(tampered)]) == EXIT_VALIDATION
         assert "not a bit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "trial, field, value, last_valid", [(3, "x", 2.5, 2), (1, "m", True, 0)]
+    )
+    def test_analyze_names_last_valid_trial_of_bad_value(
+        self, finished_run, capsys, trial, field, value, last_valid
+    ):
+        lines = finished_run.read_text().splitlines()
+        doc = json.loads(lines[trial])
+        doc[field] = value
+        lines[trial] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        tampered = finished_run.parent / "bad-value.log"
+        tampered.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--log", str(tampered)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: corrupt log (last valid trial {last_valid}): ")
+
+    def test_non_utf8_log_is_a_validation_failure(self, finished_run, capsys):
+        data = bytearray(finished_run.read_bytes())
+        data[data.index(b'"x":') + 4] = 0xFF
+        broken = finished_run.parent / "binary.log"
+        broken.write_bytes(bytes(data))
+        assert main(["analyze", "--log", str(broken)]) == EXIT_VALIDATION
+        assert "not UTF-8" in capsys.readouterr().err
+        assert main(["validate", "--log", str(broken)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: ") and "not UTF-8" in out
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_malformed_report_is_a_validation_failure(self, finished_run, capsys, text):
+        report = finished_run.parent / "bad.report.json"
+        report.write_text(text)
+        status = main(["analyze", "--log", str(finished_run), "--report", str(report)])
+        assert status == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"validation failure: report {report} ")
 
     def test_validate_catches_missing_trial(self, finished_run, capsys):
         lines = finished_run.read_text().splitlines()
@@ -251,3 +312,30 @@ class TestNetworkCommandErrors:
         config.write_text(capsys.readouterr().out)
         assert main(["serve", "--config", str(config)]) == EXIT_CONFIG
         assert "config error: networked runs need a strategy side" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, params", BAD_PARAMS)
+    def test_station_refuses_bad_strategy_params(self, name, params):
+        # A referee that announces a config whose strategy cannot be built.
+        doc = {
+            "angles": list(OPTIMAL_ANGLES.as_tuple()),
+            "side": {"kind": "strategy", "strategy": name, "params": params},
+            "n": 100,
+            "seed": 1,
+        }
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10)
+
+            def referee():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(10)
+                    recv_frame(conn)  # HELLO
+                    conn.sendall(encode_frame(KIND_CONFIG, None, None, json.dumps(doc).encode()))
+                    conn.recv(1)  # wait for the station to hang up
+
+            thread = threading.Thread(target=referee, daemon=True)
+            thread.start()
+            host, port = listener.getsockname()[:2]
+            args = ["station", "--role", "left", "--endpoint", f"{host}:{port}", "--timeout", "10"]
+            assert main(args) == EXIT_CONFIG
+            thread.join(10)

@@ -94,6 +94,16 @@ class TestParsing:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [("constant", {"bit": 2}), ("classical-polarizer", {"bogus": 1}), ("constant", 5)],
+    )
+    def test_bad_strategy_params_rejected(self, name, params):
+        doc = base_doc()
+        doc["side"] = {"kind": "strategy", "strategy": name, "params": params}
+        with pytest.raises(ConfigError, match="params"):
+            config_from_dict(doc)
+
     def test_critical_value_must_be_attainable(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(critical_value=10_000))

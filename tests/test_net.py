@@ -568,18 +568,25 @@ class TestServeCli:
             stderr=subprocess.PIPE,
             text=True,
         )
-        banner = serve.stdout.readline().strip()
-        assert banner.startswith("listening on ")
-        endpoint = banner.removeprefix("listening on ")
-        stations = [
-            subprocess.Popen(
-                [sys.executable, "-m", "bellbet", "station", "--role", role,
-                 "--endpoint", endpoint],
-            )
-            for role in ("left", "right")
-        ]
-        assert serve.wait(timeout=30) == 0
-        assert [proc.wait(timeout=10) for proc in stations] == [0, 0]
+        procs = [serve]
+        try:
+            banner = serve.stdout.readline().strip()
+            assert banner.startswith("listening on ")
+            endpoint = banner.removeprefix("listening on ")
+            procs += [
+                subprocess.Popen(
+                    [sys.executable, "-m", "bellbet", "station", "--role", role,
+                     "--endpoint", endpoint],
+                )
+                for role in ("left", "right")
+            ]
+            _, err = serve.communicate(timeout=30)
+            assert serve.returncode == 0, err
+            assert [proc.wait(timeout=10) for proc in procs[1:]] == [0, 0]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.communicate()
         in_process = run_experiment(config)
         assert log_path.read_bytes() == in_process.log.to_bytes()
         assert audit_transcript(Transcript.read(transcript_path)).ok

@@ -13,7 +13,7 @@ from bellbet.referee import (
     ABORT_VALIDATION,
     OutcomeValidationError,
     RefereeEngine,
-    SettingStream,
+    RunResult,
     StatisticTrace,
     Verdict,
     adjudicate,
@@ -113,16 +113,6 @@ class TestAdjudicate:
                 local_realist_error_bound=1e-6,
                 quantum_claimant_error_bound=1e-6,
             )
-
-
-class TestSettingStream:
-    def test_draws_match_buffer(self):
-        stream = SettingStream(seed=4, n=32)
-        from bellbet.rng import settings_cells
-
-        expected = settings_cells(4, 32)
-        drawn = [stream.draw().cell for _ in range(32)]
-        assert drawn == list(expected)
 
 
 class TestCommitOrdering:
@@ -322,6 +312,28 @@ class TestReplay:
         assert not replay_verify(result.log, report)
 
 
+class TestRunResult:
+    def test_verdict_only_for_complete_log_without_abort(self):
+        complete = run_experiment(make_config(strategy_side("classical-polarizer"), n=120, seed=6))
+        assert complete.header is complete.log.header
+        assert complete.verdict is not None
+        assert complete.verdict == adjudicate(complete.trace, complete.design)
+
+        aborted = run_experiment(make_config(strategy_side("range-violator"), n=120, seed=6))
+        assert aborted.abort is not None
+        assert aborted.verdict is None
+
+        from bellbet.logfile import TrialLog
+
+        partial = TrialLog(complete.header)
+        for m in range(1, 61):
+            partial.append(complete.log.record(m))
+        result = RunResult(log=partial, design=complete.design, abort=None)
+        assert result.verdict is None
+        assert result.trace.n == 60
+        assert result.counts == CountMatrix.from_records(partial.records())
+
+
 class TestEngineConstruction:
     def test_quantum_side_takes_no_strategy(self):
         config = make_config(QUANTUM_SIDE, n=10)
@@ -336,6 +348,15 @@ class TestEngineConstruction:
         engine.run_trial(1)
         with pytest.raises(ProtocolAbort):
             engine.run_trial(3)
+
+    def test_run_trial_past_n_aborts(self):
+        from bellbet.referee import ProtocolAbort
+
+        engine = RefereeEngine(make_config(strategy_side("constant"), n=20))
+        for m in range(1, 21):
+            engine.run_trial(m)
+        with pytest.raises(ProtocolAbort):
+            engine.run_trial(21)
 
 
 class HistoryProbe(Strategy):
