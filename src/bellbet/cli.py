@@ -218,7 +218,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
             f"log holds {len(log)} of {header.n} trials; last valid trial {len(log)}"
         )
         status = EXIT_VALIDATION
-    replay = replay_verify(log, report)
+    replay = replay_verify(log, report, counts=counts, trace=trace)
     analysis["replay_verify"] = {
         "ok": replay.ok,
         "failure": replay.failure,
@@ -234,7 +234,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
 def cmd_analyze(args) -> int:
     try:
         analysis, status = _analyze_log(args.log, args.report)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, or not readable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LogFormatError as exc:
@@ -247,7 +247,7 @@ def cmd_analyze(args) -> int:
 def cmd_validate(args) -> int:
     try:
         header, raw_records = read_raw_log(args.log)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, or not readable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LogFormatError as exc:

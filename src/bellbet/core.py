@@ -111,6 +111,11 @@ class Setting:
         return cls(i=(cell >> 1) + 1, j=(cell & 1) + 1)
 
 
+# The four joint settings, indexed by cell code: one validated instance each,
+# which the referee hands out instead of building a Setting per trial.
+SETTINGS_BY_CELL = tuple(Setting.from_cell(cell) for cell in range(4))
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One committed trial: settings and both validated outcome bits."""

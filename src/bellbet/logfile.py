@@ -97,11 +97,14 @@ class TrialLog(Sequence):
 
     def __init__(self, header: LogHeader):
         self.header = header
-        self._i = np.zeros(header.n, dtype=np.uint8)
-        self._j = np.zeros(header.n, dtype=np.uint8)
-        self._x = np.zeros(header.n, dtype=np.uint8)
-        self._y = np.zeros(header.n, dtype=np.uint8)
+        # One byte per trial in each column: ``append`` is a plain store, and
+        # ``columns`` views the committed prefix as uint8 arrays.
+        self._i = bytearray(header.n)
+        self._j = bytearray(header.n)
+        self._x = bytearray(header.n)
+        self._y = bytearray(header.n)
         self._count = 0
+        self._last: TrialRecord | None = None  # the record append committed last
 
     def __len__(self) -> int:
         return self._count
@@ -116,30 +119,38 @@ class TrialLog(Sequence):
         if self._count >= self.header.n:
             raise ValueError(f"log already holds all {self.header.n} trials")
         idx = self._count
-        self._i[idx] = record.setting.i
-        self._j[idx] = record.setting.j
+        setting = record.setting
+        self._i[idx] = setting.i
+        self._j[idx] = setting.j
         self._x[idx] = record.x
         self._y[idx] = record.y
-        self._count += 1
+        self._count = idx + 1
+        self._last = record
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, x, y) arrays for the committed trials, in order."""
         c = self._count
-        return self._i[:c], self._j[:c], self._x[:c], self._y[:c]
+        return tuple(np.frombuffer(col, dtype=np.uint8, count=c) for col in self._buffers())
+
+    def _buffers(self) -> tuple[bytearray, bytearray, bytearray, bytearray]:
+        return self._i, self._j, self._x, self._y
 
     def cells(self) -> np.ndarray:
         i, j, _, _ = self.columns()
         return (2 * i + j - 3).astype(np.int64)  # exact in uint8: 2*i + j is 3..6
 
     def record(self, m: int) -> TrialRecord:
+        """Trial m; the last appended trial is handed back as committed."""
+        if m == self._count and self._last is not None:
+            return self._last
         if not 1 <= m <= self._count:
             raise IndexError(f"trial {m} outside 1..{self._count}")
         idx = m - 1
         return TrialRecord(
             m=m,
-            setting=Setting(int(self._i[idx]), int(self._j[idx])),
-            x=int(self._x[idx]),
-            y=int(self._y[idx]),
+            setting=Setting(self._i[idx], self._j[idx]),
+            x=self._x[idx],
+            y=self._y[idx],
         )
 
     def __getitem__(self, index: int) -> TrialRecord:
@@ -171,8 +182,8 @@ class TrialLog(Sequence):
         if count > header.n:
             raise ValueError(f"{count} records exceed the header's {header.n} trials")
         log = cls(header)
-        for name, col in (("i", log._i), ("j", log._j), ("x", log._x), ("y", log._y)):
-            col[:count] = [doc[name] for doc in raw_records]
+        for name, col in zip("ijxy", log._buffers()):
+            col[:count] = bytes([doc[name] for doc in raw_records])
         log._count = count
         return log
 
@@ -189,15 +200,13 @@ class TrialLog(Sequence):
         count = len(i)
         if not (len(j) == len(x) == len(y) == count) or count != header.n:
             raise ValueError("column lengths must all equal header.n")
-        for name, col, allowed in (("i", i, (1, 2)), ("j", j, (1, 2)), ("x", x, (0, 1)), ("y", y, (0, 1))):
-            arr = np.asarray(col)
+        arrays = [np.asarray(col) for col in (i, j, x, y)]
+        for name, arr, allowed in zip("ijxy", arrays, ((1, 2), (1, 2), (0, 1), (0, 1))):
             if not np.isin(arr, allowed).all():
                 raise ValueError(f"column {name} holds values outside {allowed}")
         log = cls(header)
-        log._i[:] = i
-        log._j[:] = j
-        log._x[:] = x
-        log._y[:] = y
+        for col, arr in zip(log._buffers(), arrays):
+            col[:] = arr.astype(np.uint8).tobytes()
         log._count = count
         return log
 

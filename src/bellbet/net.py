@@ -206,8 +206,8 @@ class RemoteStation:
         self._nonces[m] = nonce
         self._send(KIND_SETTING, m, json.dumps({"index": index, "nonce": nonce}).encode("ascii"))
 
-    def deliver_lambda(self, m: int, payload: bytes) -> None:
-        self._send(KIND_LAMBDA, m, payload)
+    def deliver_lambda(self, m: int, message: SourceMessage) -> None:
+        self._send(KIND_LAMBDA, m, message.payload)
 
     def post_setting(self, m: int, index: int) -> None:
         if self.mode == "batch":

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import ProtocolDesign, design_for
 from .config import ExperimentConfig, SIDE_QUANTUM
-from .core import CountMatrix, Setting, TrialRecord, chsh_count_statistic
+from .core import SETTINGS_BY_CELL, CountMatrix, Setting, TrialRecord, chsh_count_statistic
 from .logfile import LogHeader, TrialLog
 from .quantum import OracleSampler, QuantumModel
 from .rng import settings_cells
@@ -282,17 +282,20 @@ class RunResult:
 
 
 class LocalStation:
-    """In-process station: drives one side of a Strategy instance."""
+    """In-process station: drives one side of a Strategy instance.
+
+    Both stations of a trial receive the one ``SourceMessage`` the source
+    emitted, and must treat it as read-only."""
 
     def __init__(self, strategy: Strategy, side: str):
         self.strategy = strategy
         self.side = side
         self.memory = strategy.initial_memory(side)
-        self._payload = b""
+        self._message = SourceMessage(b"")
         self._setting: tuple[int, int] | None = None
 
-    def deliver_lambda(self, m: int, payload: bytes) -> None:
-        self._payload = payload
+    def deliver_lambda(self, m: int, message: SourceMessage) -> None:
+        self._message = message
 
     def post_setting(self, m: int, index: int) -> None:
         self._setting = (m, index)
@@ -300,9 +303,7 @@ class LocalStation:
     def get_outcome(self, m: int):
         if self._setting is None or self._setting[0] != m:
             raise ProtocolAbort(f"no setting posted for trial {m}", trial=m, side=self.side)
-        return self.strategy.station_respond(
-            self.side, self._setting[1], SourceMessage(self._payload), self.memory
-        )
+        return self.strategy.station_respond(self.side, self._setting[1], self._message, self.memory)
 
     def collect_blob(self, m: int) -> bytes:
         return self.strategy.boundary_blob(self.side, m)
@@ -383,9 +384,9 @@ class RefereeEngine:
     # --- event trace -----------------------------------------------------
 
     def _event(self, kind: str, m: int) -> None:
-        if self._events is not None:
-            self._seq += 1
-            self._events.append((self._seq, kind, m))
+        """Record one event; callers call it only when ``record_events`` is on."""
+        self._seq += 1
+        self._events.append((self._seq, kind, m))
 
     # --- per-trial protocol ----------------------------------------------
 
@@ -393,16 +394,17 @@ class RefereeEngine:
         if self.strategy is None or self._nonlocal:
             return
         history: Sequence[TrialRecord] = self.log if self.mode == "sequential" else ()
-        payload = self.strategy.source_emit(m, history).payload
-        self._event("lambda", m)
+        message = self.strategy.source_emit(m, history)
+        if self._events is not None:
+            self._event("lambda", m)
         left, right = self._stations
-        left.deliver_lambda(m, payload)
-        right.deliver_lambda(m, payload)
+        left.deliver_lambda(m, message)
+        right.deliver_lambda(m, message)
 
     def _draw_setting(self, m: int) -> Setting:
-        if self.mode != "batch":
+        if self._events is not None and self.mode != "batch":
             self._event("settings", m)
-        return Setting.from_cell(int(self._cells[m - 1]))
+        return SETTINGS_BY_CELL[self._cells.item(m - 1)]
 
     def _collect_outcomes(self, m: int, setting: Setting):
         if self._oracle is not None:
@@ -418,40 +420,29 @@ class RefereeEngine:
         return left.get_outcome(m), right.get_outcome(m)
 
     def _commit(self, m: int, setting: Setting, x: int, y: int) -> TrialRecord:
-        record = TrialRecord(m=m, setting=setting, x=x, y=y)
+        record = TrialRecord(m, setting, x, y)
         self.log.append(record)
-        self._event("outcome", m)
+        if self._events is not None:
+            self._event("outcome", m)
         return record
 
     def _broadcast(self, record: TrialRecord) -> None:
         if self._stations is None:
             return
         left, right = self._stations
-        m = record.m
+        m, x, y = record.m, record.x, record.y
+        i, j = record.setting.i, record.setting.j
         if self.mode == "sequential":
             blobs = {LEFT: left.collect_blob(m), RIGHT: right.collect_blob(m)}
-            left_view = TrialView(
-                m=m,
-                own_setting=record.setting.i,
-                own_outcome=record.x,
-                other_setting=record.setting.j,
-                other_outcome=record.y,
-                blobs=blobs,
-            )
-            right_view = TrialView(
-                m=m,
-                own_setting=record.setting.j,
-                own_outcome=record.y,
-                other_setting=record.setting.i,
-                other_outcome=record.x,
-                blobs=blobs,
-            )
+            left_view = TrialView(m, i, x, j, y, blobs)
+            right_view = TrialView(m, j, y, i, x, blobs)
         else:
-            left_view = TrialView(m=m, own_setting=record.setting.i, own_outcome=record.x)
-            right_view = TrialView(m=m, own_setting=record.setting.j, own_outcome=record.y)
+            left_view = TrialView(m, i, x)
+            right_view = TrialView(m, j, y)
         left.deliver_broadcast(m, left_view)
         right.deliver_broadcast(m, right_view)
-        self._event("broadcast", m)
+        if self._events is not None:
+            self._event("broadcast", m)
 
     def run_trial(self, m: int) -> TrialRecord:
         """Execute trial m. Trial m-1 must already be committed."""
@@ -475,13 +466,15 @@ class RefereeEngine:
         return record
 
     def _reveal_batch_settings(self) -> None:
-        for m in range(1, self.n + 1):
-            self._event("settings", m)
+        if self._events is not None:
+            for m in range(1, self.n + 1):
+                self._event("settings", m)
         if self._stations is not None:
             left, right = self._stations
             left.deliver_batch_settings(tuple(((self._cells >> 1) + 1).tolist()))
             right.deliver_batch_settings(tuple(((self._cells & 1) + 1).tolist()))
-            self._event("batch-settings", 0)
+            if self._events is not None:
+                self._event("batch-settings", 0)
 
     def run(self) -> RunResult:
         abort: AbortReport | None = None
@@ -550,14 +543,22 @@ class ReplayReport:
         return self.ok
 
 
-def replay_verify(log: TrialLog, report: dict | None = None) -> ReplayReport:
+def replay_verify(
+    log: TrialLog,
+    report: dict | None = None,
+    *,
+    counts: CountMatrix | None = None,
+    trace: StatisticTrace | None = None,
+) -> ReplayReport:
     """Recompute settings from the seed and all aggregates from the records;
     true iff everything matches bit-exactly.
 
     Without a report only the seed-derived settings and structural integrity
     are checkable (outcomes are the claimant's data and not derivable);
     with a report, counts, statistic, supremum and verdict are re-derived
-    and compared, so any flipped outcome bit is caught.
+    and compared, so any flipped outcome bit is caught. A caller that has
+    already computed ``tally(log)`` passes its counts and trace; without
+    both, they are computed here.
     """
     header = log.header
     expected_cells = settings_cells(header.seed, header.n)[: len(log)]
@@ -576,20 +577,26 @@ def replay_verify(log: TrialLog, report: dict | None = None) -> ReplayReport:
         return ReplayReport(False, "report config hash does not match log header")
 
     abort = report.get("abort")
+    if abort is not None and not isinstance(abort, dict):
+        return ReplayReport(False, "report abort is not an object")
     if abort is None:
         if not log.complete:
             return ReplayReport(
                 False, f"log holds {len(log)} of {header.n} trials with no abort report"
             )
     else:
-        expected_len = (abort.get("trial") or 1) - 1
+        abort_trial = abort.get("trial")
+        if abort_trial is not None and type(abort_trial) is not int:
+            return ReplayReport(False, "report abort trial is not an integer")
+        expected_len = (abort_trial or 1) - 1
         if len(log) != expected_len:
             return ReplayReport(
                 False,
-                f"abort at trial {abort.get('trial')} but log holds {len(log)} trials",
+                f"abort at trial {abort_trial} but log holds {len(log)} trials",
             )
 
-    counts, trace = tally(log)
+    if counts is None or trace is None:
+        counts, trace = tally(log)
     if report.get("counts") != counts.as_dict():
         return ReplayReport(False, "recomputed counts do not match report")
     if report.get("statistic") != trace.statistic:
@@ -602,6 +609,8 @@ def replay_verify(log: TrialLog, report: dict | None = None) -> ReplayReport:
     verdict_doc = report.get("verdict")
     if abort is None:
         design_doc = report.get("design") or {}
+        if not isinstance(design_doc, dict):
+            return ReplayReport(False, "report design is not an object")
         mu = design_doc.get("qm_mean_per_trial")
         if not isinstance(mu, float):
             return ReplayReport(False, "report lacks the design's per-trial mean")

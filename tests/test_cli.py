@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import socket
 import threading
 
@@ -258,6 +259,54 @@ class TestAnalyzeValidate:
 
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "nope.log")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--log", "{log}", "--report", "{dir}"],
+            ["analyze", "--log", "{dir}"],
+            ["validate", "--log", "{dir}"],
+        ],
+    )
+    def test_directory_path_is_config_error(self, finished_run, capsys, argv):
+        paths = {"log": str(finished_run), "dir": str(finished_run.parent)}
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads any file"
+    )
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_unreadable_log_is_config_error(self, finished_run, capsys, command):
+        finished_run.chmod(0)
+        try:
+            assert main([command, "--log", str(finished_run)]) == EXIT_CONFIG
+        finally:
+            finished_run.chmod(0o644)
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "field, value, failure",
+        [
+            ("abort", [1], "report abort is not an object"),
+            ("design", [1], "report design is not an object"),
+            ("abort", {"trial": "1"}, "report abort trial is not an integer"),
+        ],
+    )
+    def test_report_field_of_wrong_type_fails_replay(
+        self, finished_run, capsys, field, value, failure
+    ):
+        report = json.loads(finished_run.with_suffix(".log.report.json").read_text())
+        report[field] = value
+        bad = finished_run.parent / "bad.json"
+        bad.write_text(json.dumps(report))
+        status = main(["analyze", "--log", str(finished_run), "--report", str(bad)])
+        assert status == EXIT_VALIDATION
+        replay = json.loads(capsys.readouterr().out)["replay_verify"]
+        assert replay["ok"] is False
+        assert replay["failure"] == failure
 
     def test_analyze_opposite_sense_log(self, tmp_path, capsys):
         # The header cannot carry the correlation sense, so the analyzer's

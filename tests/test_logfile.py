@@ -121,6 +121,10 @@ class TestRoundTrip:
         log.append(TrialRecord(m=1, setting=Setting(1, 1), x=0, y=0))
         with pytest.raises(ValueError):
             log.append(TrialRecord(m=3, setting=Setting(1, 1), x=0, y=0))
+        full = small_log()
+        with pytest.raises(ValueError):
+            full.append(TrialRecord(m=5, setting=Setting(1, 1), x=0, y=0))
+        assert len(full) == 4
 
     def test_from_columns_validates(self):
         header = make_header(n=3)
@@ -132,6 +136,8 @@ class TestRoundTrip:
             np.array([0, 1, 1]),
         )
         assert len(good) == 3
+        assert [col.tolist() for col in good.columns()] == [[1, 2, 1], [2, 1, 1], [0, 1, 0], [0, 1, 1]]
+        assert all(col.dtype == np.uint8 for col in good.columns())
         with pytest.raises(ValueError):
             TrialLog.from_columns(
                 header,

@@ -1,5 +1,6 @@
 """Referee engine: ordering, validation, adjudication, drift, replay."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
 from bellbet.core import OPTIMAL_ANGLES, CountMatrix, chsh_count_statistic
+from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many
 from bellbet.referee import (
     ABORT_VALIDATION,
@@ -116,26 +118,27 @@ class TestAdjudicate:
 
 
 class TestCommitOrdering:
-    def test_sequential_event_order(self):
-        config = make_config(strategy_side("classical-polarizer"), n=60, seed=9)
+    @pytest.mark.parametrize("name", LOCAL_STRATEGY_NAMES)
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    def test_event_order(self, name, mode):
+        # Each trial runs lambda < settings < outcome < broadcast and ends
+        # before the next starts; batch mode reveals every setting up front.
+        n = 40
+        config = make_config(strategy_side(name), n=n, seed=9, mode=mode)
         result = RefereeEngine(config, record_events=True).run()
-        events = result.events
-        by_trial = {}
-        for seq, kind, m in events:
-            by_trial.setdefault(m, {})[kind] = seq
-        for m in range(1, 61):
-            trial = by_trial[m]
-            assert trial["lambda"] < trial["settings"] < trial["outcome"] < trial["broadcast"]
-            if m > 1:
-                assert by_trial[m - 1]["outcome"] < trial["settings"]
-
-    def test_batch_reveals_everything_first(self):
-        config = make_config(strategy_side("deterministic-optimal"), n=40, seed=9, mode="batch")
-        result = RefereeEngine(config, record_events=True).run()
-        settings_seqs = [seq for seq, kind, _ in result.events if kind == "settings"]
-        outcome_seqs = [seq for seq, kind, _ in result.events if kind == "outcome"]
-        assert max(settings_seqs) < min(outcome_seqs)
         assert result.verdict is not None
+        if mode == "batch":
+            revealed = [("settings", m) for m in range(1, n + 1)] + [("batch-settings", 0)]
+            per_trial = ("lambda", "outcome", "broadcast")
+        else:
+            revealed, per_trial = [], ("lambda", "settings", "outcome", "broadcast")
+        expected = revealed + [(kind, m) for m in range(1, n + 1) for kind in per_trial]
+        assert [(kind, m) for _, kind, m in result.events] == expected
+        assert [seq for seq, _, _ in result.events] == list(range(1, len(expected) + 1))
+        # The trace is off by default and never reaches the log.
+        quiet = RefereeEngine(config).run()
+        assert quiet.events is None
+        assert quiet.log.to_bytes() == result.log.to_bytes()
 
 
 class TestQuantumRuns:
@@ -202,6 +205,19 @@ class TestLocalStrategyRuns:
         assert finals.mean() <= 4.0 * sigma_mean
 
 
+class FailsAt(Strategy):
+    """Answers 1 until trial ``at``, then a non-bit."""
+
+    name = "fails-at"
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def station_respond(self, side, setting_index, message, memory):
+        return 1 if memory.next_trial < self.at else 0.5
+
+
 class TestAborts:
     def test_range_violator_aborts_first_trial(self):
         config = make_config(strategy_side("range-violator"), n=50, seed=3)
@@ -228,17 +244,8 @@ class TestAborts:
         assert result.abort.kind == ABORT_VALIDATION
 
     def test_partial_log_preserved(self):
-        class FailsAtFive(Strategy):
-            name = "fails-at-five"
-
-            def station_respond(self, side, setting_index, message, memory):
-                return 0 if memory.next_trial < 5 else 0.5
-
-            def update_memory(self, side, memory, view):
-                return super().update_memory(side, memory, view)
-
         config = make_config(strategy_side("constant"), n=10, seed=3)
-        result = RefereeEngine(config, strategy=FailsAtFive()).run()
+        result = RefereeEngine(config, strategy=FailsAt(5)).run()
         assert result.abort.trial == 5
         assert len(result.log) == 4
         report = build_report(result)
@@ -403,6 +410,31 @@ class TestTrialState:
         engine.log.record = lambda m: read.append(m) or record(m)
         engine.run()
         assert read == list(range(1, 200))
+
+
+def rebuilt_last(log):
+    """log[-1] of a fresh log parsed back from ``log``'s own bytes."""
+    raw = [json.loads(line) for line in log.to_bytes().splitlines()[1:]]
+    return TrialLog.from_raw(log.header, raw)[-1]
+
+
+class TestLastRecord:
+    @pytest.mark.parametrize(
+        "side", [QUANTUM_SIDE] + [strategy_side(name) for name in LOCAL_STRATEGY_NAMES]
+    )
+    def test_last_record_equals_rebuilt_log_at_every_trial(self, side):
+        engine = RefereeEngine(make_config(side, n=30, seed=21))
+        for m in range(1, 31):
+            record = engine.run_trial(m)
+            assert engine.log[-1] is record
+            assert record == rebuilt_last(engine.log)
+
+    def test_last_record_after_abort(self):
+        config = make_config(strategy_side("constant"), n=20, seed=21)
+        result = RefereeEngine(config, strategy=FailsAt(8)).run()
+        assert result.abort.trial == 8 and len(result.log) == 7
+        assert result.log[-1].m == 7
+        assert result.log[-1] == rebuilt_last(result.log)
 
 
 class BlobCollector(Strategy):

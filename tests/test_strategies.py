@@ -17,6 +17,7 @@ from bellbet.strategies import (
     RIGHT,
     OPTIMAL_ASSIGNMENT,
     ConstantStrategy,
+    FrequencyMemory,
     SourceMessage,
     StationMemory,
     StrategyError,
@@ -135,6 +136,10 @@ class TestConstant:
         view = TrialView(m=1, own_setting=1, own_outcome=1)
         updated = strategy.update_memory(LEFT, memory, view)
         assert updated == StationMemory(next_trial=2)
+        # A subclass memory keeps its type and its own fields.
+        counted = FrequencyMemory(next_trial=4, cell_counts=(1, 2, 0, 0), own_counts=(3, 0))
+        advanced = strategy.update_memory(LEFT, counted, view)
+        assert advanced == FrequencyMemory(next_trial=5, cell_counts=(1, 2, 0, 0), own_counts=(3, 0))
 
     def test_rejects_non_bit_param(self):
         with pytest.raises(StrategyError):
