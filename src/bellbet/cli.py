@@ -174,13 +174,10 @@ def _read_report(path) -> dict:
 def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
     header, raw_records = read_raw_log(log_path)
     validation = validate_raw_records(header, raw_records)
-    structural = [
-        v for v in validation.violations if "incomplete experiment" not in v
-    ]
-    if structural:
+    if validation.corrupt:
         raise LogFormatError(
             f"corrupt log (last valid trial {validation.last_valid}): "
-            + "; ".join(structural[:4])
+            + "; ".join(validation.corrupt[:4])
         )
     log = TrialLog.from_raw(header, raw_records)
 

@@ -251,6 +251,12 @@ class LogValidation:
     ok: bool
     violations: tuple[str, ...]
     last_valid: int  # leading records within header.n that have no violation
+    incomplete: bool = False  # fewer records than header.n; the last violation says so
+
+    @property
+    def corrupt(self) -> tuple[str, ...]:
+        """The violations other than a short log's: what no reader can go past."""
+        return self.violations[:-1] if self.incomplete else self.violations
 
 
 def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidation:
@@ -300,7 +306,10 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
             f"(extra trials: {named})"
         )
     return LogValidation(
-        ok=not violations, violations=tuple(violations), last_valid=min(last_valid, header.n)
+        ok=not violations,
+        violations=tuple(violations),
+        last_valid=min(last_valid, header.n),
+        incomplete=len(records) < header.n,
     )
 
 

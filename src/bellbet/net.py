@@ -40,13 +40,14 @@ import struct
 from dataclasses import dataclass
 
 from .config import ConfigError, ExperimentConfig, SIDE_STRATEGY, config_from_dict
-from .referee import ProtocolAbort, RefereeEngine, RunResult
+from .referee import LocalStation, ProtocolAbort, RefereeEngine, RunResult
 from .strategies import (
     LEFT,
     RIGHT,
     SIDES,
     SourceMessage,
     Strategy,
+    StrategyError,
     TrialView,
     build_strategy,
 )
@@ -110,8 +111,19 @@ def recv_frame(sock: socket.socket) -> dict:
         raise FrameError(f"malformed frame payload: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FrameError(f"frame without kind: {doc!r}")
-    doc["body"] = base64.b64decode(doc.get("body") or "")
+    doc["body"] = _b64decode(doc.get("body", ""))
     return doc
+
+
+def _b64decode(text) -> bytes:
+    """The bytes of one base64 field a peer sent: the frame body, an OUTCOME
+    blob or a BROADCAST blob. Anything but valid base64 text is a FrameError."""
+    if not isinstance(text, str):
+        raise FrameError(f"base64 field is a {type(text).__name__}, not a string")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise FrameError(f"malformed base64 field: {exc}") from exc
 
 
 def _json_body(doc_body: bytes) -> dict:
@@ -122,6 +134,50 @@ def _json_body(doc_body: bytes) -> dict:
     if not isinstance(body, dict):
         raise FrameError(f"frame body is not a JSON object: {body!r}")
     return body
+
+
+def _field(doc: dict, name: str, kind: type):
+    """``doc[name]``, exactly of type ``kind`` (so a bool is no int)."""
+    value = doc.get(name)
+    if type(value) is not kind:
+        raise FrameError(f"frame field {name!r} is not a {kind.__name__}: {value!r}")
+    return value
+
+
+def _setting(body: dict) -> tuple[int, str]:
+    """The (index, nonce) a SETTING body carries."""
+    index = _field(body, "index", int)
+    if index not in (1, 2):
+        raise FrameError(f"setting index {index} is not 1 or 2")
+    return index, _field(body, "nonce", str)
+
+
+def encode_view(view: TrialView) -> bytes:
+    """The BROADCAST body: the view's fields in order, blobs in base64."""
+    doc = view._asdict()
+    doc["blobs"] = {side: base64.b64encode(blob).decode("ascii") for side, blob in view.blobs.items()}
+    return json.dumps(doc).encode("ascii")
+
+
+_VIEW_FIELDS = frozenset(TrialView._fields)
+
+
+def decode_view(body: bytes) -> TrialView:
+    """The inverse of ``encode_view``; a body of any other shape is a
+    FrameError."""
+    doc = _json_body(body)
+    if doc.keys() != _VIEW_FIELDS or not isinstance(doc["blobs"], dict):
+        raise FrameError(f"malformed BROADCAST body: {doc!r}")
+    m, own_setting, own_outcome = doc["m"], doc["own_setting"], doc["own_outcome"]
+    other_setting, other_outcome = doc["other_setting"], doc["other_outcome"]
+    if not (
+        type(m) is type(own_setting) is type(own_outcome) is int
+        and (other_setting is None or type(other_setting) is int)
+        and (other_outcome is None or type(other_outcome) is int)
+    ):
+        raise FrameError(f"BROADCAST field is not an integer: {doc!r}")
+    blobs = {side: _b64decode(blob) for side, blob in doc["blobs"].items()}
+    return TrialView(m, own_setting, own_outcome, other_setting, other_outcome, blobs)
 
 
 def _no_delay(sock: socket.socket) -> socket.socket:
@@ -175,6 +231,7 @@ class RemoteStation:
         self.transcript = transcript
         self.mode = mode
         self._nonces: dict[int, str] = {}
+        self._blob = b""
 
     def _send(self, kind: str, trial: int | None, body: bytes = b"") -> None:
         try:
@@ -182,24 +239,6 @@ class RemoteStation:
         except OSError as exc:
             raise FrameError(f"cannot send to {self.side} station: {exc}") from exc
         self.transcript.add("send", kind, trial, self.side)
-
-    def _recv(self, expect_kind: str, trial: int) -> dict:
-        try:
-            doc = recv_frame(self.sock)
-        except ProtocolAbort as exc:
-            # Attach context so partial logs reconcile with the abort report.
-            if exc.trial is None:
-                raise ProtocolAbort(exc.reason, trial=trial, side=self.side) from exc
-            raise
-        self.transcript.add("recv", doc.get("kind"), doc.get("trial"), doc.get("side"))
-        if doc.get("kind") != expect_kind or doc.get("trial") != trial or doc.get("side") != self.side:
-            raise ProtocolAbort(
-                f"expected {expect_kind} for trial {trial} from {self.side}, got "
-                f"{doc.get('kind')} trial {doc.get('trial')} side {doc.get('side')}",
-                trial=trial,
-                side=self.side,
-            )
-        return doc
 
     def _send_setting(self, m: int, index: int) -> None:
         nonce = secrets.token_hex(8)
@@ -215,41 +254,37 @@ class RemoteStation:
         self._send_setting(m, index)
 
     def get_outcome(self, m: int):
-        doc = self._recv(KIND_OUTCOME, m)
-        body = _json_body(doc["body"])
-        if body.get("nonce") != self._nonces.pop(m, None):
-            raise ProtocolAbort(
-                f"{self.side} station answered trial {m} without the nonce of its "
-                "setting, so before the setting arrived: within-trial communication "
-                "is one way only",
-                trial=m,
-                side=self.side,
-            )
-        if "value" not in body:
-            raise ProtocolAbort(f"OUTCOME frame without value from {self.side}", trial=m, side=self.side)
-        self._blob = base64.b64decode(body.get("blob") or "")
+        try:
+            doc = recv_frame(self.sock)
+            self.transcript.add("recv", doc.get("kind"), doc.get("trial"), doc.get("side"))
+            if doc.get("kind") != KIND_OUTCOME or doc.get("trial") != m or doc.get("side") != self.side:
+                raise ProtocolAbort(
+                    f"expected {KIND_OUTCOME} for trial {m} from {self.side}, got "
+                    f"{doc.get('kind')} trial {doc.get('trial')} side {doc.get('side')}"
+                )
+            body = _json_body(doc["body"])
+            if body.get("nonce") != self._nonces.pop(m, None):
+                raise ProtocolAbort(
+                    f"{self.side} station answered trial {m} without the nonce of its "
+                    "setting, so before the setting arrived: within-trial communication "
+                    "is one way only"
+                )
+            if "value" not in body:
+                raise ProtocolAbort(f"OUTCOME frame without value from {self.side}")
+            self._blob = _b64decode(body.get("blob", ""))
+        except ProtocolAbort as exc:
+            # Attach context so partial logs reconcile with the abort report.
+            if exc.trial is None:
+                raise ProtocolAbort(exc.reason, trial=m, side=self.side) from exc
+            raise
         return body["value"]
 
     def collect_blob(self, m: int) -> bytes:
-        return getattr(self, "_blob", b"")
+        return self._blob
 
     def deliver_broadcast(self, m: int, view: TrialView) -> None:
-        if self.mode != "sequential":
-            return  # stations update from their own wing's data
-        body = json.dumps(
-            {
-                "m": view.m,
-                "own_setting": view.own_setting,
-                "own_outcome": view.own_outcome,
-                "other_setting": view.other_setting,
-                "other_outcome": view.other_outcome,
-                "blobs": {
-                    side: base64.b64encode(blob).decode("ascii")
-                    for side, blob in view.blobs.items()
-                },
-            }
-        ).encode("ascii")
-        self._send(KIND_BROADCAST, m, body)
+        if self.mode == "sequential":  # otherwise stations fold in their own wing
+            self._send(KIND_BROADCAST, m, encode_view(view))
 
     def deliver_batch_settings(self, settings) -> None:
         for m, index in enumerate(settings, start=1):
@@ -336,13 +371,7 @@ def referee_serve(
             stations[side] = RemoteStation(connections[side], side, transcript, config.mode)
             stations[side]._send(KIND_CONFIG, None, config_body)
 
-        strategy = build_strategy(config.side.strategy, config.side.params)
-        engine = RefereeEngine(
-            config,
-            strategy=strategy,
-            stations=(stations[LEFT], stations[RIGHT]),
-        )
-        result = engine.run()
+        result = RefereeEngine(config, stations=(stations[LEFT], stations[RIGHT])).run()
 
         report_stub = {
             "verdict": result.verdict.to_dict() if result.verdict else None,
@@ -366,9 +395,10 @@ class StationClient:
     """One station process: connects to the referee, never to the other wing.
 
     Holds exactly one socket for its whole lifetime, with ``TCP_NODELAY``
-    set. Loops on LAMBDA / SETTING / OUTCOME (plus BROADCAST in sequential
-    mode) until VERDICT or ABORT; each OUTCOME echoes the nonce of the
-    SETTING it answers.
+    set, and turns each referee frame into the matching call on the engine's
+    own ``LocalStation``, so a strategy takes the same steps as in-process.
+    Each OUTCOME echoes the nonce of the SETTING it answers; a malformed or
+    out-of-order referee frame is a ``FrameError``.
     """
 
     def __init__(
@@ -411,62 +441,40 @@ class StationClient:
                 return 3
             if doc.get("kind") != KIND_CONFIG:
                 raise FrameError(f"expected CONFIG, got {doc.get('kind')}")
-            config = config_from_dict(json.loads(doc["body"].decode("utf-8")))
+            config = config_from_dict(_json_body(doc["body"]))
 
             strategy = self._strategy
             if strategy is None:
                 strategy = build_strategy(config.side.strategy, config.side.params)
             seed = self._seed_override if self._seed_override is not None else config.seed
             strategy.prepare(seed=seed, n=config.n, angles=config.angles, mode=config.mode)
-            memory = strategy.initial_memory(self.role)
-
-            payload = b""
-            batch_mode = config.mode == "batch"
-            sequential = config.mode == "sequential"
-            batch_settings: list[int] = []
-            batch_nonces: list[str] = []
+            station = LocalStation(strategy, self.role)
+            own_wing = config.mode != "sequential"
+            # Batch mode: every (index, nonce), revealed up front.
+            batch: list[tuple[int, str]] | None = [] if config.mode == "batch" else None
             while True:
                 doc = recv_frame(self.sock)
                 kind = doc.get("kind")
-                if kind == KIND_SETTING and batch_mode:
-                    # Up-front revelation phase: collect all n settings.
-                    body = _json_body(doc["body"])
-                    batch_settings.append(body["index"])
-                    batch_nonces.append(body["nonce"])
-                    if len(batch_settings) == config.n:
-                        memory = strategy.receive_batch_settings(
-                            self.role, tuple(batch_settings), memory
-                        )
-                elif kind == KIND_LAMBDA:
-                    payload = doc["body"]
-                    if batch_mode:
-                        m = doc["trial"]
-                        index = batch_settings[m - 1]
-                        value = self._respond(
-                            strategy, memory, m, index, batch_nonces[m - 1], payload
-                        )
-                        memory = self._self_update(strategy, memory, m, index, value)
+                if kind == KIND_LAMBDA:
+                    m = _field(doc, "trial", int)
+                    station.deliver_lambda(m, SourceMessage(doc["body"]))
+                    if batch is not None:
+                        if len(batch) != config.n or not 1 <= m <= config.n:
+                            raise FrameError(f"batch LAMBDA for trial {m} out of order")
+                        self._answer(station, m, *batch[m - 1], own_wing)
                 elif kind == KIND_SETTING:
-                    m = doc["trial"]
-                    body = _json_body(doc["body"])
-                    index = body["index"]
-                    value = self._respond(strategy, memory, m, index, body["nonce"], payload)
-                    if not sequential:
-                        memory = self._self_update(strategy, memory, m, index, value)
+                    setting = _setting(_json_body(doc["body"]))
+                    if batch is None:
+                        self._answer(station, _field(doc, "trial", int), *setting, own_wing)
+                    elif len(batch) == config.n:
+                        raise FrameError(f"more than {config.n} batch settings")
+                    else:
+                        batch.append(setting)
+                        if len(batch) == config.n:
+                            station.deliver_batch_settings(tuple(index for index, _ in batch))
                 elif kind == KIND_BROADCAST:
-                    body = _json_body(doc["body"])
-                    view = TrialView(
-                        m=body["m"],
-                        own_setting=body["own_setting"],
-                        own_outcome=body["own_outcome"],
-                        other_setting=body.get("other_setting"),
-                        other_outcome=body.get("other_outcome"),
-                        blobs={
-                            side: base64.b64decode(blob)
-                            for side, blob in (body.get("blobs") or {}).items()
-                        },
-                    )
-                    memory = strategy.update_memory(self.role, memory, view)
+                    view = decode_view(doc["body"])
+                    station.deliver_broadcast(view.m, view)
                 elif kind == KIND_VERDICT:
                     self.verdict = _json_body(doc["body"])
                     return 0
@@ -478,20 +486,18 @@ class StationClient:
         finally:
             self.sock.close()
 
-    def _respond(self, strategy, memory, m, index, nonce, payload):
-        value = strategy.station_respond(self.role, index, SourceMessage(payload), memory)
-        blob = strategy.boundary_blob(self.role, m)
+    def _answer(self, station: LocalStation, m: int, index: int, nonce: str, own_wing: bool) -> None:
+        station.post_setting(m, index)
+        value = station.get_outcome(m)
+        blob = station.collect_blob(m)
         body = {"value": value, "blob": base64.b64encode(blob).decode("ascii"), "nonce": nonce}
         self._send(KIND_OUTCOME, m, json.dumps(body).encode("ascii"))
         self.trials_completed = m
-        return value
-
-    def _self_update(self, strategy, memory, m, index, value):
-        # Cloned/batch boundary: only this wing's data; non-bit raw values
-        # cannot reach here usefully (the referee aborts that trial).
-        own = value if value in (0, 1) else 0
-        view = TrialView(m=m, own_setting=index, own_outcome=own)
-        return strategy.update_memory(self.role, memory, view)
+        if own_wing:
+            # Cloned-source and batch referees broadcast nothing: the station
+            # folds in its own wing, as the engine does. A non-bit value
+            # cannot get here usefully (the referee aborts that trial).
+            station.deliver_broadcast(m, TrialView(m, index, value if value in (0, 1) else 0))
 
 
 def station_client(
@@ -504,8 +510,6 @@ def station_client(
 ) -> int:
     """Convenience wrapper: run a station to completion, return exit status
     (0 verdict received, 2 config mismatch, 3 protocol abort)."""
-    from .strategies import StrategyError
-
     client = StationClient(
         role, endpoint, strategy=strategy, seed_override=seed_override, timeout=timeout
     )

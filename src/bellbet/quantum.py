@@ -56,7 +56,11 @@ def sample_pair(model: QuantumModel, setting: Setting, u: float) -> tuple[int, i
     Region layout: [0, c/2) -> (0,0); [c/2, c) -> (1,1); [c, (1+c)/2) ->
     (0,1); [(1+c)/2, 1) -> (1,0).
     """
-    c = cell_coincidence_probability(model, setting)
+    return _pair(cell_coincidence_probability(model, setting), u)
+
+
+def _pair(c: float, u: float) -> tuple[int, int]:
+    """``sample_pair``'s region rule for coincidence probability ``c``."""
     if u < c:
         x = int(u >= 0.5 * c)
         return x, x
@@ -85,16 +89,18 @@ def _pairs(c, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class OracleSampler:
-    """Per-experiment sampler: one oracle uniform stream, one draw per trial."""
+    """Per-experiment sampler: one oracle uniform stream, one draw per trial,
+    and the model's four cell probabilities, computed once."""
 
     def __init__(self, model: QuantumModel, seed: int, n: int):
         self.model = model
         self._uniforms = TrialUniforms(seed, ROLE_ORACLE, n)
+        self._probabilities = cell_probabilities(model)
 
     def sample_trial(self, m: int, setting: Setting) -> tuple[int, int]:
-        return sample_pair(self.model, setting, self._uniforms.at(m))
+        return _pair(self._probabilities.item(setting.cell), self._uniforms.at(m))
 
     def sample_columns(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outcome columns for a whole run of cell codes; the same values
         ``sample_trial`` gives trial by trial."""
-        return _pairs(cell_probabilities(self.model)[cells], self._uniforms.values)
+        return _pairs(self._probabilities[cells], self._uniforms.values)

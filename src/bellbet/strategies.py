@@ -353,18 +353,6 @@ class DeterministicOptimalStrategy(AssignmentStrategy):
         return OPTIMAL_ASSIGNMENT
 
 
-@dataclass(frozen=True)
-class FrequencyMemory(StationMemory):
-    """Running joint-setting counts in cell-code order (11, 12, 21, 22).
-
-    Cloned/batch views lack the other wing's setting; then only own-side
-    marginal counts accumulate.
-    """
-
-    cell_counts: tuple[int, int, int, int] = (0, 0, 0, 0)
-    own_counts: tuple[int, int] = (0, 0)
-
-
 class AdaptiveFrequencyTracker(AssignmentStrategy):
     """Re-picks the deterministic assignment before every trial.
 
@@ -416,25 +404,6 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
         if self.mode == "sequential":
             np.cumsum(np.eye(4, dtype=np.int64)[cells[:-1]], axis=0, out=counts[1:])
         return self.choose_assignment(counts)
-
-    def initial_memory(self, side):
-        return FrequencyMemory()
-
-    def update_memory(self, side, memory, view):
-        own = list(memory.own_counts)
-        own[view.own_setting - 1] += 1
-        cells = list(memory.cell_counts)
-        if view.other_setting is not None:
-            if side == LEFT:
-                cell = 2 * (view.own_setting - 1) + (view.other_setting - 1)
-            else:
-                cell = 2 * (view.other_setting - 1) + (view.own_setting - 1)
-            cells[cell] += 1
-        return FrequencyMemory(
-            next_trial=memory.next_trial + 1,
-            cell_counts=tuple(cells),
-            own_counts=tuple(own),
-        )
 
 
 class NonlocalCheaterStrategy(Strategy):

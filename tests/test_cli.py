@@ -193,6 +193,24 @@ class TestAnalyzeValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"validation failure: corrupt log (last valid trial {last_valid}): ")
 
+    def test_analyze_refuses_forged_sequence_number(self, tmp_path, capsys):
+        # A sequence number that reads like the short-log message is still a
+        # corrupt record, with or without the run's report.
+        config = write_config(tmp_path, n=20, critical_value=1)
+        log = tmp_path / "short.log"
+        assert main(["run", "--config", str(config), "--out", str(log)]) == EXIT_OK
+        text = log.read_text()
+        assert text.count('"m":3,') == 1
+        log.write_text(text.replace('"m":3,', '"m":"incomplete experiment",'))
+        capsys.readouterr()
+        assert main(["validate", "--log", str(log)]) == EXIT_VALIDATION
+        capsys.readouterr()
+        for report in ([], ["--report", str(log) + ".report.json"]):
+            assert main(["analyze", "--log", str(log), *report]) == EXIT_VALIDATION
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("validation failure: corrupt log (last valid trial 2): ")
+
     def test_non_utf8_log_is_a_validation_failure(self, finished_run, capsys):
         data = bytearray(finished_run.read_bytes())
         data[data.index(b'"x":') + 4] = 0xFF

@@ -184,6 +184,21 @@ class TestValidation:
         result = validate_raw_records(small_log().header, records[:2])
         assert not result.ok
         assert any("incomplete" in v for v in result.violations)
+        assert result.incomplete
+        assert result.corrupt == ()
+
+    def test_short_log_keeps_its_record_violations(self):
+        # Being short is said by a flag, not by a violation's text: a record
+        # violation that quotes the short-log message still counts.
+        _, records = read_raw_records_from(small_log())
+        records[1]["m"] = "incomplete experiment"
+        result = validate_raw_records(small_log().header, records[:3])
+        assert result.incomplete
+        assert result.corrupt == ("trial 'incomplete experiment': expected sequence number 2",)
+        assert result.violations[:-1] == result.corrupt
+        full = validate_raw_records(small_log().header, records)
+        assert not full.incomplete
+        assert full.corrupt == full.violations
 
     def test_over_long_log_fails_and_names_extra_trials(self):
         _, records = read_raw_records_from(small_log())

@@ -12,24 +12,29 @@ from bellbet.config import config_from_dict
 from bellbet.core import OPTIMAL_ANGLES
 from bellbet.net import (
     KIND_ABORT,
+    KIND_BROADCAST,
     KIND_CONFIG,
     KIND_HELLO,
     KIND_LAMBDA,
     KIND_OUTCOME,
+    KIND_SETTING,
     KIND_VERDICT,
     PROTOCOL_VERSION,
+    FrameError,
     RemoteStation,
     StationClient,
     Transcript,
     audit_transcript,
+    decode_view,
     encode_frame,
+    encode_view,
     parse_endpoint,
     recv_frame,
     referee_serve,
     station_client,
 )
 from bellbet.referee import ABORT_PROTOCOL, ProtocolAbort, run_experiment
-from bellbet.strategies import Strategy
+from bellbet.strategies import Strategy, TrialView
 
 
 def make_config(name="classical-polarizer", n=200, seed=21, mode="sequential"):
@@ -116,6 +121,46 @@ class TestFraming:
             referee_end.close()
             station_end.close()
 
+    @pytest.mark.parametrize("body", ["abc", 5, ["x"]])
+    def test_malformed_base64_body_is_a_frame_error(self, body):
+        left, right = socket.socketpair()
+        try:
+            payload = json.dumps({"kind": KIND_HELLO, "trial": None, "side": None, "body": body})
+            left.sendall(len(payload).to_bytes(4, "big") + payload.encode())
+            with pytest.raises(FrameError):
+                recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("blob", ["abc", 5])
+    def test_outcome_with_malformed_blob_aborts_its_trial(self, blob):
+        referee_end, station_end = socket.socketpair()
+        try:
+            station = RemoteStation(referee_end, "left", Transcript(), "sequential")
+            station.post_setting(1, 2)
+            nonce = json.loads(recv_frame(station_end)["body"])["nonce"]
+            body = json.dumps({"value": 1, "blob": blob, "nonce": nonce}).encode()
+            station_end.sendall(encode_frame(KIND_OUTCOME, 1, "left", body))
+            with pytest.raises(ProtocolAbort) as caught:
+                station.get_outcome(1)
+            assert (caught.value.trial, caught.value.side) == (1, "left")
+        finally:
+            referee_end.close()
+            station_end.close()
+
+    def test_view_codec_round_trip_and_bytes(self):
+        view = TrialView(3, 1, 0, 2, 1, {"left": b"a", "right": b""})
+        body = encode_view(view)
+        # The BROADCAST body of wire protocol 2, byte for byte.
+        assert body == (
+            b'{"m": 3, "own_setting": 1, "own_outcome": 0, "other_setting": 2, '
+            b'"other_outcome": 1, "blobs": {"left": "YQ==", "right": ""}}'
+        )
+        assert decode_view(body) == view
+        own_wing = TrialView(4, 2, 1)
+        assert decode_view(encode_view(own_wing)) == own_wing
+
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:881") == ("127.0.0.1", 881)
         assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
@@ -198,6 +243,98 @@ class TestHandshake:
         assert statuses == {"left": 0, "right": 0}
         result, _ = box["result"]
         assert result.verdict is not None
+
+
+    def test_malformed_hello_is_dropped(self):
+        config = make_config(n=20, seed=5)
+        thread, box = serve_in_thread(config, trial_timeout=5.0)
+        host, port = parse_endpoint(box["endpoint"])
+        with socket.create_connection((host, port), timeout=5.0) as bad:
+            payload = json.dumps({"kind": KIND_HELLO, "trial": None, "side": "left", "body": "abc"})
+            bad.sendall(len(payload).to_bytes(4, "big") + payload.encode())
+            assert bad.recv(1) == b""  # the referee hangs up
+        statuses = run_stations(box["endpoint"], timeout=10.0)
+        thread.join(30)
+        assert "error" not in box, box.get("error")
+        assert statuses == {"left": 0, "right": 0}
+        assert box["result"][0].verdict is not None
+
+
+FAKE_N = 40
+
+
+def fake_referee(mode, frames):
+    """Serve one station: CONFIG for ``mode`` at n=FAKE_N, then ``frames``
+    (raw bytes), then wait for the station to hang up. Returns the endpoint."""
+    config_body = make_config(n=FAKE_N, seed=3, mode=mode).canonical_json().encode()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                recv_frame(conn)  # HELLO
+                conn.sendall(encode_frame(KIND_CONFIG, None, None, config_body) + b"".join(frames))
+                while conn.recv(4096):
+                    pass
+
+    threading.Thread(target=serve, daemon=True).start()
+    host, port = listener.getsockname()[:2]
+    return f"{host}:{port}"
+
+
+def setting(trial, **body):
+    return encode_frame(KIND_SETTING, trial, "left", json.dumps(body).encode())
+
+
+def broadcast(body):
+    return encode_frame(KIND_BROADCAST, 1, "left", json.dumps(body).encode())
+
+
+def batch_settings(count):
+    return [setting(m, index=1 + m % 2, nonce=f"{m:04x}") for m in range(1, count + 1)]
+
+
+GOOD_VIEW = {**TrialView(1, 1, 0, 2, 1)._asdict(), "blobs": {}}
+
+MALFORMED_REFEREE_FRAMES = {
+    "setting without index": ("sequential", [setting(1, nonce="ab")]),
+    "string index": ("sequential", [setting(1, index="1", nonce="ab")]),
+    "index out of range": ("sequential", [setting(1, index=3, nonce="ab")]),
+    "setting without nonce": ("sequential", [setting(1, index=1)]),
+    "integer nonce": ("sequential", [setting(1, index=1, nonce=7)]),
+    "string trial": ("sequential", [setting("1", index=1, nonce="ab")]),
+    "missing trial": ("sequential", [setting(None, index=1, nonce="ab")]),
+    "setting body not json": ("sequential", [encode_frame(KIND_SETTING, 1, "left", b"{")]),
+    "lambda without trial": ("sequential", [encode_frame(KIND_LAMBDA, None, "left", b"")]),
+    "broadcast not an object": ("sequential", [encode_frame(KIND_BROADCAST, 1, "left", b"[1]")]),
+    "broadcast missing field": (
+        "sequential", [broadcast({k: v for k, v in GOOD_VIEW.items() if k != "own_outcome"})]
+    ),
+    "broadcast string setting": ("sequential", [broadcast({**GOOD_VIEW, "own_setting": "1"})]),
+    "broadcast blobs not an object": ("sequential", [broadcast({**GOOD_VIEW, "blobs": [1]})]),
+    "broadcast bad blob": ("sequential", [broadcast({**GOOD_VIEW, "blobs": {"left": "abc"}})]),
+    "batch lambda before settings": (
+        "batch", [*batch_settings(FAKE_N - 1), encode_frame(KIND_LAMBDA, 1, "left", b"")]
+    ),
+    "batch lambda past n": (
+        "batch", [*batch_settings(FAKE_N), encode_frame(KIND_LAMBDA, FAKE_N + 1, "left", b"")]
+    ),
+    "extra batch setting": ("batch", batch_settings(FAKE_N + 1)),
+    "unknown kind": ("sequential", [encode_frame("GREETING", 1, "left", b"")]),
+}
+
+
+class TestMalformedRefereeFrames:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REFEREE_FRAMES))
+    def test_station_exits_3(self, case):
+        # A station ends a malformed referee frame with the protocol-abort
+        # status, never a traceback.
+        mode, frames = MALFORMED_REFEREE_FRAMES[case]
+        endpoint = fake_referee(mode, frames)
+        assert station_client("left", endpoint, timeout=10.0) == 3
 
 
 class MisbehavingClient:

@@ -15,7 +15,7 @@ from bellbet.quantum import (
     sample_pair,
     sample_pairs,
 )
-from bellbet.rng import TrialUniforms, settings_cells
+from bellbet.rng import ROLE_ORACLE, TrialUniforms, settings_cells
 
 PI_THIRD_MODEL = QuantumModel(PI_THIRD_ANGLES)
 OPTIMAL_MODEL = QuantumModel(OPTIMAL_ANGLES)
@@ -122,3 +122,18 @@ class TestOracleSampler:
         assert [a.sample_trial(m, s) for m, s in trials] == [
             b.sample_trial(m, s) for m, s in trials
         ]
+
+    @pytest.mark.parametrize("sense", ["equal-polarization", OPPOSITE_POLARIZATION])
+    def test_trials_follow_sample_pair_and_columns(self, sense):
+        # The held cell probabilities drive the same region rule as
+        # sample_pair, and the whole-run columns agree trial by trial.
+        model = QuantumModel(PI_THIRD_ANGLES, sense)
+        n = 400
+        sampler = OracleSampler(model, 13, n)
+        uniforms = TrialUniforms(13, ROLE_ORACLE, n)
+        cells = settings_cells(13, n)
+        settings = [(m, Setting.from_cell(int(c))) for m, c in enumerate(cells, start=1)]
+        trials = [sampler.sample_trial(m, s) for m, s in settings]
+        assert trials == [sample_pair(model, s, uniforms.at(m)) for m, s in settings]
+        x, y = sampler.sample_columns(cells)
+        assert list(zip(x.tolist(), y.tolist())) == trials

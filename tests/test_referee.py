@@ -24,7 +24,12 @@ from bellbet.referee import (
     run_experiment,
     validate_outcome,
 )
-from bellbet.strategies import LOCAL_STRATEGY_NAMES, Strategy, build_strategy
+from bellbet.strategies import (
+    LOCAL_STRATEGY_NAMES,
+    AdaptiveFrequencyTracker,
+    Strategy,
+    build_strategy,
+)
 
 ANGLES = list(OPTIMAL_ANGLES.as_tuple())
 
@@ -458,6 +463,18 @@ class BlobCollector(Strategy):
         return super().update_memory(side, memory, view)
 
 
+class ViewRecorder(AdaptiveFrequencyTracker):
+    """The adaptive tracker, keeping every boundary view each station gets."""
+
+    def __init__(self):
+        super().__init__()
+        self.views: dict[str, list] = {"left": [], "right": []}
+
+    def update_memory(self, side, memory, view):
+        self.views[side].append(view)
+        return super().update_memory(side, memory, view)
+
+
 class TestSideChannelBlobs:
     def test_sequential_broadcast_relays_both_blobs(self):
         config = make_config(strategy_side("constant"), n=12, seed=13)
@@ -480,15 +497,18 @@ class TestClonedSourceMode:
         config = make_config(
             strategy_side("adaptive-frequency-tracker"), n=300, seed=12, mode="cloned-source"
         )
-        engine = RefereeEngine(config, record_events=True)
-        result = engine.run()
+        tracker = ViewRecorder()
+        result = RefereeEngine(config, strategy=tracker).run()
         assert result.verdict is not None
-        # No cross-wing data in cloned broadcasts: the tracker accumulated
-        # only own-side marginals, never joint cells.
-        left, right = engine._stations
-        assert left.memory.cell_counts == (0, 0, 0, 0)
-        assert sum(left.memory.own_counts) == 300
-        assert sum(right.memory.own_counts) == 300
+        # No cross-wing data in cloned broadcasts: every view holds only its
+        # own wing's setting and outcome.
+        i, j, x, y = (column.tolist() for column in result.log.columns())
+        for side, own in (("left", zip(i, x)), ("right", zip(j, y))):
+            views = tracker.views[side]
+            assert [view.m for view in views] == list(range(1, 301))
+            assert [(v.own_setting, v.own_outcome) for v in views] == list(own)
+            assert all(v.other_setting is None and v.other_outcome is None for v in views)
+            assert all(v.blobs == {} for v in views)
         # And the run is still reproducible.
         result2 = run_experiment(config)
         assert result2.log.to_bytes() == result.log.to_bytes()
