@@ -33,10 +33,14 @@ from .core import (
     chsh_count_statistic,
     coincidence_probability,
     deterministic_implication_holds,
-    expected_statistic_per_trial,
     photon_to_spin_angles,
 )
-from .quantum import QuantumModel, cell_coincidence_probability, sample_pair
+from .quantum import (
+    QuantumModel,
+    cell_coincidence_probability,
+    expected_statistic_per_trial,
+    sample_pair,
+)
 from .referee import (
     RefereeEngine,
     RunResult,
@@ -48,7 +52,7 @@ from .referee import (
     run_experiment,
     validate_outcome,
 )
-from .strategies import Strategy, StrategyDescriptor, build_strategy
+from .strategies import Strategy, build_strategy
 
 __version__ = "0.1.0"
 
@@ -68,7 +72,6 @@ __all__ = [
     "SideSpec",
     "StatisticTrace",
     "Strategy",
-    "StrategyDescriptor",
     "TrialRecord",
     "Verdict",
     "adjudicate",

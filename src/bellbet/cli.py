@@ -32,9 +32,10 @@ from .config import (
     config_from_dict,
     default_config_dict,
 )
-from .core import AngleConfig, chsh_count_statistic, expected_statistic_per_trial
+from .core import AngleConfig, chsh_count_statistic
 from .logfile import LogFormatError, TrialLog, read_raw_log, validate_raw_records
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
+from .quantum import QuantumModel, expected_statistic_per_trial
 from .referee import (
     ABORT_VALIDATION,
     adjudicate,
@@ -45,7 +46,6 @@ from .referee import (
     tally,
     winner_for,
 )
-from .strategies import build_strategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,7 +111,7 @@ def cmd_design(args) -> int:
             raise ConfigError("provide exactly one of --mu or --angles")
         if args.angles is not None:
             angles = _parse_angles(args.angles)
-            mu = expected_statistic_per_trial(angles)
+            mu = expected_statistic_per_trial(QuantumModel(angles))
         else:
             mu = args.mu
         design = design_protocol(
@@ -193,7 +193,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
         # The header does not pin the correlation sense; bounds are reported
         # under the equal-polarization law (the report cross-check below is
         # what carries the run's own design).
-        mu = expected_statistic_per_trial(header.angle_config)
+        mu = expected_statistic_per_trial(QuantumModel(header.angle_config))
         try:
             design = design_for(header.n, header.critical_value, mu)
         except ValueError:
@@ -297,18 +297,10 @@ def cmd_serve(args) -> int:
 def cmd_station(args) -> int:
     try:
         parse_endpoint(args.endpoint)
-        strategy = None if args.strategy is None else build_strategy(args.strategy)
-    except Exception as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    status = station_client(
-        args.role,
-        args.endpoint,
-        strategy=strategy,
-        seed_override=args.seed,
-        timeout=args.timeout,
-    )
-    return status
+    return station_client(args.role, args.endpoint, timeout=args.timeout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_station = sub.add_parser("station", help="run one station process")
     p_station.add_argument("--role", required=True, choices=("left", "right"))
     p_station.add_argument("--endpoint", required=True)
-    p_station.add_argument("--strategy", help="override the config-announced strategy")
-    p_station.add_argument("--seed", type=int, help="override this station's stream seed")
     p_station.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
     p_station.set_defaults(func=cmd_station)
 

@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import midpoint_critical_value
-from .core import AngleConfig, expected_statistic_per_trial
-from .quantum import CORRELATION_SENSES, EQUAL_POLARIZATION, QuantumModel, cell_probabilities
+from .core import AngleConfig
+from .quantum import (
+    CORRELATION_SENSES,
+    EQUAL_POLARIZATION,
+    QuantumModel,
+    expected_statistic_per_trial,
+)
 from .strategies import NONLOCAL_CHEATER, STRATEGY_REGISTRY, build_strategy
 
 MODES = ("sequential", "cloned-source", "batch")
@@ -29,13 +34,6 @@ SIDE_STRATEGY = "strategy"
 
 class ConfigError(ValueError):
     """The configuration document is malformed or inconsistent."""
-
-
-def quantum_expected_statistic(model: QuantumModel) -> float:
-    """Per-trial mean of the statistic for a quantum model of either
-    correlation sense (uniform settings)."""
-    p11, p12, p21, p22 = cell_probabilities(model).tolist()
-    return 0.25 * (p12 - p11 - p21 - p22)
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,8 @@ def mean_per_trial(side: SideSpec, angles: AngleConfig) -> float:
     """mu, the per-trial quantum mean a config's design is built on: the
     oracle's own law for a quantum side, the equal-polarization law at these
     angles for a strategy side."""
-    if side.kind == SIDE_QUANTUM:
-        return quantum_expected_statistic(QuantumModel(angles, side.correlation_sense))
-    return expected_statistic_per_trial(angles)
+    sense = side.correlation_sense if side.kind == SIDE_QUANTUM else EQUAL_POLARIZATION
+    return expected_statistic_per_trial(QuantumModel(angles, sense))
 
 
 @dataclass(frozen=True)

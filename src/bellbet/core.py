@@ -2,8 +2,8 @@
 
 Everything here is deterministic and side-effect free: angle configurations,
 settings, trial records, coincidence counts, joint bit distributions, the
-deterministic CHSH implication, the cos^2 coincidence law, and the per-trial
-expectation of the statistic N12 - N11 - N21 - N22.
+deterministic CHSH implication, the cos^2 coincidence law, and the cell
+weights of the statistic N12 - N11 - N21 - N22.
 
 Conventions:
   * photon convention throughout: analyzer orientations live modulo pi;
@@ -28,6 +28,22 @@ QUANTUM_CEILING = (math.sqrt(2.0) - 1.0) / 4.0
 
 # Cell codes: 2*(i-1) + (j-1), i.e. (1,1)->0, (1,2)->1, (2,1)->2, (2,2)->3.
 PRIVILEGED_CELL = 1
+
+# The statistic's weight per cell code: +1 for the privileged cell, -1 for
+# the other three, so S = N12 - N11 - N21 - N22 = sum of weight * N_cell.
+CELL_WEIGHTS = tuple(1 if cell == PRIVILEGED_CELL else -1 for cell in range(4))
+
+
+def chsh_combination(values):
+    """sum of CELL_WEIGHTS[cell] * values[cell] over cell codes 0..3, added
+    left to right; for floats this is exactly v12 - v11 - v21 - v22.
+
+    A plain loop, not ``sum()``: from Python 3.12 on, ``sum()`` compensates
+    float rounding and would change the last bit of mu."""
+    total = 0
+    for weight, value in zip(CELL_WEIGHTS, values):
+        total += weight * value
+    return total
 
 
 class InvalidDistributionError(ValueError):
@@ -137,11 +153,9 @@ class TrialRecord:
 
     @property
     def delta(self) -> int:
-        """Per-trial statistic increment: +1 for a coincidence in cell (1,2),
-        -1 for a coincidence in any other cell, 0 otherwise."""
-        if not self.coincided:
-            return 0
-        return 1 if self.setting.privileged else -1
+        """Per-trial statistic increment: the cell's weight on a coincidence,
+        0 otherwise."""
+        return CELL_WEIGHTS[self.setting.cell] if self.coincided else 0
 
 
 @dataclass(frozen=True)
@@ -292,12 +306,7 @@ def bell_inequality_slack(dist: JointBitDistribution) -> float:
     total = float(np.asarray(dist.p).sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-    return (
-        dist.probability_equal(1, 2)
-        - dist.probability_equal(1, 1)
-        - dist.probability_equal(2, 1)
-        - dist.probability_equal(2, 2)
-    )
+    return chsh_combination([dist.probability_equal(s.i, s.j) for s in SETTINGS_BY_CELL])
 
 
 def coincidence_probability(delta: float) -> float:
@@ -320,35 +329,9 @@ def spin_half_coincidence_probability(delta: float) -> float:
     return math.sin(delta / 2.0) ** 2
 
 
-def _expected_statistic(a1, a2, b1, b2):
-    """Per-trial mean of the statistic under the cos^2 law with uniform
-    settings. Broadcasts over numpy arrays."""
-    return 0.25 * (
-        np.cos(a1 - b2) ** 2
-        - np.cos(a1 - b1) ** 2
-        - np.cos(a2 - b1) ** 2
-        - np.cos(a2 - b2) ** 2
-    )
-
-
-def expected_statistic_per_trial(angles: AngleConfig) -> float:
-    """Per-trial expected statistic for the quantum law at these angles:
-
-        (1/4) [cos^2(a1-b2) - cos^2(a1-b1) - cos^2(a2-b1) - cos^2(a2-b2)]
-
-    Bounded above by QUANTUM_CEILING = (sqrt(2)-1)/4 over all angle choices.
-    """
-    return float(_expected_statistic(*angles.as_tuple()))
-
-
 def chsh_count_statistic(counts: CountMatrix) -> int:
     """The adjudicated statistic N12 - N11 - N21 - N22."""
-    return (
-        counts.coincidence_count(1, 2)
-        - counts.coincidence_count(1, 1)
-        - counts.coincidence_count(2, 1)
-        - counts.coincidence_count(2, 2)
-    )
+    return chsh_combination(counts.coincidences[0] + counts.coincidences[1])
 
 
 def photon_to_spin_angles(angles: AngleConfig) -> AngleConfig:

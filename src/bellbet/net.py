@@ -407,7 +407,6 @@ class StationClient:
         endpoint: str,
         *,
         strategy: Strategy | None = None,
-        seed_override: int | None = None,
         timeout: float = DEFAULT_TRIAL_TIMEOUT,
     ):
         if role not in SIDES:
@@ -416,7 +415,6 @@ class StationClient:
         self.endpoint = endpoint
         self.timeout = timeout
         self._strategy = strategy
-        self._seed_override = seed_override
         self.trials_completed = 0
         self.verdict: dict | None = None
         self.abort_reason: str | None = None
@@ -446,8 +444,7 @@ class StationClient:
             strategy = self._strategy
             if strategy is None:
                 strategy = build_strategy(config.side.strategy, config.side.params)
-            seed = self._seed_override if self._seed_override is not None else config.seed
-            strategy.prepare(seed=seed, n=config.n, angles=config.angles, mode=config.mode)
+            strategy.prepare(seed=config.seed, n=config.n, angles=config.angles, mode=config.mode)
             station = LocalStation(strategy, self.role)
             own_wing = config.mode != "sequential"
             # Batch mode: every (index, nonce), revealed up front.
@@ -488,7 +485,10 @@ class StationClient:
 
     def _answer(self, station: LocalStation, m: int, index: int, nonce: str, own_wing: bool) -> None:
         station.post_setting(m, index)
-        value = station.get_outcome(m)
+        try:
+            value = station.get_outcome(m)
+        except StrategyError as exc:  # e.g. a LAMBDA payload it cannot read
+            raise FrameError(f"trial {m}: {exc}") from exc
         blob = station.collect_blob(m)
         body = {"value": value, "blob": base64.b64encode(blob).decode("ascii"), "nonce": nonce}
         self._send(KIND_OUTCOME, m, json.dumps(body).encode("ascii"))
@@ -505,14 +505,11 @@ def station_client(
     endpoint: str,
     *,
     strategy: Strategy | None = None,
-    seed_override: int | None = None,
     timeout: float = DEFAULT_TRIAL_TIMEOUT,
 ) -> int:
     """Convenience wrapper: run a station to completion, return exit status
     (0 verdict received, 2 config mismatch, 3 protocol abort)."""
-    client = StationClient(
-        role, endpoint, strategy=strategy, seed_override=seed_override, timeout=timeout
-    )
+    client = StationClient(role, endpoint, strategy=strategy, timeout=timeout)
     try:
         return client.run()
     except (ConfigError, StrategyError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AngleConfig, Setting, coincidence_probability
+from .core import SETTINGS_BY_CELL, AngleConfig, Setting, chsh_combination, coincidence_probability
 from .rng import ROLE_ORACLE, TrialUniforms
 
 EQUAL_POLARIZATION = "equal-polarization"
@@ -70,7 +70,19 @@ def _pair(c: float, u: float) -> tuple[int, int]:
 
 def cell_probabilities(model: QuantumModel) -> np.ndarray:
     """``cell_coincidence_probability`` for cell codes 0..3 (11, 12, 21, 22)."""
-    return np.array([cell_coincidence_probability(model, Setting.from_cell(v)) for v in range(4)])
+    return np.array([cell_coincidence_probability(model, s) for s in SETTINGS_BY_CELL])
+
+
+def expected_statistic_per_trial(model: QuantumModel) -> float:
+    """mu, the per-trial mean of the statistic under uniform settings: a
+    quarter of the CHSH combination of the four cell probabilities. For equal
+    polarization that is
+
+        (1/4) [cos^2(a1-b2) - cos^2(a1-b1) - cos^2(a2-b1) - cos^2(a2-b2)],
+
+    bounded above by QUANTUM_CEILING = (sqrt(2)-1)/4 over all angle choices.
+    """
+    return 0.25 * chsh_combination(cell_probabilities(model).tolist())
 
 
 def sample_pairs(model: QuantumModel, setting: Setting, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

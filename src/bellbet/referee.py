@@ -33,7 +33,14 @@ import numpy as np
 
 from .bounds import ProtocolDesign, design_for
 from .config import ExperimentConfig, SIDE_QUANTUM
-from .core import SETTINGS_BY_CELL, CountMatrix, Setting, TrialRecord, chsh_count_statistic
+from .core import (
+    CELL_WEIGHTS,
+    SETTINGS_BY_CELL,
+    CountMatrix,
+    Setting,
+    TrialRecord,
+    chsh_count_statistic,
+)
 from .logfile import LogHeader, TrialLog
 from .quantum import OracleSampler, QuantumModel
 from .rng import settings_cells
@@ -88,6 +95,9 @@ def validate_outcome(value) -> int:
     raise OutcomeValidationError(value)
 
 
+_CELL_WEIGHTS = np.array(CELL_WEIGHTS, dtype=np.int8)
+
+
 @dataclass(frozen=True)
 class StatisticTrace:
     """Per-trial increments of the statistic and its running aggregates."""
@@ -96,8 +106,7 @@ class StatisticTrace:
 
     @classmethod
     def from_columns(cls, cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> "StatisticTrace":
-        coincide = x == y
-        deltas = np.where(coincide, np.where(cells == 1, 1, -1), 0).astype(np.int8)
+        deltas = _CELL_WEIGHTS.take(cells) * (x == y)
         deltas.flags.writeable = False
         return cls(deltas)
 
@@ -114,11 +123,6 @@ class StatisticTrace:
     def statistic(self) -> int:
         """S_n (0 for an empty trace)."""
         return int(self.deltas.sum(dtype=np.int64))
-
-    @property
-    def running_sup(self) -> np.ndarray:
-        """sup_{r<=m} S_r for m = 1..n."""
-        return np.maximum.accumulate(self.running_sum)
 
     @property
     def sup(self) -> int:

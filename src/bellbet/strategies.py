@@ -31,12 +31,7 @@ from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    AngleConfig,
-    JointBitDistribution,
-    TrialRecord,
-    bell_inequality_slack,
-)
+from .core import CELL_WEIGHTS, AngleConfig, TrialRecord
 from .rng import ROLE_LEFT, ROLE_RIGHT, ROLE_SOURCE, TrialUniforms
 
 LEFT = "left"
@@ -77,13 +72,6 @@ class StationMemory:
     next_trial: int = 1
 
 
-@dataclass(frozen=True)
-class StrategyDescriptor:
-    name: str
-    locality_class: str
-    seed: int
-
-
 _NO_BLOBS: Mapping[str, bytes] = MappingProxyType({})
 
 
@@ -113,26 +101,14 @@ ASSIGNMENT_BITS.flags.writeable = False
 
 # values[k, cell] = statistic increment when cell is drawn and both stations
 # answer per deterministic assignment k (cell codes 11, 12, 21, 22).
-ASSIGNMENT_VALUES = np.where(
-    ASSIGNMENT_BITS[:, [0, 0, 1, 1]] == ASSIGNMENT_BITS[:, [2, 3, 2, 3]],
-    np.array([-1, 1, -1, -1]),
-    0,
-).astype(np.int64)
+ASSIGNMENT_VALUES = (
+    ASSIGNMENT_BITS[:, [0, 0, 1, 1]] == ASSIGNMENT_BITS[:, [2, 3, 2, 3]]
+) * np.array(CELL_WEIGHTS, dtype=np.int64)
 ASSIGNMENT_VALUES.flags.writeable = False
 
-
-def best_deterministic_assignment() -> int:
-    """Index of the slack-maximizing deterministic assignment (first of the
-    maximizers in enumeration order; the maximum slack is exactly 0)."""
-    best_k, best_slack = 0, -math.inf
-    for k in range(16):
-        slack = bell_inequality_slack(JointBitDistribution.point_mass(*ASSIGNMENT_BITS[k]))
-        if slack > best_slack:
-            best_k, best_slack = k, slack
-    return best_k
-
-
-OPTIMAL_ASSIGNMENT = best_deterministic_assignment()
+# A row sum is the CHSH slack of that assignment's point mass; the first
+# maximizer in enumeration order (the maximum slack is exactly 0).
+OPTIMAL_ASSIGNMENT = int(np.argmax(ASSIGNMENT_VALUES.sum(axis=1)))
 
 
 def angular_distance(a, b):
@@ -177,10 +153,6 @@ class Strategy:
     def _require_prepared(self) -> None:
         if self.seed is None:
             raise StrategyError(f"strategy {self.name!r} used before prepare()")
-
-    def descriptor(self) -> StrategyDescriptor:
-        self._require_prepared()
-        return StrategyDescriptor(name=self.name, locality_class=self.locality_class, seed=self.seed)
 
     # --- source role ---------------------------------------------------
 
@@ -296,7 +268,10 @@ class ClassicalPolarizerStrategy(Strategy):
 
     def station_respond(self, side, setting_index, message, memory):
         self._require_prepared()
-        theta = struct.unpack("<d", message.payload)[0]
+        try:
+            theta = struct.unpack("<d", message.payload)[0]
+        except struct.error as exc:
+            raise StrategyError(f"unreadable polarization payload {message.payload!r}") from exc
         analyzer = (
             self.angles.left(setting_index) if side == LEFT else self.angles.right(setting_index)
         )
@@ -328,7 +303,10 @@ class AssignmentStrategy(Strategy):
 
     def station_respond(self, side, setting_index, message, memory):
         column = setting_index - 1 if side == LEFT else setting_index + 1
-        return ASSIGNMENT_BITS.item(message.payload[0], column)
+        try:
+            return ASSIGNMENT_BITS.item(message.payload[0], column)
+        except IndexError as exc:
+            raise StrategyError(f"unreadable assignment payload {message.payload!r}") from exc
 
     def respond_columns(self, cells):
         self._require_prepared()
@@ -340,8 +318,9 @@ class AssignmentStrategy(Strategy):
 class DeterministicOptimalStrategy(AssignmentStrategy):
     """Fixed deterministic assignment maximizing the CHSH slack.
 
-    Found by enumerating all 16 point masses; the maximum slack is exactly
-    0, so this strategy has zero drift, the best any local model can do.
+    ``OPTIMAL_ASSIGNMENT`` is the first of the 16 assignments with the largest
+    slack; the maximum is exactly 0, so this strategy has zero drift, the
+    best any local model can do.
     """
 
     name = "deterministic-optimal"

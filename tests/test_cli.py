@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from bellbet.cli import (
+    EXIT_ABORT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -17,10 +18,42 @@ from bellbet.cli import (
 )
 from bellbet.core import OPTIMAL_ANGLES
 from bellbet.logfile import load_log
-from bellbet.net import KIND_CONFIG, encode_frame, recv_frame
+from bellbet.net import KIND_CONFIG, KIND_LAMBDA, KIND_SETTING, encode_frame, recv_frame
 from bellbet.referee import summarize, tally
 
 BAD_PARAMS = [("constant", {"bit": 2}), ("classical-polarizer", {"bogus": 1})]
+
+
+def station_against_fake_referee(name, params, frames=()):
+    """Exit status of ``bellbet station`` against a referee thread that sends
+    CONFIG for this strategy, then ``frames``, then waits for the hang-up."""
+    doc = {
+        "angles": list(OPTIMAL_ANGLES.as_tuple()),
+        "side": {"kind": "strategy", "strategy": name, "params": params},
+        "n": 100,
+        "seed": 1,
+    }
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def referee():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                recv_frame(conn)  # HELLO
+                conn.sendall(encode_frame(KIND_CONFIG, None, None, json.dumps(doc).encode()))
+                for frame in frames:
+                    conn.sendall(frame)
+                conn.recv(1)  # wait for the station to hang up
+
+        thread = threading.Thread(target=referee, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        args = ["station", "--role", "left", "--endpoint", f"{host}:{port}", "--timeout", "10"]
+        status = main(args)
+        thread.join(10)
+        assert not thread.is_alive()
+    return status
 
 
 def write_config(tmp_path, **overrides):
@@ -383,26 +416,19 @@ class TestNetworkCommandErrors:
     @pytest.mark.parametrize("name, params", BAD_PARAMS)
     def test_station_refuses_bad_strategy_params(self, name, params):
         # A referee that announces a config whose strategy cannot be built.
-        doc = {
-            "angles": list(OPTIMAL_ANGLES.as_tuple()),
-            "side": {"kind": "strategy", "strategy": name, "params": params},
-            "n": 100,
-            "seed": 1,
-        }
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            listener.settimeout(10)
+        assert station_against_fake_referee(name, params) == EXIT_CONFIG
 
-            def referee():
-                conn, _ = listener.accept()
-                with conn:
-                    conn.settimeout(10)
-                    recv_frame(conn)  # HELLO
-                    conn.sendall(encode_frame(KIND_CONFIG, None, None, json.dumps(doc).encode()))
-                    conn.recv(1)  # wait for the station to hang up
-
-            thread = threading.Thread(target=referee, daemon=True)
-            thread.start()
-            host, port = listener.getsockname()[:2]
-            args = ["station", "--role", "left", "--endpoint", f"{host}:{port}", "--timeout", "10"]
-            assert main(args) == EXIT_CONFIG
-            thread.join(10)
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("classical-polarizer", b"ab"),
+            ("deterministic-optimal", b""),
+            ("deterministic-optimal", bytes([200])),
+        ],
+    )
+    def test_station_exits_3_on_unreadable_payload(self, name, payload):
+        frames = [
+            encode_frame(KIND_LAMBDA, 1, "left", payload),
+            encode_frame(KIND_SETTING, 1, "left", b'{"index": 1, "nonce": "ab"}'),
+        ]
+        assert station_against_fake_referee(name, {}, frames) == EXIT_ABORT

@@ -13,16 +13,9 @@ from bellbet.config import (
     config_from_dict,
     default_config_dict,
     mean_per_trial,
-    quantum_expected_statistic,
 )
-from bellbet.core import (
-    OPTIMAL_ANGLES,
-    PI_THIRD_ANGLES,
-    AngleConfig,
-    Setting,
-    expected_statistic_per_trial,
-)
-from bellbet.quantum import QuantumModel, cell_coincidence_probability
+from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig, Setting
+from bellbet.quantum import QuantumModel, cell_coincidence_probability, expected_statistic_per_trial
 
 
 def base_doc(**overrides):
@@ -143,20 +136,27 @@ class TestHashing:
 class TestQuantumExpectedStatistic:
     def test_opposite_sense_flips_law(self):
         equal = QuantumModel(OPTIMAL_ANGLES, "equal-polarization")
-        mu_equal = quantum_expected_statistic(equal)
+        mu_equal = expected_statistic_per_trial(equal)
         assert mu_equal == pytest.approx((math.sqrt(2) - 1) / 4, abs=1e-12)
         opposite = QuantumModel(OPTIMAL_ANGLES, "opposite-polarization")
         # 1 - c per cell: the combination becomes -1/2 - mu.
-        assert quantum_expected_statistic(opposite) == pytest.approx(
+        assert expected_statistic_per_trial(opposite) == pytest.approx(
             -0.5 - mu_equal, abs=1e-12
         )
 
 
 def reference_mu(side, angles):
-    """mu as each branch computes it: the oracle's four cell probabilities
-    for a quantum side, the equal-polarization law for a strategy side."""
+    """mu written out independently of the package: the oracle's four cell
+    probabilities for a quantum side, the equal-polarization cos^2 law for a
+    strategy side."""
     if side["kind"] == "strategy":
-        return expected_statistic_per_trial(angles)
+        a1, a2, b1, b2 = angles.as_tuple()
+        return 0.25 * (
+            math.cos(a1 - b2) ** 2
+            - math.cos(a1 - b1) ** 2
+            - math.cos(a2 - b1) ** 2
+            - math.cos(a2 - b2) ** 2
+        )
     model = QuantumModel(angles, side["correlation_sense"])
     probs = {
         (i, j): cell_coincidence_probability(model, Setting(i, j)) for i in (1, 2) for j in (1, 2)

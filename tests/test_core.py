@@ -23,11 +23,11 @@ from bellbet.core import (
     chsh_count_statistic,
     coincidence_probability,
     deterministic_implication_holds,
-    expected_statistic_per_trial,
     photon_to_spin_angles,
     spin_half_coincidence_probability,
 )
 from bellbet.logfile import LogHeader, TrialLog
+from bellbet.quantum import QuantumModel, expected_statistic_per_trial
 
 
 def brute_force_slack(p: np.ndarray) -> float:
@@ -137,41 +137,39 @@ class TestCoincidenceProbability:
             coincidence_probability(math.nan)
 
 
+def mu(angles):
+    return expected_statistic_per_trial(QuantumModel(angles))
+
+
+def cos2_mean(a1, a2, b1, b2, cos=np.cos):
+    """The equal-polarization mean written out; broadcasts over arrays."""
+    return 0.25 * (cos(a1 - b2) ** 2 - cos(a1 - b1) ** 2 - cos(a2 - b1) ** 2 - cos(a2 - b2) ** 2)
+
+
 class TestExpectedStatistic:
     def test_pi_third_angles(self):
-        assert expected_statistic_per_trial(PI_THIRD_ANGLES) == pytest.approx(
-            1.0 / 16.0, abs=1e-15
-        )
+        assert mu(PI_THIRD_ANGLES) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_optimal_angles(self):
-        assert expected_statistic_per_trial(OPTIMAL_ANGLES) == pytest.approx(
-            (math.sqrt(2.0) - 1.0) / 4.0, abs=1e-15
-        )
-        assert expected_statistic_per_trial(OPTIMAL_ANGLES) == pytest.approx(
-            QUANTUM_CEILING, abs=1e-15
-        )
+        assert mu(OPTIMAL_ANGLES) == pytest.approx((math.sqrt(2.0) - 1.0) / 4.0, abs=1e-15)
+        assert mu(OPTIMAL_ANGLES) == pytest.approx(QUANTUM_CEILING, abs=1e-15)
 
     def test_degenerate_angles(self):
-        assert expected_statistic_per_trial(AngleConfig(0.0, 0.0, 0.0, 0.0)) == pytest.approx(
-            -0.5, abs=1e-15
-        )
+        assert mu(AngleConfig(0.0, 0.0, 0.0, 0.0)) == pytest.approx(-0.5, abs=1e-15)
 
     def test_quantum_ceiling_on_grid(self):
-        # 50^4 grid over one period in each angle.
+        # 50^4 grid over one period in each angle. Array np.cos may differ
+        # from math.cos in the last bit, so the grid checks only the ceiling.
         grid = np.linspace(0.0, math.pi, 50, endpoint=False)
         a1, a2, b1, b2 = np.meshgrid(grid, grid, grid, grid, indexing="ij", sparse=True)
-        from bellbet.core import _expected_statistic
-
-        values = _expected_statistic(a1, a2, b1, b2)
+        values = cos2_mean(a1, a2, b1, b2)
         assert values.shape == (50, 50, 50, 50)
         assert float(values.max()) <= QUANTUM_CEILING + 1e-12
-        # Spot-check the vectorized helper against the public scalar op.
+        # Spot-check the one mean against the written-out formula on floats.
         rng = np.random.default_rng(3)
         for _ in range(50):
             angles = AngleConfig(*rng.uniform(-4.0, 4.0, size=4).tolist())
-            assert expected_statistic_per_trial(angles) == pytest.approx(
-                float(_expected_statistic(*angles.as_tuple())), abs=0
-            )
+            assert mu(angles) == pytest.approx(cos2_mean(*angles.as_tuple(), cos=math.cos), abs=0)
 
 
 class TestCountStatistic:

@@ -59,14 +59,9 @@ class TestRegistry:
             "adaptive-frequency-tracker",
         }
 
-    def test_descriptor(self):
-        strategy = prepared("range-violator", seed=31)
-        descriptor = strategy.descriptor()
-        assert descriptor.name == "range-violator"
-        assert descriptor.locality_class == "range-violating"
-        assert descriptor.seed == 31
-        with pytest.raises(StrategyError):
-            build_strategy("constant").descriptor()
+    def test_use_before_prepare_is_refused(self):
+        with pytest.raises(StrategyError, match="before prepare"):
+            build_strategy("independent-coin").respond_columns(np.zeros(4, dtype=np.int64))
 
 
 class TestLocalityByConstruction:
@@ -220,13 +215,16 @@ class TestDeterministicOptimal:
         assert bell_inequality_slack(JointBitDistribution.point_mass(x1, x2, y1, y2)) == 0.0
 
     def test_optimal_assignment_is_first_maximizer(self):
+        # Reference: the slack of each of the 16 point masses.
         from bellbet.core import JointBitDistribution, bell_inequality_slack
 
         slacks = [
             bell_inequality_slack(JointBitDistribution.point_mass(*reference_assignment_bits(k)))
             for k in range(16)
         ]
+        assert ASSIGNMENT_VALUES.sum(axis=1).tolist() == slacks
         assert OPTIMAL_ASSIGNMENT == slacks.index(max(slacks))
+        assert max(slacks) == 0.0
 
     def test_assignment_tables_match_loop_reference(self):
         values = np.zeros((16, 4), dtype=np.int64)
