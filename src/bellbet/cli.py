@@ -33,7 +33,7 @@ from .config import (
     default_config_dict,
 )
 from .core import AngleConfig, chsh_count_statistic
-from .logfile import LogFormatError, TrialLog, read_raw_log, validate_raw_records
+from .logfile import LogFormatError, read_log
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
 from .quantum import QuantumModel, expected_statistic_per_trial
 from .referee import (
@@ -172,14 +172,12 @@ def _read_report(path) -> dict:
 
 
 def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
-    header, raw_records = read_raw_log(log_path)
-    validation = validate_raw_records(header, raw_records)
-    if validation.corrupt:
+    header, log, validation = read_log(log_path)
+    if log is None:
         raise LogFormatError(
             f"corrupt log (last valid trial {validation.last_valid}): "
             + "; ".join(validation.corrupt[:4])
         )
-    log = TrialLog.from_raw(header, raw_records)
 
     default_report = Path(str(log_path) + ".report.json")
     if not report_path and default_report.exists():
@@ -243,16 +241,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        header, raw_records = read_raw_log(args.log)
+        _, log, validation = read_log(args.log)
     except OSError as exc:  # missing, a directory, or not readable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LogFormatError as exc:
         print(f"FAIL: {exc}")
         return EXIT_VALIDATION
-    validation = validate_raw_records(header, raw_records)
     if validation.ok:
-        print(f"PASS: {len(raw_records)} trials, all outcomes bits, sequence contiguous")
+        print(f"PASS: {len(log)} trials, all outcomes bits, sequence contiguous")
         return EXIT_OK
     print(f"FAIL: {len(validation.violations)} violation(s)")
     for violation in validation.violations:

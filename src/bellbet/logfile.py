@@ -14,6 +14,19 @@ For int fields that template is byte-identical to the canonical JSON
 (sorted keys, no whitespace) that the header line gets from ``json.dumps``.
 So two runs that commit the same trials produce byte-identical files; replay
 verification relies on that.
+
+``read_log`` is the one reader. A file is canonical when it is byte-equal to
+the serialization of the log it holds: the writer's output, or any prefix of
+it cut after a record line (an aborted run's log). Such a file is read in one
+vectorized pass: the header line with ``json``, then i, j, x and y of every
+record from their fixed offsets in the template, mapped into their allowed
+values, and the result is accepted only if it serializes back to the file's
+exact bytes. That equality proves what the per-record validator checks (field
+set, integer types, bit and setting ranges, m = 1..count, count <= n), so the
+fast path adds no rule of its own. Every other file, whether valid JSON laid
+out differently or corrupt, is read line by line (``read_raw_log``,
+``validate_raw_records``, ``TrialLog.from_raw``), so each message and
+``last_valid`` comes from that path alone.
 """
 
 from __future__ import annotations
@@ -69,7 +82,7 @@ class LogHeader:
                 version=doc["version"],
             )
             AngleConfig(*header.angles)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LogFormatError(f"malformed log header: {doc!r}") from exc
         integers = (header.seed, header.n, header.critical_value)
         if any(type(v) is not int for v in integers) or header.n < 0:
@@ -82,10 +95,10 @@ class LogHeader:
 
 
 _RECORD_LINE = '{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}'
-
-
-def _dump_line(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# Byte offsets in a record line: i and j from the line's start, where the
+# digits of m start, and x and y back from the line's newline.
+_I_AT, _J_AT, _M_AT = 5, 11, 17
+_X_BEFORE_NL, _Y_BEFORE_NL = 8, 2
 
 
 class TrialLog(Sequence):
@@ -116,9 +129,9 @@ class TrialLog(Sequence):
     def append(self, record: TrialRecord) -> None:
         if record.m != self._count + 1:
             raise ValueError(f"expected trial {self._count + 1}, got {record.m}")
-        if self._count >= self.header.n:
-            raise ValueError(f"log already holds all {self.header.n} trials")
         idx = self._count
+        if idx >= len(self._i):
+            raise ValueError(f"log already holds all {idx} trials")
         setting = record.setting
         self._i[idx] = setting.i
         self._j[idx] = setting.j
@@ -162,13 +175,9 @@ class TrialLog(Sequence):
 
     # --- serialization ---------------------------------------------------
 
-    def to_lines(self) -> Iterator[str]:
-        yield _dump_line(self.header.to_dict())
-        i, j, x, y = (col.tolist() for col in self.columns())
-        yield from map(_RECORD_LINE.__mod__, zip(i, j, range(1, self._count + 1), x, y))
-
     def to_bytes(self) -> bytes:
-        return ("\n".join(self.to_lines()) + "\n").encode("ascii")
+        header = json.dumps(self.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return header.encode("ascii") + _record_lines(*self.columns())
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
@@ -181,11 +190,7 @@ class TrialLog(Sequence):
         count = len(raw_records)
         if count > header.n:
             raise ValueError(f"{count} records exceed the header's {header.n} trials")
-        log = cls(header)
-        for name, col in zip("ijxy", log._buffers()):
-            col[:count] = bytes([doc[name] for doc in raw_records])
-        log._count = count
-        return log
+        return cls._holding(header, *(bytes([doc[name] for doc in raw_records]) for name in "ijxy"))
 
     @classmethod
     def from_columns(
@@ -204,11 +209,43 @@ class TrialLog(Sequence):
         for name, arr, allowed in zip("ijxy", arrays, ((1, 2), (1, 2), (0, 1), (0, 1))):
             if not np.isin(arr, allowed).all():
                 raise ValueError(f"column {name} holds values outside {allowed}")
-        log = cls(header)
-        for col, arr in zip(log._buffers(), arrays):
-            col[:] = arr.astype(np.uint8).tobytes()
-        log._count = count
+        return cls._holding(header, *(arr.astype(np.uint8) for arr in arrays))
+
+    @classmethod
+    def _holding(cls, header: LogHeader, i, j, x, y) -> "TrialLog":
+        """A log of exactly the trials in four equal-length byte columns of
+        checked values, sized by them rather than by ``header.n``: a log read
+        from disk may name any n in its header."""
+        log = cls.__new__(cls)
+        log.header = header
+        log._i, log._j, log._x, log._y = (bytearray(col) for col in (i, j, x, y))
+        log._count = len(log._i)
+        log._last = None
         return log
+
+
+def _record_lines(i: np.ndarray, j: np.ndarray, x: np.ndarray, y: np.ndarray) -> bytes:
+    """``_RECORD_LINE % (i, j, m, x, y)`` and a newline for m = 1..len(i),
+    built as uint8 rows: one block for each width of m, whose lines all have
+    one length. Each value is one digit, as the columns of a log only hold
+    settings and bits."""
+    blocks = []
+    lo, count = 1, len(i)
+    while lo <= count:
+        hi = min(10 * lo, count + 1)  # trials lo..hi-1 print m with one width
+        line = (_RECORD_LINE % (0, 0, lo, 0, 0) + "\n").encode("ascii")
+        block = np.tile(np.frombuffer(line, dtype=np.uint8), (hi - lo, 1))
+        trials = slice(lo - 1, hi - 1)
+        block[:, _I_AT] += i[trials]
+        block[:, _J_AT] += j[trials]
+        block[:, -1 - _X_BEFORE_NL] += x[trials]
+        block[:, -1 - _Y_BEFORE_NL] += y[trials]
+        width = len(str(lo))
+        powers = 10 ** np.arange(width - 1, -1, -1)
+        block[:, _M_AT : _M_AT + width] = ord("0") + np.arange(lo, hi)[:, None] // powers % 10
+        blocks.append(block)
+        lo = hi
+    return b"".join(block.tobytes() for block in blocks)
 
 
 def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
@@ -218,7 +255,10 @@ def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
     non-bit outcomes instead of choking on them.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _parse_lines(path, fh.read())
+
+
+def _parse_lines(path, data: bytes) -> tuple[LogHeader, list[dict]]:
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -227,7 +267,7 @@ def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
         raise LogFormatError(f"{path}: empty log file")
     try:
         header_doc = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise LogFormatError(f"{path}: unparseable header line") from exc
     if not isinstance(header_doc, dict) or header_doc.get("kind") != "header":
         raise LogFormatError(f"{path}: first line is not a log header")
@@ -238,12 +278,47 @@ def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise LogFormatError(f"{path}:{lineno}: unparseable record") from exc
         if not isinstance(doc, dict):
             raise LogFormatError(f"{path}:{lineno}: record is not a JSON object")
         records.append(doc)
     return header, records
+
+
+def _canonical_log(data: bytes) -> TrialLog | None:
+    """The log whose serialization is exactly ``data``, or None if no log's is.
+
+    Each record's i, j, x and y are read from their fixed offsets and mapped
+    into their allowed values (a byte other than "2" reads as 1 for a
+    setting, one other than "1" as 0 for a bit), so the columns hold a valid
+    log whatever the file says; byte equality then decides.
+    """
+    end = data.find(b"\n")
+    if end < 0:
+        return None
+    try:
+        header = LogHeader.from_dict(json.loads(data[:end]))
+    except (ValueError, RecursionError):  # the per-line path says why
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    ends = np.flatnonzero(body == ord("\n"))
+    if len(ends) > header.n:
+        return None
+    starts = np.concatenate(([0], ends + 1))[:-1]
+
+    def byte_is(offsets: np.ndarray, char: str) -> np.ndarray:
+        # Clipped, as a line too short for an offset only has to fail equality.
+        return (body.take(offsets, mode="clip") == ord(char)).view(np.uint8)
+
+    log = TrialLog._holding(
+        header,
+        byte_is(starts + _I_AT, "2") + 1,
+        byte_is(starts + _J_AT, "2") + 1,
+        byte_is(ends - _X_BEFORE_NL, "1"),
+        byte_is(ends - _Y_BEFORE_NL, "1"),
+    )
+    return log if log.to_bytes() == data else None
 
 
 @dataclass(frozen=True)
@@ -294,10 +369,7 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
         if not violations:
             last_valid += 1
     if len(records) < header.n:
-        violations.append(
-            f"log holds {len(records)} trials but the design requires {header.n} "
-            "(incomplete experiment)"
-        )
+        violations.append(_short_log(len(records), header.n))
     elif len(records) > header.n:
         extra = [doc.get("m") for doc in records[header.n :]]
         named = ", ".join(repr(m) for m in extra[:5]) + (", ..." if len(extra) > 5 else "")
@@ -313,12 +385,38 @@ def validate_raw_records(header: LogHeader, records: list[dict]) -> LogValidatio
     )
 
 
+def _short_log(count: int, n: int) -> str:
+    return f"log holds {count} trials but the design requires {n} (incomplete experiment)"
+
+
+def read_log(path) -> tuple[LogHeader, TrialLog | None, LogValidation]:
+    """Read a log file: its header, its trials as a ``TrialLog`` (None when a
+    record is corrupt or there are more than n) and its structural validation.
+
+    A canonical file is read in one vectorized pass; any other file line by
+    line, as ``read_raw_log``, ``validate_raw_records`` and ``from_raw`` do.
+    Raises ``LogFormatError`` for a file that cannot be parsed at all, and
+    ``OSError`` for one that cannot be read.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    log = _canonical_log(data)
+    if log is not None:
+        count, n = len(log), log.header.n
+        violations = () if count == n else (_short_log(count, n),)
+        validation = LogValidation(not violations, violations, count, incomplete=count < n)
+        return log.header, log, validation
+    header, records = _parse_lines(path, data)
+    validation = validate_raw_records(header, records)
+    log = None if validation.corrupt else TrialLog.from_raw(header, records)
+    return header, log, validation
+
+
 def load_log(path) -> TrialLog:
     """Read and structurally validate a complete log file."""
-    header, records = read_raw_log(path)
-    validation = validate_raw_records(header, records)
+    _, log, validation = read_log(path)
     if not validation.ok:
         raise LogFormatError(
             f"{path}: invalid log: " + "; ".join(validation.violations[:5])
         )
-    return TrialLog.from_raw(header, records)
+    return log

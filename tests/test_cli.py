@@ -283,6 +283,27 @@ class TestAnalyzeValidate:
         assert doc["trials_committed"] == 300
         assert "last valid trial 300" in doc["incomplete"]
 
+    @pytest.mark.parametrize("separator", [",", ", "])
+    def test_huge_header_n_is_an_incomplete_log(self, finished_run, capsys, separator):
+        # A log read from disk is sized by the records it holds, not by the
+        # header's n; both readers (canonical and spaced records) are run.
+        lines = finished_run.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["n"] = 10**12
+        records = [line.replace(",", separator) for line in lines[1:4]]
+        huge = finished_run.parent / "huge.log"
+        huge.write_text(
+            "\n".join([json.dumps(header, sort_keys=True, separators=(",", ":")), *records]) + "\n"
+        )
+        assert main(["analyze", "--log", str(huge)]) == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.err == ""
+        doc = json.loads(out.out)
+        assert doc["incomplete"] == f"log holds 3 of {10**12} trials; last valid trial 3"
+        assert doc["replay_verify"]["ok"] is True
+        assert main(["validate", "--log", str(huge)]) == EXIT_VALIDATION
+        assert "(incomplete experiment)" in capsys.readouterr().out
+
     def test_over_long_log_is_a_validation_failure(self, finished_run, capsys):
         over_long = finished_run.parent / "over-long.log"
         extra = '{"i":1,"j":1,"m":801,"x":0,"y":0}\n{"i":2,"j":1,"m":802,"x":1,"y":1}\n'

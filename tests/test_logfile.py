@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellbet import logfile
 from bellbet.core import Setting, TrialRecord
 from bellbet.logfile import (
     LogFormatError,
     LogHeader,
     TrialLog,
     load_log,
+    read_log,
     read_raw_log,
     validate_raw_records,
 )
@@ -75,6 +77,13 @@ class TestRoundTrip:
             json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs
         )
         assert log.to_bytes() == reference.encode("ascii")
+
+    def test_long_log_bytes_match_canonical_json(self):
+        # 10 001 trials: m takes every width from one to five digits.
+        n = 10_001
+        columns = random_columns(np.random.default_rng(4), n)
+        log = TrialLog.from_columns(make_header(n=n), *columns)
+        assert log.to_bytes() == serialized(n, zip(*(col.tolist() for col in columns)))
 
     def test_load_gives_back_columns(self, tmp_path):
         log = small_log()
@@ -245,7 +254,15 @@ class TestFileErrors:
             read_raw_log(path)
 
     @pytest.mark.parametrize(
-        "field, value", [("n", "4"), ("n", None), ("n", -1), ("seed", True), ("angles", [0, 0])]
+        "field, value",
+        [
+            ("n", "4"),
+            ("n", None),
+            ("n", -1),
+            ("seed", True),
+            ("angles", [0, 0]),
+            ("angles", [10**400, 0, 0, 0]),
+        ],
     )
     def test_malformed_header(self, tmp_path, field, value):
         doc = make_header().to_dict()
@@ -254,6 +271,17 @@ class TestFileErrors:
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(LogFormatError, match="malformed log header"):
             read_raw_log(path)
+
+    @pytest.mark.parametrize(
+        "line, message", [(1, "unparseable header line"), (6, ":6: unparseable record")]
+    )
+    def test_too_deeply_nested_json(self, tmp_path, line, message):
+        lines = small_log().to_bytes().splitlines(keepends=True)
+        lines.insert(line - 1, b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        path = tmp_path / "deep.log"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LogFormatError, match=message):
+            read_log(path)
 
     def test_record_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "list-record.log"
@@ -268,6 +296,150 @@ class TestFileErrors:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(LogFormatError):
             load_log(path)
+
+
+def random_columns(rng, n):
+    """Random (i, j, x, y) columns of n valid trials."""
+    return [rng.integers(low, low + 2, n) for low in (1, 1, 0, 0)]
+
+
+def per_line_read(path):
+    """The reference reader: one ``json.loads`` and one check per record."""
+    try:
+        header, records = read_raw_log(path)
+    except LogFormatError as exc:
+        return str(exc)
+    validation = validate_raw_records(header, records)
+    log = None if validation.corrupt else TrialLog.from_raw(header, records)
+    return header, log_columns(log), validation
+
+
+def one_pass_read(path):
+    try:
+        header, log, validation = read_log(path)
+    except LogFormatError as exc:
+        return str(exc)
+    return header, log_columns(log), validation
+
+
+def log_columns(log):
+    return None if log is None else [col.tolist() for col in log.columns()]
+
+
+def serialized(n, trials):
+    """A log file's bytes written with ``json.dumps``, not with the writer;
+    ``trials`` may hold more than n."""
+    docs = [make_header(n=n).to_dict()] + [
+        {"m": m, "i": i, "j": j, "x": x, "y": y} for m, (i, j, x, y) in enumerate(trials, 1)
+    ]
+    lines = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs)
+    return "".join(lines).encode()
+
+
+EDIT_BYTES = st.one_of(st.sampled_from(list(b'0123\n\r ,:{}"ijmxy.e-')), st.integers(0, 255))
+
+
+class TestReadLog:
+    """``read_log`` gives what the per-line path gives, on any file."""
+
+    @pytest.fixture()
+    def per_line_calls(self, monkeypatch):
+        # Counts the files that take the per-line path.
+        calls = []
+
+        def spy(header, records):
+            calls.append(len(records))
+            return validate_raw_records(header, records)
+
+        monkeypatch.setattr(logfile, "validate_raw_records", spy)
+        return calls
+
+    @given(
+        st.integers(0, 25).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(TRIAL, max_size=n + 2))
+        ),
+        st.sampled_from(["none", "set", "delete", "insert"]),
+        st.integers(0, 10**6),
+        EDIT_BYTES,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_both_paths_agree(self, tmp_path_factory, design, edit, where, byte):
+        # Complete, partial (aborted) and over-long logs, unedited or with
+        # one byte set, deleted or inserted.
+        data = serialized(*design)
+        pos = where % (len(data) + 1)
+        if edit == "set" and pos < len(data):
+            data = data[:pos] + bytes([byte]) + data[pos + 1 :]
+        elif edit == "delete":
+            data = data[:pos] + data[pos + 1 :]
+        elif edit == "insert":
+            data = data[:pos] + bytes([byte]) + data[pos:]
+        path = tmp_path_factory.getbasetemp() / "property.log"
+        path.write_bytes(data)
+        assert one_pass_read(path) == per_line_read(path)
+
+    @pytest.mark.parametrize("kept", [1200, 1000, 9, 0])
+    def test_canonical_log_takes_one_pass(self, tmp_path, per_line_calls, kept):
+        rng = np.random.default_rng(kept)
+        n = 1200
+        columns = random_columns(rng, n)
+        data = TrialLog.from_columns(make_header(n=n), *columns).to_bytes()
+        path = tmp_path / "canonical.log"
+        path.write_bytes(b"".join(data.splitlines(keepends=True)[: 1 + kept]))
+        header, log, validation = read_log(path)
+        assert per_line_calls == []
+        assert log_columns(log) == [col[:kept].tolist() for col in columns]
+        assert validation.last_valid == kept and validation.incomplete == (kept < n)
+        assert one_pass_read(path) == per_line_read(path)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text: text.replace(",", ", "),
+            lambda text: text.replace(":", ": "),
+            lambda text: text.replace('{"i":1,"j":2,"m":1,', '{"m":1,"j":2,"i":1,'),
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text + "\n",
+        ],
+        ids=["spaces", "colon-spaces", "reordered-keys", "crlf", "trailing-blank-line"],
+    )
+    def test_non_canonical_valid_log_passes_line_by_line(self, tmp_path, per_line_calls, rewrite):
+        text = small_log().to_bytes().decode()
+        path = tmp_path / "valid.log"
+        path.write_text(rewrite(text), newline="")
+        assert path.read_bytes() != text.encode()
+        header, log, validation = read_log(path)
+        assert per_line_calls == [4]
+        assert validation.ok
+        assert log_columns(log) == log_columns(small_log())
+
+    @pytest.mark.parametrize(
+        "old, new, violation",
+        [
+            ('"m":2,', '"m":true,', "trial True: expected sequence number 2"),
+            ('"x":0,', '"x":2,', "trial 2: outcome x=2 is not a bit"),
+        ],
+    )
+    def test_invalid_value_in_template_form(self, tmp_path, per_line_calls, old, new, violation):
+        # The bytes keep the template's shape, so only equality refuses them.
+        path = tmp_path / "invalid.log"
+        path.write_bytes(small_log().to_bytes().replace(old.encode(), new.encode(), 1))
+        header, log, validation = read_log(path)
+        assert per_line_calls == [4]
+        assert log is None and validation.last_valid == 1
+        assert violation in validation.violations
+        assert one_pass_read(path) == per_line_read(path)
+
+    def test_zero_trial_design(self, tmp_path, per_line_calls):
+        path = tmp_path / "empty-design.log"
+        path.write_bytes(serialized(0, []))
+        header, log, validation = read_log(path)
+        assert per_line_calls == []
+        assert header.n == 0 and len(log) == 0 and log.complete and validation.ok
+        path.write_bytes(serialized(0, [(1, 1, 0, 0)]))
+        assert read_log(path)[1] is None
+        assert per_line_calls == [1]
+        assert one_pass_read(path) == per_line_read(path)
 
 
 def read_raw_records_from(log):

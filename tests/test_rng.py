@@ -35,6 +35,16 @@ class TestSettingsDistribution:
         # The length-n buffer is a prefix of the length-2n buffer.
         assert np.array_equal(settings_cells(5, 500), settings_cells(5, 1000)[:500])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_length_is_a_prefix(self, seed):
+        # Replay draws only as many settings as a log holds, whatever n its
+        # header names, so each length must give a prefix of every longer
+        # one, across the stream's 32-bit and 64-bit draw boundaries too.
+        lengths = (0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 100, 1001, 4096)
+        longest = settings_cells(seed, 5000)
+        for n in lengths:
+            assert np.array_equal(settings_cells(seed, n), longest[:n]), n
+
     def test_cell_frequencies(self):
         # 10^6 draws: each cell frequency 0.25 +- 0.002, chi-square sane.
         cells = settings_cells(123, 1_000_000)
