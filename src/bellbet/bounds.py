@@ -29,6 +29,12 @@ SQRT3 = math.sqrt(3.0)
 # Feasibility slack for qm_mean_per_trial vs the quantum ceiling.
 _CEILING_TOL = 1e-12
 
+# The most trials one experiment may hold. ``design_protocol`` returns no
+# larger n, and a config that names one is refused. The referee keeps at
+# least 12 bytes per trial in memory (an 8-byte settings code and four
+# one-byte log columns), so an experiment at the cap needs 12 GB or more.
+MAX_TRIALS = 10**9
+
 
 def lenglart_chebyshev_bound(k: float) -> float:
     """min(1, sqrt(3)/k), bounding P{S_n >= k sqrt(n)} for any local strategy."""
@@ -162,7 +168,8 @@ def design_protocol(
     quantum_target_error: float | None = None,
     critical_fraction: float = 0.5,
 ) -> ProtocolDesign:
-    """Smallest n (with midpoint critical value) meeting both error targets.
+    """Smallest n (with midpoint critical value) meeting both error targets;
+    a ValueError when it exceeds ``MAX_TRIALS``.
 
     ``critical_fraction`` and ``quantum_target_error`` expose the asymmetric
     variant: C = round(n * mu * fraction), local-realist side held to
@@ -194,11 +201,12 @@ def design_protocol(
             and quantum_side_error_log_bound(n, c, mu) <= log_q_target
         )
 
+    too_strict = f"no feasible sample size up to {MAX_TRIALS} trials; targets too strict"
     hi = 1
     while not feasible(hi):
-        hi *= 2
-        if hi > 1 << 40:
-            raise ValueError("no feasible sample size found; targets too strict")
+        if hi == MAX_TRIALS:
+            raise ValueError(too_strict)
+        hi = min(2 * hi, MAX_TRIALS)
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -210,4 +218,6 @@ def design_protocol(
     n = hi
     while not feasible(n):
         n += 1
+    if n > MAX_TRIALS:
+        raise ValueError(too_strict)
     return design_for(n, midpoint_critical_value(n, mu, critical_fraction), mu)

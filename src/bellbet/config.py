@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .bounds import midpoint_critical_value
+from .bounds import MAX_TRIALS, midpoint_critical_value
 from .core import AngleConfig
 from .quantum import (
     CORRELATION_SENSES,
@@ -116,8 +116,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_TRIALS:
+            raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {self.n!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be an unsigned integer, got {self.seed!r}")
         if not isinstance(self.target_error, float) or not 0.0 < self.target_error < 1.0:
@@ -199,8 +199,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(f"bad params for strategy {side.strategy!r}: {exc}") from exc
 
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIALS:
+        raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {n!r}")
 
     target_error = doc.get("target_error", 1e-6)
     if isinstance(target_error, int) and not isinstance(target_error, bool):

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import AngleConfig, Setting, TrialRecord
+from .core import SETTINGS_BY_CELL, AngleConfig, TrialRecord
 
 LOG_VERSION = 1
 
@@ -117,7 +117,7 @@ class TrialLog(Sequence):
         self._x = bytearray(header.n)
         self._y = bytearray(header.n)
         self._count = 0
-        self._last: TrialRecord | None = None  # the record append committed last
+        self._last: TrialRecord | None = None  # the last trial's record, once built
 
     def __len__(self) -> int:
         return self._count
@@ -129,16 +129,23 @@ class TrialLog(Sequence):
     def append(self, record: TrialRecord) -> None:
         if record.m != self._count + 1:
             raise ValueError(f"expected trial {self._count + 1}, got {record.m}")
-        idx = self._count
-        if idx >= len(self._i):
-            raise ValueError(f"log already holds all {idx} trials")
+        if self._count >= len(self._i):
+            raise ValueError(f"log already holds all {self._count} trials")
         setting = record.setting
-        self._i[idx] = setting.i
-        self._j[idx] = setting.j
-        self._x[idx] = record.x
-        self._y[idx] = record.y
-        self._count = idx + 1
+        self.commit(setting.i, setting.j, record.x, record.y)
         self._last = record
+
+    def commit(self, i: int, j: int, x: int, y: int) -> None:
+        """Append the next trial from its setting indices and outcome bits,
+        which the caller has checked, without building its record: ``record``
+        builds one when it is read. A full log raises IndexError."""
+        idx = self._count
+        self._i[idx] = i
+        self._j[idx] = j
+        self._x[idx] = x
+        self._y[idx] = y
+        self._count = idx + 1
+        self._last = None
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, x, y) arrays for the committed trials, in order."""
@@ -153,18 +160,19 @@ class TrialLog(Sequence):
         return (2 * i + j - 3).astype(np.int64)  # exact in uint8: 2*i + j is 3..6
 
     def record(self, m: int) -> TrialRecord:
-        """Trial m; the last appended trial is handed back as committed."""
-        if m == self._count and self._last is not None:
-            return self._last
+        """Trial m. The last trial's record is kept once built (or as
+        appended), so every read of it hands back the same object."""
         if not 1 <= m <= self._count:
             raise IndexError(f"trial {m} outside 1..{self._count}")
+        if m == self._count and self._last is not None:
+            return self._last
         idx = m - 1
-        return TrialRecord(
-            m=m,
-            setting=Setting(self._i[idx], self._j[idx]),
-            x=self._x[idx],
-            y=self._y[idx],
+        record = TrialRecord(
+            m, SETTINGS_BY_CELL[2 * self._i[idx] + self._j[idx] - 3], self._x[idx], self._y[idx]
         )
+        if m == self._count:
+            self._last = record
+        return record
 
     def __getitem__(self, index: int) -> TrialRecord:
         return self.record(index + 1 if index >= 0 else self._count + index + 1)

@@ -37,7 +37,6 @@ from .core import (
     CELL_WEIGHTS,
     SETTINGS_BY_CELL,
     CountMatrix,
-    Setting,
     TrialRecord,
     chsh_count_statistic,
 )
@@ -46,6 +45,7 @@ from .quantum import OracleSampler, QuantumModel
 from .rng import settings_cells
 from .strategies import (
     LEFT,
+    NO_BLOBS,
     NONLOCAL_CHEATER,
     RIGHT,
     SourceMessage,
@@ -296,18 +296,22 @@ class LocalStation:
         self.side = side
         self.memory = strategy.initial_memory(side)
         self._message = SourceMessage(b"")
-        self._setting: tuple[int, int] | None = None
+        self._setting_trial = 0  # the trial whose setting was posted last
+        self._setting_index = 0
 
     def deliver_lambda(self, m: int, message: SourceMessage) -> None:
         self._message = message
 
     def post_setting(self, m: int, index: int) -> None:
-        self._setting = (m, index)
+        self._setting_trial = m
+        self._setting_index = index
 
     def get_outcome(self, m: int):
-        if self._setting is None or self._setting[0] != m:
+        if self._setting_trial != m:
             raise ProtocolAbort(f"no setting posted for trial {m}", trial=m, side=self.side)
-        return self.strategy.station_respond(self.side, self._setting[1], self._message, self.memory)
+        return self.strategy.station_respond(
+            self.side, self._setting_index, self._message, self.memory
+        )
 
     def collect_blob(self, m: int) -> bytes:
         return self.strategy.boundary_blob(self.side, m)
@@ -317,6 +321,14 @@ class LocalStation:
 
     def deliver_batch_settings(self, settings: Sequence[int]) -> None:
         self.memory = self.strategy.receive_batch_settings(self.side, settings, self.memory)
+
+
+def _validated(value, side: str, m: int) -> int:
+    """``validate_outcome``, naming the side and trial when it refuses."""
+    try:
+        return validate_outcome(value)
+    except OutcomeValidationError:
+        raise OutcomeValidationError(value, side=side, trial=m) from None
 
 
 class RefereeEngine:
@@ -350,7 +362,6 @@ class RefereeEngine:
         self._cells = settings_cells(config.seed, config.n)
         self._design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
         self._events: list[tuple[int, str, int]] | None = [] if record_events else None
-        self._seq = 0
 
         self._oracle: OracleSampler | None = None
         self.strategy: Strategy | None = None
@@ -384,90 +395,95 @@ class RefereeEngine:
                 )
 
         self.log = TrialLog(log_header(config))
+        self._step = self._trial_step()
 
     # --- event trace -----------------------------------------------------
 
     def _event(self, kind: str, m: int) -> None:
         """Record one event; callers call it only when ``record_events`` is on."""
-        self._seq += 1
-        self._events.append((self._seq, kind, m))
+        self._events.append((len(self._events) + 1, kind, m))
 
     # --- per-trial protocol ----------------------------------------------
 
-    def _dispatch_lambda(self, m: int) -> None:
-        if self.strategy is None or self._nonlocal:
-            return
-        history: Sequence[TrialRecord] = self.log if self.mode == "sequential" else ()
-        message = self.strategy.source_emit(m, history)
-        if self._events is not None:
-            self._event("lambda", m)
-        left, right = self._stations
-        left.deliver_lambda(m, message)
-        right.deliver_lambda(m, message)
+    def _trial_step(self):
+        """The per-trial protocol as one function of m, with everything it
+        touches bound once. Trial m:
 
-    def _draw_setting(self, m: int) -> Setting:
-        if self._events is not None and self.mode != "batch":
-            self._event("settings", m)
-        return SETTINGS_BY_CELL[self._cells.item(m - 1)]
+          1. the source's message to both stations (strategy sides only);
+          2. the joint setting, each station told only its own index; both
+             are posted before either outcome is awaited, which a remote
+             station relies on;
+          3. both outcomes, each validated as exactly a bit (an exact int 0
+             or 1 passes at once, anything else takes ``validate_outcome``),
+             then the trial committed to the log;
+          4. the broadcast: the whole trial and both blobs in sequential
+             mode, each wing's own setting and outcome otherwise.
+        """
+        log, n, cells = self.log, self.n, self._cells
+        commit = log.commit
+        event = self._event if self._events is not None else None
+        settings_event = event if self.mode != "batch" else None
+        sequential = self.mode == "sequential"
+        sample = self._oracle.sample_trial if self._oracle is not None else None
+        respond_nonlocal = self.strategy.respond_nonlocal if self._nonlocal else None
+        stations = self._stations
+        new_tuple = tuple.__new__
+        if stations is not None:
+            left, right = stations
+            source_emit = self.strategy.source_emit
+            history: Sequence[TrialRecord] = log if sequential else ()
 
-    def _collect_outcomes(self, m: int, setting: Setting):
-        if self._oracle is not None:
-            return self._oracle.sample_trial(m, setting)
-        if self._nonlocal:
-            return (
-                self.strategy.respond_nonlocal(LEFT, setting.i, setting.j),
-                self.strategy.respond_nonlocal(RIGHT, setting.i, setting.j),
-            )
-        left, right = self._stations
-        left.post_setting(m, setting.i)
-        right.post_setting(m, setting.j)
-        return left.get_outcome(m), right.get_outcome(m)
+        def step(m: int) -> None:
+            if m != len(log) + 1:
+                raise ProtocolAbort(f"trial {m} requested but {len(log)} trials committed")
+            if m > n:
+                raise ProtocolAbort(f"settings exhausted after {n} trials")
+            if stations is not None:
+                message = source_emit(m, history)
+                if event is not None:
+                    event("lambda", m)
+                left.deliver_lambda(m, message)
+                right.deliver_lambda(m, message)
+            if settings_event is not None:
+                settings_event("settings", m)
+            cell = cells.item(m - 1)
+            i, j = (cell >> 1) + 1, (cell & 1) + 1
+            if stations is not None:
+                left.post_setting(m, i)
+                right.post_setting(m, j)
+                x, y = left.get_outcome(m), right.get_outcome(m)
+            elif sample is not None:
+                x, y = sample(m, SETTINGS_BY_CELL[cell])
+            else:
+                x, y = respond_nonlocal(LEFT, i, j), respond_nonlocal(RIGHT, i, j)
+            if type(x) is not int or not 0 <= x <= 1:
+                x = _validated(x, LEFT, m)
+            if type(y) is not int or not 0 <= y <= 1:
+                y = _validated(y, RIGHT, m)
+            commit(i, j, x, y)
+            if event is not None:
+                event("outcome", m)
+            if stations is None:
+                return
+            # Each view is built as the plain tuple of its fields, in field
+            # order, which skips the named tuple's Python-level __new__.
+            if sequential:
+                blobs = {LEFT: left.collect_blob(m), RIGHT: right.collect_blob(m)}
+                left.deliver_broadcast(m, new_tuple(TrialView, (m, i, x, j, y, blobs)))
+                right.deliver_broadcast(m, new_tuple(TrialView, (m, j, y, i, x, blobs)))
+            else:
+                left.deliver_broadcast(m, new_tuple(TrialView, (m, i, x, None, None, NO_BLOBS)))
+                right.deliver_broadcast(m, new_tuple(TrialView, (m, j, y, None, None, NO_BLOBS)))
+            if event is not None:
+                event("broadcast", m)
 
-    def _commit(self, m: int, setting: Setting, x: int, y: int) -> TrialRecord:
-        record = TrialRecord(m, setting, x, y)
-        self.log.append(record)
-        if self._events is not None:
-            self._event("outcome", m)
-        return record
-
-    def _broadcast(self, record: TrialRecord) -> None:
-        if self._stations is None:
-            return
-        left, right = self._stations
-        m, x, y = record.m, record.x, record.y
-        i, j = record.setting.i, record.setting.j
-        if self.mode == "sequential":
-            blobs = {LEFT: left.collect_blob(m), RIGHT: right.collect_blob(m)}
-            left_view = TrialView(m, i, x, j, y, blobs)
-            right_view = TrialView(m, j, y, i, x, blobs)
-        else:
-            left_view = TrialView(m, i, x)
-            right_view = TrialView(m, j, y)
-        left.deliver_broadcast(m, left_view)
-        right.deliver_broadcast(m, right_view)
-        if self._events is not None:
-            self._event("broadcast", m)
+        return step
 
     def run_trial(self, m: int) -> TrialRecord:
-        """Execute trial m. Trial m-1 must already be committed."""
-        if m != len(self.log) + 1:
-            raise ProtocolAbort(f"trial {m} requested but {len(self.log)} trials committed")
-        if m > self.n:
-            raise ProtocolAbort(f"settings exhausted after {self.n} trials")
-        self._dispatch_lambda(m)
-        setting = self._draw_setting(m)
-        x_raw, y_raw = self._collect_outcomes(m, setting)
-        try:
-            x = validate_outcome(x_raw)
-        except OutcomeValidationError:
-            raise OutcomeValidationError(x_raw, side=LEFT, trial=m) from None
-        try:
-            y = validate_outcome(y_raw)
-        except OutcomeValidationError:
-            raise OutcomeValidationError(y_raw, side=RIGHT, trial=m) from None
-        record = self._commit(m, setting, x, y)
-        self._broadcast(record)
-        return record
+        """Execute trial m and return its committed record. Trial m-1 must
+        already be committed."""
+        self._step(m)
+        return self.log.record(m)
 
     def _reveal_batch_settings(self) -> None:
         if self._events is not None:
@@ -485,8 +501,9 @@ class RefereeEngine:
         try:
             if self.mode == "batch":
                 self._reveal_batch_settings()
+            step = self._step
             for m in range(1, self.n + 1):
-                self.run_trial(m)
+                step(m)
         except OutcomeValidationError as exc:
             abort = AbortReport(
                 kind=ABORT_VALIDATION,

@@ -24,6 +24,7 @@ constructible when enforcement is explicitly disabled) and range-violator
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -50,17 +51,20 @@ class StrategyError(ValueError):
     """Strategy construction or usage violates the protocol rules."""
 
 
-@dataclass(frozen=True)
-class SourceMessage:
+class SourceMessage(NamedTuple):
     """The hidden variable: one opaque payload, identical copy to both wings.
 
     The referee hands the one message the source emitted to both stations;
-    a station treats it as read-only."""
+    a station treats it as read-only. A named tuple, as the source emits one
+    per trial; a source whose message repeats hands back one instance."""
 
     payload: bytes
 
 
-@dataclass(frozen=True)
+_EMPTY_MESSAGE = SourceMessage(b"")
+
+
+@dataclass(frozen=True, slots=True)
 class StationMemory:
     """Base per-station state, updated only at trial boundaries.
 
@@ -72,7 +76,7 @@ class StationMemory:
     next_trial: int = 1
 
 
-_NO_BLOBS: Mapping[str, bytes] = MappingProxyType({})
+NO_BLOBS: Mapping[str, bytes] = MappingProxyType({})
 
 
 class TrialView(NamedTuple):
@@ -90,7 +94,7 @@ class TrialView(NamedTuple):
     own_outcome: int
     other_setting: int | None = None
     other_outcome: int | None = None
-    blobs: Mapping[str, bytes] = _NO_BLOBS
+    blobs: Mapping[str, bytes] = NO_BLOBS
 
 
 # Deterministic assignment k in 0..15 -> bits (x1, x2, y1, y2), one row per k.
@@ -109,6 +113,16 @@ ASSIGNMENT_VALUES.flags.writeable = False
 # A row sum is the CHSH slack of that assignment's point mass; the first
 # maximizer in enumeration order (the maximum slack is exactly 0).
 OPTIMAL_ASSIGNMENT = int(np.argmax(ASSIGNMENT_VALUES.sum(axis=1)))
+
+# The one-byte source message naming each assignment, built once.
+_ASSIGNMENT_MESSAGES = tuple(SourceMessage(bytes([k])) for k in range(16))
+
+# SCORE_COLUMNS[cell][k] = ASSIGNMENT_VALUES[k, cell]: what one trial drawn
+# in that cell adds to the adaptive tracker's score for assignment k, as
+# plain ints for its per-trial step and as one array for its whole-run rule.
+SCORE_COLUMNS = tuple(tuple(column) for column in ASSIGNMENT_VALUES.T.tolist())
+_SCORE_TABLE = np.array(SCORE_COLUMNS, dtype=np.int64)
+_SCORE_TABLE.flags.writeable = False
 
 
 def angular_distance(a, b):
@@ -159,7 +173,7 @@ class Strategy:
     def source_emit(self, m: int, history: Sequence[TrialRecord]) -> SourceMessage:
         """Hidden message for trial m. ``history`` holds all committed trials
         in sequential mode and is empty in cloned-source and batch modes."""
-        return SourceMessage(b"")
+        return _EMPTY_MESSAGE
 
     # --- station role --------------------------------------------------
 
@@ -326,7 +340,7 @@ class DeterministicOptimalStrategy(AssignmentStrategy):
     name = "deterministic-optimal"
 
     def source_emit(self, m, history):
-        return SourceMessage(bytes([OPTIMAL_ASSIGNMENT]))
+        return _ASSIGNMENT_MESSAGES[OPTIMAL_ASSIGNMENT]
 
     def assignments(self, cells):
         return OPTIMAL_ASSIGNMENT
@@ -337,42 +351,46 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
 
     The source scores each of the 16 assignments by the integer sum over
     cells of (times that cell was drawn so far) * (assignment's statistic
-    increment in that cell) and plays an argmax, so it chases whichever
-    zero-slack assignment best fits the observed setting imbalance. Integer
-    scores keep the rule exactly reproducible across implementations.
+    increment in that cell) and plays the first argmax, so it chases
+    whichever zero-slack assignment best fits the observed setting
+    imbalance. Integer scores keep the rule exactly reproducible across
+    implementations; both paths read them from ``SCORE_COLUMNS``.
     """
 
     name = "adaptive-frequency-tracker"
 
     def __init__(self):
         super().__init__()
-        self._cached_counts = np.zeros(4, dtype=np.int64)
-        self._cached_trials = 0
+        self._reset_scores()
 
     def prepare(self, *, seed, n, angles, mode):
         super().prepare(seed=seed, n=n, angles=angles, mode=mode)
-        self._cached_counts = np.zeros(4, dtype=np.int64)
-        self._cached_trials = 0
+        self._reset_scores()
 
-    def _history_cell_counts(self, history: Sequence[TrialRecord]) -> np.ndarray:
-        if len(history) == self._cached_trials + 1:
-            self._cached_counts[history[-1].setting.cell] += 1
-            self._cached_trials += 1
-        elif len(history) != self._cached_trials:
-            counts = np.zeros(4, dtype=np.int64)
-            for rec in history:
-                counts[rec.setting.cell] += 1
-            self._cached_counts = counts
-            self._cached_trials = len(history)
-        return self._cached_counts
+    def _reset_scores(self) -> None:
+        self._scores = [0] * 16
+        self._scored = 0  # trials of history folded into _scores
 
     def choose_assignment(self, cell_counts: np.ndarray):
-        """Argmax assignment for one count vector, or one per row of a stack."""
-        return np.argmax(cell_counts @ ASSIGNMENT_VALUES.T, axis=-1)
+        """First argmax assignment for one count vector, or one per row of a
+        stack."""
+        return np.argmax(cell_counts @ _SCORE_TABLE, axis=-1)
 
     def source_emit(self, m, history):
-        counts = self._history_cell_counts(history)
-        return SourceMessage(bytes([self.choose_assignment(counts)]))
+        # One step per trial: the log grew by its last trial since the
+        # previous call. Any other history is scored afresh.
+        seen = len(history)
+        if seen == self._scored + 1:
+            column = SCORE_COLUMNS[history[-1].setting.cell]
+            self._scores = list(map(operator.add, self._scores, column))
+        elif seen != self._scored:
+            self._reset_scores()
+            for record in history:
+                column = SCORE_COLUMNS[record.setting.cell]
+                self._scores = list(map(operator.add, self._scores, column))
+        self._scored = seen
+        scores = self._scores
+        return _ASSIGNMENT_MESSAGES[scores.index(max(scores))]
 
     def assignments(self, cells):
         """The assignment at trial m is a pure function of the joint settings

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from bellbet.bounds import (
+    MAX_TRIALS,
     ProtocolDesign,
     bernstein_sup_bound,
     bernstein_sup_log_bound,
@@ -195,6 +196,13 @@ class TestDesignProtocol:
             design_protocol(MU_OPTIMAL, 1.0)
         with pytest.raises(ValueError):
             design_protocol(MU_OPTIMAL, 1e-6, critical_fraction=1.0)
+
+    def test_designs_stay_within_the_trial_cap(self):
+        # mu = 0.001 is feasible well inside the cap; mu = 1e-4 would need
+        # about 8.3e9 trials, which no config may name, so no design is given.
+        assert design_protocol(0.001, 1e-6).n == 82_921_565 <= MAX_TRIALS
+        with pytest.raises(ValueError, match=f"up to {MAX_TRIALS} trials"):
+            design_protocol(1e-4, 1e-6)
 
 
 class TestProtocolDesignInvariants:

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from bellbet.bounds import MAX_TRIALS
 from bellbet.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -24,13 +25,14 @@ from bellbet.referee import summarize, tally
 BAD_PARAMS = [("constant", {"bit": 2}), ("classical-polarizer", {"bogus": 1})]
 
 
-def station_against_fake_referee(name, params, frames=()):
+def station_against_fake_referee(name, params, frames=(), n=100):
     """Exit status of ``bellbet station`` against a referee thread that sends
-    CONFIG for this strategy, then ``frames``, then waits for the hang-up."""
+    CONFIG for this strategy and ``n``, then ``frames``, then waits for the
+    hang-up."""
     doc = {
         "angles": list(OPTIMAL_ANGLES.as_tuple()),
         "side": {"kind": "strategy", "strategy": name, "params": params},
-        "n": 100,
+        "n": n,
         "seed": 1,
     }
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -94,6 +96,16 @@ class TestRun:
         config = write_config(tmp_path, n=0)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_trial_count_above_cap_is_config_error(self, tmp_path, capsys, command):
+        # Refused while parsing, before any per-trial buffer is allocated.
+        config = write_config(
+            tmp_path, side={"kind": "strategy", "strategy": "constant", "params": {}}
+        )
+        argv = [command, "--config", str(config), "--n", str(MAX_TRIALS + 1)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: n must be an integer in 1..{MAX_TRIALS}" in capsys.readouterr().err
+
     def test_unknown_field_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, gremlins=True)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
@@ -152,6 +164,10 @@ class TestDesign:
 
     def test_target_error_one_is_config_error(self, capsys):
         assert main(["design", "--mu", "0.1", "--target-error", "1.0"]) == EXIT_CONFIG
+
+    def test_design_above_trial_cap_is_config_error(self, capsys):
+        assert main(["design", "--mu", "1e-4", "--target-error", "1e-6"]) == EXIT_CONFIG
+        assert f"up to {MAX_TRIALS} trials" in capsys.readouterr().err
 
     def test_mu_and_angles_exclusive(self, capsys):
         assert main(["design", "--mu", "0.1", "--angles", "0,0,0,0"]) == EXIT_CONFIG
@@ -438,6 +454,9 @@ class TestNetworkCommandErrors:
     def test_station_refuses_bad_strategy_params(self, name, params):
         # A referee that announces a config whose strategy cannot be built.
         assert station_against_fake_referee(name, params) == EXIT_CONFIG
+
+    def test_station_refuses_trial_count_above_cap(self):
+        assert station_against_fake_referee("constant", {}, n=MAX_TRIALS + 1) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "name, payload",

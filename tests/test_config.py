@@ -1,12 +1,13 @@
 """Config schema: strict parsing, auto critical value, canonical hashing."""
 
+import dataclasses
 import math
 
 import pytest
 
 import numpy as np
 
-from bellbet.bounds import midpoint_critical_value
+from bellbet.bounds import MAX_TRIALS, design_protocol, midpoint_critical_value
 from bellbet.config import (
     ConfigError,
     SideSpec,
@@ -62,6 +63,17 @@ class TestParsing:
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(n=0))
+
+    def test_trial_cap(self):
+        # Only parsing: no config here is ever run, so nothing is allocated.
+        with pytest.raises(ConfigError, match=f"1..{MAX_TRIALS}"):
+            config_from_dict(base_doc(n=MAX_TRIALS + 1, critical_value="auto"))
+        config = config_from_dict(base_doc(n=MAX_TRIALS, critical_value="auto"))
+        with pytest.raises(ConfigError, match=f"1..{MAX_TRIALS}"):
+            dataclasses.replace(config, n=MAX_TRIALS + 1)
+        # The trial count of a small-mu design (mu = 0.001 at 1e-6) is admitted.
+        n = design_protocol(0.001, 1e-6).n
+        assert config_from_dict(base_doc(n=n, critical_value="auto")).n == n
 
     def test_bad_target_error(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Referee engine: ordering, validation, adjudication, drift, replay."""
 
+import hashlib
 import json
 import math
 
@@ -146,6 +147,30 @@ class TestCommitOrdering:
         assert quiet.log.to_bytes() == result.log.to_bytes()
 
 
+# sha256 of every honest strategy's log and event list in every mode, pinned
+# so that a refactor of the trial loop proves byte identity here. A change
+# that alters a log on purpose records the new digest and the reason.
+PINNED_ENGINE_DIGEST = "eb761e3130f1e1f8a25ee5f2ee0b9c290131f37b884c9444bfa7af9bcfb9350a"
+
+
+def engine_digest() -> str:
+    digest = hashlib.sha256()
+    for name in LOCAL_STRATEGY_NAMES:
+        for mode in ("sequential", "cloned-source", "batch"):
+            config = make_config(strategy_side(name), n=400, seed=20260, mode=mode)
+            result = RefereeEngine(config, record_events=True).run()
+            assert result.verdict is not None
+            digest.update(f"{name} {mode}\n".encode("ascii"))
+            digest.update(result.log.to_bytes())
+            digest.update(json.dumps(result.events, separators=(",", ":")).encode("ascii"))
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    def test_logs_and_events_match_pinned_digest(self):
+        assert engine_digest() == PINNED_ENGINE_DIGEST
+
+
 class TestQuantumRuns:
     def test_statistic_near_design_mean(self):
         # Monte-Carlo mean of S_n over 100 runs within 3 sigma of n/10-ish
@@ -257,6 +282,56 @@ class TestAborts:
         assert report["verdict"] is None
         assert report["abort"]["kind"] == ABORT_VALIDATION
         assert replay_verify(result.log, report)
+
+
+class AnswersAt(Strategy):
+    """Answers 1, except ``value`` from ``side`` at trial ``at``."""
+
+    name = "answers-at"
+
+    def __init__(self, side, at, value):
+        super().__init__()
+        self.side, self.at, self.value = side, at, value
+
+    def station_respond(self, side, setting_index, message, memory):
+        return self.value if (side, memory.next_trial) == (self.side, self.at) else 1
+
+
+class TestOutcomeValidationInEngine:
+    """What ``run_trial`` commits or refuses for each kind of raw outcome,
+    through the engine's exact-int fast path and the full validator."""
+
+    @pytest.mark.parametrize(
+        "value, bit", [(True, 1), (np.bool_(True), 1), (np.uint8(1), 1), (np.int64(0), 0)]
+    )
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_integer_bits_commit_as_plain_bits(self, side, value, bit):
+        config = make_config(strategy_side("constant"), n=20, seed=3)
+        result = RefereeEngine(config, strategy=AnswersAt(side, 4, value)).run()
+        assert result.abort is None
+        _, _, x, y = (column.tolist() for column in result.log.columns())
+        assert (x if side == "left" else y) == [1, 1, 1, bit] + [1] * 16
+        record = result.log.record(4)
+        assert type(record.x) is int and type(record.y) is int
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, 2, -1, None, "1"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_bits_abort_naming_side_and_trial(self, side, value):
+        config = make_config(strategy_side("constant"), n=20, seed=3)
+        engine = RefereeEngine(config, strategy=AnswersAt(side, 4, value))
+        for m in (1, 2, 3):
+            engine.run_trial(m)
+        with pytest.raises(OutcomeValidationError) as raised:
+            engine.run_trial(4)
+        assert (raised.value.side, raised.value.trial) == (side, 4)
+        assert raised.value.value is value
+        assert len(engine.log) == 3
+
+        result = RefereeEngine(config, strategy=AnswersAt(side, 4, value)).run()
+        assert result.abort.kind == ABORT_VALIDATION
+        assert (result.abort.side, result.abort.trial) == (side, 4)
+        assert result.abort.value is value
+        assert len(result.log) == 3
 
 
 class TestNonlocalCheater:

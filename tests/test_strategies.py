@@ -263,17 +263,33 @@ class TestAdaptiveTracker:
         later = strategy.source_emit(11, history).payload
         assert later != first
 
-    def test_source_counts_incremental_vs_recount(self):
-        strategy = prepared("adaptive-frequency-tracker")
-        cells = [1, 1, 0, 2, 3, 1, 0]
-        history = self._history(cells)
-        # Incremental path (grow one at a time).
-        for upto in range(len(history) + 1):
-            strategy.source_emit(upto + 1, history[:upto])
-        incremental = strategy._cached_counts.copy()
-        fresh = prepared("adaptive-frequency-tracker")
-        fresh.source_emit(len(history) + 1, history)
-        assert np.array_equal(incremental, fresh._cached_counts)
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
+    @pytest.mark.parametrize("length", [0, 1, 2, 7, 150])
+    def test_grown_recounted_and_whole_run_assignments_agree(self, mode, length):
+        # The per-trial step (history grows one trial at a time), a fresh
+        # tracker scoring the whole history at once, and the vectorized
+        # whole-run rule pick the same assignment at every trial. The
+        # engine's cloned-source source sees an empty history every trial.
+        cells = np.random.default_rng(1000 + length).integers(0, 4, size=length)
+        history = self._history(cells.tolist())
+
+        def shown(m):
+            return history[: m - 1] if mode == "sequential" else ()
+
+        grown = prepared("adaptive-frequency-tracker", mode=mode)
+        stepped = [grown.source_emit(m, shown(m)).payload[0] for m in range(1, length + 1)]
+        recounted = [
+            prepared("adaptive-frequency-tracker", mode=mode).source_emit(m, shown(m)).payload[0]
+            for m in range(1, length + 1)
+        ]
+        whole_run = prepared("adaptive-frequency-tracker", mode=mode).assignments(cells)
+        assert stepped == recounted == whole_run.tolist()
+        # A history that is not one trial longer than the last one is
+        # scored afresh, and an empty history scores every assignment 0.
+        jump = history[: length // 2]
+        fresh = prepared("adaptive-frequency-tracker", mode=mode)
+        assert grown.source_emit(len(jump) + 1, jump) == fresh.source_emit(len(jump) + 1, jump)
+        assert grown.source_emit(1, ()).payload[0] == 0
 
     def test_conditional_mean_nonpositive(self):
         # Whatever assignment it picks, E[delta | counts] <= 0 under uniform
