@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .bounds import design_for, design_protocol
 from .config import (
+    MODES,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -88,6 +89,13 @@ def _write_outputs(result, out_path: str | None) -> dict:
     return report
 
 
+def _run_status(result) -> int:
+    """The exit status of a finished run: 0, or the code of its abort kind."""
+    if result.abort is None:
+        return EXIT_OK
+    return EXIT_VALIDATION if result.abort.kind == ABORT_VALIDATION else EXIT_ABORT
+
+
 def cmd_run(args) -> int:
     if args.print_config:
         _print_json(default_config_dict())
@@ -98,11 +106,8 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     result = run_experiment(config)
-    report = _write_outputs(result, args.out or config.output)
-    _print_json(report)
-    if result.abort is not None:
-        return EXIT_VALIDATION if result.abort.kind == ABORT_VALIDATION else EXIT_ABORT
-    return EXIT_OK
+    _print_json(_write_outputs(result, args.out or config.output))
+    return _run_status(result)
 
 
 def cmd_design(args) -> int:
@@ -284,11 +289,8 @@ def cmd_serve(args) -> int:
     except (ProtocolAbort, OSError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    report = _write_outputs(result, args.out or config.output)
-    _print_json(report)
-    if result.abort is not None:
-        return EXIT_VALIDATION if result.abort.kind == ABORT_VALIDATION else EXIT_ABORT
-    return EXIT_OK
+    _print_json(_write_outputs(result, args.out or config.output))
+    return _run_status(result)
 
 
 def cmd_station(args) -> int:
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON config file")
     p_run.add_argument("--seed", type=int, help="override experiment seed")
     p_run.add_argument("--n", type=int, help="override trial count")
-    p_run.add_argument("--mode", choices=("sequential", "cloned-source", "batch"))
+    p_run.add_argument("--mode", choices=MODES)
     p_run.add_argument("--strategy", help="override side with this strategy (default params)")
     p_run.add_argument("--out", help="trial log output path")
     p_run.add_argument("--print-config", action="store_true", help="print the explicit defaults and exit")
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--endpoint", default="127.0.0.1:0", help="host:port (port 0 = pick free)")
     p_serve.add_argument("--seed", type=int)
     p_serve.add_argument("--n", type=int)
-    p_serve.add_argument("--mode", choices=("sequential", "cloned-source", "batch"))
+    p_serve.add_argument("--mode", choices=MODES)
     p_serve.add_argument("--out", help="trial log output path")
     p_serve.add_argument("--transcript", help="wire transcript output path")
     p_serve.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)

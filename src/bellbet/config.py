@@ -99,6 +99,14 @@ def mean_per_trial(side: SideSpec, angles: AngleConfig) -> float:
     return expected_statistic_per_trial(QuantumModel(angles, sense))
 
 
+def _trial_count(n) -> int:
+    """``n`` if it is an exact int in 1..MAX_TRIALS; ``type(n) is int`` also
+    refuses bools, which ``isinstance(n, int)`` would let through."""
+    if type(n) is not int or not 1 <= n <= MAX_TRIALS:
+        raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One pre-agreed experiment. ``critical_value`` may be given explicitly
@@ -116,13 +124,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_TRIALS:
-            raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {self.n!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        _trial_count(self.n)
+        if type(self.seed) is not int or self.seed < 0:  # a bool is not a seed
             raise ConfigError(f"seed must be an unsigned integer, got {self.seed!r}")
         if not isinstance(self.target_error, float) or not 0.0 < self.target_error < 1.0:
             raise ConfigError(f"target_error must be in (0, 1), got {self.target_error!r}")
-        if not isinstance(self.critical_value, int):
+        if type(self.critical_value) is not int:
             raise ConfigError(f"critical_value must be an integer, got {self.critical_value!r}")
         mu = self.qm_mean_per_trial
         if not 0 < self.critical_value < self.n * mu:
@@ -199,15 +206,13 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(f"bad params for strategy {side.strategy!r}: {exc}") from exc
 
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIALS:
-        raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {n!r}")
-
     target_error = doc.get("target_error", 1e-6)
     if isinstance(target_error, int) and not isinstance(target_error, bool):
         target_error = float(target_error)
 
     raw_c = doc.get("critical_value", "auto")
     if raw_c == "auto":
+        n = _trial_count(n)  # checked before the midpoint rule multiplies it
         mu = mean_per_trial(side, angles)
         if not mu > 0:
             raise ConfigError(
@@ -219,10 +224,6 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
     else:
         raise ConfigError(f"critical_value must be an integer or 'auto', got {raw_c!r}")
 
-    seed = doc["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be an unsigned integer, got {seed!r}")
-
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a path string, got {output!r}")
@@ -232,7 +233,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
         side=side,
         n=n,
         critical_value=critical_value,
-        seed=seed,
+        seed=doc["seed"],
         mode=doc.get("mode", "sequential"),
         target_error=target_error,
         output=output,

@@ -1,9 +1,9 @@
 """Domain types and pure mathematics of the CHSH coincidence statistic.
 
 Everything here is deterministic and side-effect free: angle configurations,
-settings, trial records, coincidence counts, joint bit distributions, the
-deterministic CHSH implication, the cos^2 coincidence law, and the cell
-weights of the statistic N12 - N11 - N21 - N22.
+settings and their cell codes, trial records, coincidence counts, joint bit
+distributions, the deterministic CHSH implication, the cos^2 coincidence law,
+and the cell weights of the statistic N12 - N11 - N21 - N22.
 
 Conventions:
   * photon convention throughout: analyzer orientations live modulo pi;
@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -26,8 +26,24 @@ NORMALIZATION_TOL = 1e-12
 # (Cirel'son bound in this four-coincidence formulation): (sqrt(2)-1)/4.
 QUANTUM_CEILING = (math.sqrt(2.0) - 1.0) / 4.0
 
-# Cell codes: 2*(i-1) + (j-1), i.e. (1,1)->0, (1,2)->1, (2,1)->2, (2,2)->3.
+
+def cell_code(i, j):
+    """The cell code 2*(i-1) + (j-1) of setting indices i, j in {1, 2}:
+    (1,1)->0, (1,2)->1, (2,1)->2, (2,2)->3. Elementwise on int arrays; on
+    uint8 columns every step stays in range."""
+    return 2 * i + j - 3
+
+
+def setting_indices(cell):
+    """The setting indices (i, j) of cell code(s) 0..3, inverting
+    ``cell_code``. Elementwise on int arrays."""
+    return (cell >> 1) + 1, (cell & 1) + 1
+
+
 PRIVILEGED_CELL = 1
+
+# "11", "12", "21", "22": each cell code's name in count documents.
+CELL_NAMES = tuple(f"{i}{j}" for i, j in map(setting_indices, range(4)))
 
 # The statistic's weight per cell code: +1 for the privileged cell, -1 for
 # the other three, so S = N12 - N11 - N21 - N22 = sum of weight * N_cell.
@@ -105,15 +121,14 @@ class Setting:
 
     i: int
     j: int
+    # The cell code in 0..3 (see ``cell_code``), computed once: the oracle
+    # and the adaptive tracker read it on every trial.
+    cell: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.i not in (1, 2) or self.j not in (1, 2):
             raise ValueError(f"setting indices must be in {{1,2}}, got ({self.i},{self.j})")
-
-    @property
-    def cell(self) -> int:
-        """Cell code in 0..3: 2*(i-1) + (j-1)."""
-        return 2 * (self.i - 1) + (self.j - 1)
+        object.__setattr__(self, "cell", cell_code(self.i, self.j))
 
     @property
     def privileged(self) -> bool:
@@ -124,7 +139,7 @@ class Setting:
     def from_cell(cls, cell: int) -> "Setting":
         if not 0 <= cell <= 3:
             raise ValueError(f"cell code must be in 0..3, got {cell}")
-        return cls(i=(cell >> 1) + 1, j=(cell & 1) + 1)
+        return cls(*setting_indices(cell))
 
 
 # The four joint settings, indexed by cell code: one validated instance each,
@@ -162,70 +177,48 @@ class TrialRecord:
 class CountMatrix:
     """Per-cell trial counts n_ij and coincidence counts N_ij.
 
-    Both are 2x2 nested tuples indexed [i-1][j-1].
+    Both are flat 4-tuples in cell-code order (11, 12, 21, 22).
     """
 
-    trials: tuple[tuple[int, int], tuple[int, int]]
-    coincidences: tuple[tuple[int, int], tuple[int, int]]
+    trials: tuple[int, int, int, int]
+    coincidences: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        for i in (1, 2):
-            for j in (1, 2):
-                n = self.trials[i - 1][j - 1]
-                c = self.coincidences[i - 1][j - 1]
-                if not 0 <= c <= n:
-                    raise ValueError(
-                        f"cell ({i},{j}) needs 0 <= coincidences <= trials, got {c}/{n}"
-                    )
-
-    def trial_count(self, i: int, j: int) -> int:
-        return self.trials[i - 1][j - 1]
-
-    def coincidence_count(self, i: int, j: int) -> int:
-        return self.coincidences[i - 1][j - 1]
+        if len(self.trials) != 4 or len(self.coincidences) != 4:
+            raise ValueError("counts need one entry per cell code 0..3")
+        for name, n, c in zip(CELL_NAMES, self.trials, self.coincidences):
+            if not 0 <= c <= n:
+                raise ValueError(
+                    f"cell ({name[0]},{name[1]}) needs 0 <= coincidences <= trials, got {c}/{n}"
+                )
 
     @property
     def total_trials(self) -> int:
-        return sum(self.trials[a][b] for a in (0, 1) for b in (0, 1))
+        return sum(self.trials)
 
     @classmethod
     def from_records(cls, records: "Iterator[TrialRecord] | list[TrialRecord]") -> "CountMatrix":
-        n = [[0, 0], [0, 0]]
-        c = [[0, 0], [0, 0]]
+        trials = [0, 0, 0, 0]
+        coincidences = [0, 0, 0, 0]
         for rec in records:
-            a, b = rec.setting.i - 1, rec.setting.j - 1
-            n[a][b] += 1
-            if rec.coincided:
-                c[a][b] += 1
-        return cls(
-            trials=((n[0][0], n[0][1]), (n[1][0], n[1][1])),
-            coincidences=((c[0][0], c[0][1]), (c[1][0], c[1][1])),
-        )
+            cell = rec.setting.cell
+            trials[cell] += 1
+            coincidences[cell] += rec.coincided
+        return cls(tuple(trials), tuple(coincidences))
 
     @classmethod
     def from_columns(cls, cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> "CountMatrix":
         """Count from per-trial columns: cell codes 0..3 and both outcome bits."""
         trials = np.bincount(cells, minlength=4)
         coincidences = np.bincount(cells[x == y], minlength=4)
-        return cls.from_cell_counts(
-            tuple(int(v) for v in trials), tuple(int(v) for v in coincidences)
-        )
-
-    @classmethod
-    def from_cell_counts(
-        cls, trials: tuple[int, int, int, int], coincidences: tuple[int, int, int, int]
-    ) -> "CountMatrix":
-        """Build from flat per-cell tuples in cell-code order (11, 12, 21, 22)."""
-        n, c = trials, coincidences
-        return cls(trials=((n[0], n[1]), (n[2], n[3])), coincidences=((c[0], c[1]), (c[2], c[3])))
+        return cls(tuple(trials.tolist()), tuple(coincidences.tolist()))
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         """The counts document of reports and analyses: per-cell trials and
         coincidences keyed "11", "12", "21", "22"."""
-        cells = [(i, j) for i in (1, 2) for j in (1, 2)]
         return {
-            "trials": {f"{i}{j}": self.trial_count(i, j) for i, j in cells},
-            "coincidences": {f"{i}{j}": self.coincidence_count(i, j) for i, j in cells},
+            "trials": dict(zip(CELL_NAMES, self.trials)),
+            "coincidences": dict(zip(CELL_NAMES, self.coincidences)),
         }
 
     def symmetric_slacks(self) -> dict[str, int]:
@@ -234,14 +227,8 @@ class CountMatrix:
         Under local realism all four are <= 0 up to noise; only the (1,2)
         slack is adjudicated, the rest are diagnostics.
         """
-        flat = {
-            "N11": self.coincidence_count(1, 1),
-            "N12": self.coincidence_count(1, 2),
-            "N21": self.coincidence_count(2, 1),
-            "N22": self.coincidence_count(2, 2),
-        }
-        total = sum(flat.values())
-        return {name: 2 * value - total for name, value in flat.items()}
+        total = sum(self.coincidences)
+        return {f"N{name}": 2 * c - total for name, c in zip(CELL_NAMES, self.coincidences)}
 
 
 @dataclass(frozen=True)
@@ -331,7 +318,7 @@ def spin_half_coincidence_probability(delta: float) -> float:
 
 def chsh_count_statistic(counts: CountMatrix) -> int:
     """The adjudicated statistic N12 - N11 - N21 - N22."""
-    return chsh_combination(counts.coincidences[0] + counts.coincidences[1])
+    return chsh_combination(counts.coincidences)
 
 
 def photon_to_spin_angles(angles: AngleConfig) -> AngleConfig:

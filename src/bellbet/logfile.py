@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import SETTINGS_BY_CELL, AngleConfig, TrialRecord
+from .core import SETTINGS_BY_CELL, AngleConfig, TrialRecord, cell_code
 
 LOG_VERSION = 1
 
@@ -157,7 +157,7 @@ class TrialLog(Sequence):
 
     def cells(self) -> np.ndarray:
         i, j, _, _ = self.columns()
-        return (2 * i + j - 3).astype(np.int64)  # exact in uint8: 2*i + j is 3..6
+        return cell_code(i, j).astype(np.int64)
 
     def record(self, m: int) -> TrialRecord:
         """Trial m. The last trial's record is kept once built (or as
@@ -168,7 +168,7 @@ class TrialLog(Sequence):
             return self._last
         idx = m - 1
         record = TrialRecord(
-            m, SETTINGS_BY_CELL[2 * self._i[idx] + self._j[idx] - 3], self._x[idx], self._y[idx]
+            m, SETTINGS_BY_CELL[cell_code(self._i[idx], self._j[idx])], self._x[idx], self._y[idx]
         )
         if m == self._count:
             self._last = record

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import design_for
 from .config import SIDE_QUANTUM, ExperimentConfig, SideSpec
-from .core import AngleConfig
+from .core import AngleConfig, setting_indices
 from .logfile import TrialLog
 from .quantum import OracleSampler, QuantumModel
 from .referee import RunResult, StatisticTrace, log_header
@@ -67,8 +67,7 @@ def simulate_result(config: ExperimentConfig) -> RunResult:
     """A RunResult equal to what the referee engine produces for this config
     (the equality is pinned by contract tests)."""
     cells, x, y = simulate_run(config.side, config.angles, config.n, config.seed, config.mode)
-    i = ((cells >> 1) + 1).astype(np.uint8)
-    j = ((cells & 1) + 1).astype(np.uint8)
+    i, j = setting_indices(cells.astype(np.uint8))
     return RunResult(
         log=TrialLog.from_columns(log_header(config), i, j, x, y),
         design=design_for(config.n, config.critical_value, config.qm_mean_per_trial),

@@ -50,22 +50,25 @@ def cell_coincidence_probability(model: QuantumModel, setting: Setting) -> float
     return c
 
 
-def sample_pair(model: QuantumModel, setting: Setting, u: float) -> tuple[int, int]:
-    """Outcomes (x, y) by inverse CDF on the four-point law, one uniform.
+def sample_pair(model: QuantumModel, setting: Setting, u):
+    """Outcomes (x, y) by inverse CDF on the four-point law: ints for one
+    uniform, uint8 columns for an array of them.
 
     Region layout: [0, c/2) -> (0,0); [c/2, c) -> (1,1); [c, (1+c)/2) ->
     (0,1); [(1+c)/2, 1) -> (1,0).
     """
-    return _pair(cell_coincidence_probability(model, setting), u)
+    x, y = _regions(cell_coincidence_probability(model, setting), u)
+    if isinstance(x, np.ndarray):
+        return x.view(np.uint8), y.view(np.uint8)
+    return int(x), int(y)
 
 
-def _pair(c: float, u: float) -> tuple[int, int]:
-    """``sample_pair``'s region rule for coincidence probability ``c``."""
-    if u < c:
-        x = int(u >= 0.5 * c)
-        return x, x
-    x = int(u >= 0.5 * (1.0 + c))
-    return x, 1 - x
+def _regions(c, u):
+    """``sample_pair``'s region rule for coincidence probability ``c``, as
+    outcome bools. Comparisons and ``& | ^`` only, so a float ``u`` gives
+    Python bools and arrays give bool arrays from the same IEEE steps."""
+    x = (0.5 * c <= u) & (u < c) | (u >= 0.5 * (1.0 + c))
+    return x, x ^ (u >= c)
 
 
 def cell_probabilities(model: QuantumModel) -> np.ndarray:
@@ -85,21 +88,6 @@ def expected_statistic_per_trial(model: QuantumModel) -> float:
     return 0.25 * chsh_combination(cell_probabilities(model).tolist())
 
 
-def sample_pairs(model: QuantumModel, setting: Setting, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``sample_pair`` for one fixed cell: same region layout,
-    bit-identical to the scalar path for equal uniforms."""
-    return _pairs(cell_coincidence_probability(model, setting), u)
-
-
-def _pairs(c, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uint8 outcome columns for uniforms ``u`` and coincidence probability
-    ``c`` (one for all trials, or one per trial)."""
-    coincide = u < c
-    x = np.where(coincide, u >= 0.5 * c, u >= 0.5 * (1.0 + c)).astype(np.uint8)
-    y = np.where(coincide, x, 1 - x).astype(np.uint8)
-    return x, y
-
-
 class OracleSampler:
     """Per-experiment sampler: one oracle uniform stream, one draw per trial,
     and the model's four cell probabilities, computed once."""
@@ -110,9 +98,11 @@ class OracleSampler:
         self._probabilities = cell_probabilities(model)
 
     def sample_trial(self, m: int, setting: Setting) -> tuple[int, int]:
-        return _pair(self._probabilities.item(setting.cell), self._uniforms.at(m))
+        x, y = _regions(self._probabilities.item(setting.cell), self._uniforms.at(m))
+        return int(x), int(y)
 
     def sample_columns(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outcome columns for a whole run of cell codes; the same values
         ``sample_trial`` gives trial by trial."""
-        return _pairs(self._probabilities[cells], self._uniforms.values)
+        x, y = _regions(self._probabilities[cells], self._uniforms.values)
+        return x.view(np.uint8), y.view(np.uint8)

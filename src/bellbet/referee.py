@@ -39,6 +39,7 @@ from .core import (
     CountMatrix,
     TrialRecord,
     chsh_count_statistic,
+    setting_indices,
 )
 from .logfile import LogHeader, TrialLog
 from .quantum import OracleSampler, QuantumModel
@@ -428,6 +429,7 @@ class RefereeEngine:
         respond_nonlocal = self.strategy.respond_nonlocal if self._nonlocal else None
         stations = self._stations
         new_tuple = tuple.__new__
+        indices_by_cell = tuple(map(setting_indices, range(4)))
         if stations is not None:
             left, right = stations
             source_emit = self.strategy.source_emit
@@ -447,7 +449,7 @@ class RefereeEngine:
             if settings_event is not None:
                 settings_event("settings", m)
             cell = cells.item(m - 1)
-            i, j = (cell >> 1) + 1, (cell & 1) + 1
+            i, j = indices_by_cell[cell]
             if stations is not None:
                 left.post_setting(m, i)
                 right.post_setting(m, j)
@@ -491,8 +493,9 @@ class RefereeEngine:
                 self._event("settings", m)
         if self._stations is not None:
             left, right = self._stations
-            left.deliver_batch_settings(tuple(((self._cells >> 1) + 1).tolist()))
-            right.deliver_batch_settings(tuple(((self._cells & 1) + 1).tolist()))
+            i, j = setting_indices(self._cells.astype(np.uint8))
+            left.deliver_batch_settings(tuple(i.tolist()))
+            right.deliver_batch_settings(tuple(j.tolist()))
             if self._events is not None:
                 self._event("batch-settings", 0)
 

@@ -32,7 +32,7 @@ from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CELL_WEIGHTS, AngleConfig, TrialRecord
+from .core import CELL_WEIGHTS, AngleConfig, TrialRecord, setting_indices
 from .rng import ROLE_LEFT, ROLE_RIGHT, ROLE_SOURCE, TrialUniforms
 
 LEFT = "left"
@@ -97,17 +97,34 @@ class TrialView(NamedTuple):
     blobs: Mapping[str, bytes] = NO_BLOBS
 
 
+def wing_column(side: str, setting_index):
+    """Where a wing's setting index falls among the four per-wing entries
+    ordered (left 1, left 2, right 1, right 2): the bits (x1, x2, y1, y2) of
+    an assignment and the angles (alpha1, alpha2, beta1, beta2) of
+    ``AngleConfig.as_tuple``. Elementwise on index arrays."""
+    return setting_index - 1 if side == LEFT else setting_index + 1
+
+
+# Each wing's column for cell codes 0..3, the whole-run form of wing_column:
+# [0, 0, 1, 1] on the left and [2, 3, 2, 3] on the right.
+_CELL_COLUMNS = dict(zip(SIDES, map(wing_column, SIDES, setting_indices(np.arange(4)))))
+
 # Deterministic assignment k in 0..15 -> bits (x1, x2, y1, y2), one row per k.
 ASSIGNMENT_BITS = np.array(
     [[(k >> 3) & 1, (k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(16)], dtype=np.uint8
 )
 ASSIGNMENT_BITS.flags.writeable = False
 
+# _ANSWERS[side][4*k + cell] = the bit that wing answers under assignment k
+# when cell is drawn: ASSIGNMENT_BITS at the wing's column, flattened so a
+# whole run reads it with one index per trial.
+_ANSWERS = {side: ASSIGNMENT_BITS[:, _CELL_COLUMNS[side]].ravel() for side in SIDES}
+
 # values[k, cell] = statistic increment when cell is drawn and both stations
 # answer per deterministic assignment k (cell codes 11, 12, 21, 22).
-ASSIGNMENT_VALUES = (
-    ASSIGNMENT_BITS[:, [0, 0, 1, 1]] == ASSIGNMENT_BITS[:, [2, 3, 2, 3]]
-) * np.array(CELL_WEIGHTS, dtype=np.int64)
+ASSIGNMENT_VALUES = (_ANSWERS[LEFT] == _ANSWERS[RIGHT]).reshape(16, 4) * np.array(
+    CELL_WEIGHTS, dtype=np.int64
+)
 ASSIGNMENT_VALUES.flags.writeable = False
 
 # A row sum is the CHSH slack of that assignment's point mass; the first
@@ -137,6 +154,12 @@ def angular_distance(a, b):
     if isinstance(d, np.ndarray):
         return np.minimum(d, other)
     return min(d, other)
+
+
+def polarizer_passes(theta, analyzer):
+    """The threshold polarizer's answer: passes iff the analyzer lies within
+    pi/4 of the polarization theta, modulo pi. Elementwise on arrays."""
+    return angular_distance(theta, analyzer) < math.pi / 4.0
 
 
 class Strategy:
@@ -274,6 +297,7 @@ class ClassicalPolarizerStrategy(Strategy):
     def prepare(self, *, seed, n, angles, mode):
         super().prepare(seed=seed, n=n, angles=angles, mode=mode)
         self._polarizations = TrialUniforms(seed, ROLE_SOURCE, n)
+        self._analyzers = angles.as_tuple()
 
     def source_emit(self, m, history):
         self._require_prepared()
@@ -286,21 +310,16 @@ class ClassicalPolarizerStrategy(Strategy):
             theta = struct.unpack("<d", message.payload)[0]
         except struct.error as exc:
             raise StrategyError(f"unreadable polarization payload {message.payload!r}") from exc
-        analyzer = (
-            self.angles.left(setting_index) if side == LEFT else self.angles.right(setting_index)
-        )
-        return int(angular_distance(theta, analyzer) < math.pi / 4.0)
+        return int(polarizer_passes(theta, self._analyzers[wing_column(side, setting_index)]))
 
     def respond_columns(self, cells):
         self._require_prepared()
         theta = math.pi * self._polarizations.values
-        a = self.angles
-        left_analyzer = np.where(cells >> 1 == 0, a.alpha1, a.alpha2)
-        right_analyzer = np.where(cells & 1 == 0, a.beta1, a.beta2)
-        quarter = math.pi / 4.0
-        x = (angular_distance(theta, left_analyzer) < quarter).astype(np.uint8)
-        y = (angular_distance(theta, right_analyzer) < quarter).astype(np.uint8)
-        return x, y
+        analyzers = np.array(self._analyzers)
+        return tuple(
+            polarizer_passes(theta, analyzers[_CELL_COLUMNS[side]].take(cells)).view(np.uint8)
+            for side in SIDES
+        )
 
 
 class AssignmentStrategy(Strategy):
@@ -316,17 +335,15 @@ class AssignmentStrategy(Strategy):
         raise NotImplementedError
 
     def station_respond(self, side, setting_index, message, memory):
-        column = setting_index - 1 if side == LEFT else setting_index + 1
         try:
-            return ASSIGNMENT_BITS.item(message.payload[0], column)
+            return ASSIGNMENT_BITS.item(message.payload[0], wing_column(side, setting_index))
         except IndexError as exc:
             raise StrategyError(f"unreadable assignment payload {message.payload!r}") from exc
 
     def respond_columns(self, cells):
         self._require_prepared()
-        row = 4 * self.assignments(cells)
-        bits = ASSIGNMENT_BITS.ravel()
-        return bits[row + (cells >> 1)], bits[row + 2 + (cells & 1)]
+        at = 4 * self.assignments(cells) + cells
+        return _ANSWERS[LEFT][at], _ANSWERS[RIGHT][at]
 
 
 class DeterministicOptimalStrategy(AssignmentStrategy):
@@ -384,10 +401,8 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
             column = SCORE_COLUMNS[history[-1].setting.cell]
             self._scores = list(map(operator.add, self._scores, column))
         elif seen != self._scored:
-            self._reset_scores()
-            for record in history:
-                column = SCORE_COLUMNS[record.setting.cell]
-                self._scores = list(map(operator.add, self._scores, column))
+            cells = np.fromiter((record.setting.cell for record in history), np.int64, seen)
+            self._scores = (np.bincount(cells, minlength=4) @ _SCORE_TABLE).tolist()
         self._scored = seen
         scores = self._scores
         return _ASSIGNMENT_MESSAGES[scores.index(max(scores))]

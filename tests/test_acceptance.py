@@ -33,7 +33,7 @@ from bellbet.core import (
 from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.net import audit_transcript, referee_serve
-from bellbet.quantum import QuantumModel, cell_coincidence_probability, sample_pairs
+from bellbet.quantum import QuantumModel, cell_coincidence_probability, sample_pair
 from bellbet.referee import build_report, replay_verify, run_experiment
 from bellbet.rng import ROLE_ORACLE, TrialUniforms, settings_cells
 
@@ -219,7 +219,7 @@ def test_criterion_2_coincidence_law():
         setting = Setting(i, j)
         assert cell_coincidence_probability(model, setting) == pytest.approx(p, abs=1e-12)
         u = TrialUniforms(52_000 + setting.cell, ROLE_ORACLE, n).values
-        x, y = sample_pairs(model, setting, u)
+        x, y = sample_pair(model, setting, u)
         freq = float((x == y).mean())
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(freq - p) <= 4.0 * se, (i, j, freq)
@@ -233,7 +233,7 @@ def test_criterion_2_coincidence_law():
     deltas = np.zeros(n, dtype=np.int8)
     for cell in range(4):
         mask = cells == cell
-        x, y = sample_pairs(opt, Setting.from_cell(cell), u[mask])
+        x, y = sample_pair(opt, Setting.from_cell(cell), u[mask])
         sign = 1 if cell == 1 else -1
         deltas[mask] = np.where(x == y, sign, 0)
     probs = [cell_coincidence_probability(opt, Setting.from_cell(c)) for c in range(4)]

@@ -10,6 +10,7 @@ import numpy as np
 from bellbet.bounds import MAX_TRIALS, design_protocol, midpoint_critical_value
 from bellbet.config import (
     ConfigError,
+    ExperimentConfig,
     SideSpec,
     config_from_dict,
     default_config_dict,
@@ -86,6 +87,30 @@ class TestParsing:
     def test_negative_seed(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(seed=-1))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("seed", "seed must be an unsigned integer"),
+            ("critical_value", "critical_value must be an integer"),
+            ("n", "n must be an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_not_integers(self, field, message, value):
+        # Built directly and through the parser: one check refuses both.
+        fields = dict(angles=OPTIMAL_ANGLES, side=SideSpec("quantum"), n=1000, critical_value=50)
+        fields["seed"] = 7
+        fields[field] = value
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**fields)
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(base_doc(**{field: value}))
+
+    @pytest.mark.parametrize("n", ["25000", 2.5e4, None, [25_000], 10**400, True])
+    def test_auto_critical_value_needs_a_valid_trial_count(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            config_from_dict(base_doc(n=n, critical_value="auto"))
 
     def test_unknown_strategy(self):
         doc = base_doc()

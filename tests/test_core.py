@@ -13,6 +13,7 @@ from bellbet.core import (
     OPTIMAL_ANGLES,
     PI_THIRD_ANGLES,
     QUANTUM_CEILING,
+    SETTINGS_BY_CELL,
     AngleConfig,
     CountMatrix,
     InvalidDistributionError,
@@ -20,10 +21,12 @@ from bellbet.core import (
     Setting,
     TrialRecord,
     bell_inequality_slack,
+    cell_code,
     chsh_count_statistic,
     coincidence_probability,
     deterministic_implication_holds,
     photon_to_spin_angles,
+    setting_indices,
     spin_half_coincidence_probability,
 )
 from bellbet.logfile import LogHeader, TrialLog
@@ -174,17 +177,15 @@ class TestExpectedStatistic:
 
 class TestCountStatistic:
     def test_zero_counts(self):
-        counts = CountMatrix.from_cell_counts((0, 0, 0, 0), (0, 0, 0, 0))
+        counts = CountMatrix((0, 0, 0, 0), (0, 0, 0, 0))
         assert chsh_count_statistic(counts) == 0
 
     def test_arithmetic(self):
-        counts = CountMatrix.from_cell_counts(
-            (100, 100, 100, 100), (20, 100, 20, 20)
-        )
+        counts = CountMatrix((100, 100, 100, 100), (20, 100, 20, 20))
         assert chsh_count_statistic(counts) == 100 - 60
 
     def test_symmetric_slacks(self):
-        counts = CountMatrix.from_cell_counts((50, 50, 50, 50), (10, 40, 5, 5))
+        counts = CountMatrix((50, 50, 50, 50), (10, 40, 5, 5))
         slacks = counts.symmetric_slacks()
         assert slacks["N12"] == 40 - 20
         assert slacks["N11"] == 10 - 50
@@ -192,10 +193,10 @@ class TestCountStatistic:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            CountMatrix.from_cell_counts((5, 5, 5, 5), (6, 0, 0, 0))
+            CountMatrix((5, 5, 5, 5), (6, 0, 0, 0))
 
     def test_counts_document(self):
-        counts = CountMatrix.from_cell_counts((50, 51, 52, 53), (10, 40, 5, 6))
+        counts = CountMatrix((50, 51, 52, 53), (10, 40, 5, 6))
         assert json.dumps(counts.as_dict()) == json.dumps(
             {
                 "trials": {"11": 50, "12": 51, "21": 52, "22": 53},
@@ -281,3 +282,23 @@ class TestDomainTypes:
     def test_angles_validation(self):
         with pytest.raises(ValueError):
             AngleConfig(math.inf, 0.0, 0.0, 0.0)
+
+
+class TestCellCode:
+    def test_round_trip_on_ints(self):
+        assert [cell_code(i, j) for i in (1, 2) for j in (1, 2)] == [0, 1, 2, 3]
+        for cell in range(4):
+            i, j = setting_indices(cell)
+            assert cell_code(i, j) == cell
+            assert (i, j) == (SETTINGS_BY_CELL[cell].i, SETTINGS_BY_CELL[cell].j)
+            assert Setting(i, j).cell == cell and Setting.from_cell(cell) == Setting(i, j)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_round_trip_on_arrays(self, dtype):
+        cells = np.array([0, 1, 2, 3, 3, 1, 0, 2], dtype=dtype)
+        i, j = setting_indices(cells)
+        assert i.tolist() == [1, 1, 2, 2, 2, 1, 1, 2]
+        assert j.tolist() == [1, 2, 1, 2, 2, 2, 1, 1]
+        back = cell_code(i, j)
+        assert back.dtype == dtype
+        assert back.tolist() == cells.tolist()

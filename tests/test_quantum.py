@@ -13,7 +13,6 @@ from bellbet.quantum import (
     QuantumModel,
     cell_coincidence_probability,
     sample_pair,
-    sample_pairs,
 )
 from bellbet.rng import ROLE_ORACLE, TrialUniforms, settings_cells
 
@@ -44,20 +43,20 @@ class TestSamplePair:
         # delta = 0: outcomes always equal; (0,0) and (1,1) each about half.
         model = QuantumModel(AngleConfig(0.0, 0.0, 0.0, 0.0))
         u = TrialUniforms(42, "oracle", 100_000).values
-        x, y = sample_pairs(model, Setting(1, 1), u)
+        x, y = sample_pair(model, Setting(1, 1), u)
         assert np.array_equal(x, y)
         assert abs(x.mean() - 0.5) < 4.0 * math.sqrt(0.25 / len(u))
 
     def test_perpendicular_always_unequal(self):
         model = QuantumModel(AngleConfig(0.0, 0.0, math.pi / 2.0, 0.0))
         u = TrialUniforms(43, "oracle", 100_000).values
-        x, y = sample_pairs(model, Setting(1, 1), u)
+        x, y = sample_pair(model, Setting(1, 1), u)
         assert np.all(x != y)
 
     def test_pi_third_coincidence_rate(self):
         # Empirical coincidence frequency -> 1/4 within 3 sigma over 10^6.
         u = TrialUniforms(44, "oracle", 1_000_000).values
-        x, y = sample_pairs(PI_THIRD_MODEL, Setting(1, 1), u)
+        x, y = sample_pair(PI_THIRD_MODEL, Setting(1, 1), u)
         freq = float((x == y).mean())
         sigma = math.sqrt(0.25 * 0.75 / len(u))
         assert abs(freq - 0.25) < 3.0 * sigma
@@ -65,7 +64,7 @@ class TestSamplePair:
     def test_scalar_vector_consistency(self):
         u = TrialUniforms(45, "oracle", 500).values
         for setting in (Setting(1, 1), Setting(1, 2), Setting(2, 1), Setting(2, 2)):
-            xv, yv = sample_pairs(OPTIMAL_MODEL, setting, u)
+            xv, yv = sample_pair(OPTIMAL_MODEL, setting, u)
             for idx, uu in enumerate(u):
                 xs, ys = sample_pair(OPTIMAL_MODEL, setting, float(uu))
                 assert (xs, ys) == (int(xv[idx]), int(yv[idx]))
@@ -77,7 +76,7 @@ class TestSamplePair:
         u = TrialUniforms(46, "oracle", n).values
         for setting in (Setting(1, 1), Setting(1, 2), Setting(2, 1), Setting(2, 2)):
             p = cell_coincidence_probability(OPTIMAL_MODEL, setting)
-            x, y = sample_pairs(OPTIMAL_MODEL, setting, u)
+            x, y = sample_pair(OPTIMAL_MODEL, setting, u)
             freq = float((x == y).mean())
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(freq - p) <= 4.0 * se, setting
@@ -89,7 +88,7 @@ class TestMarginals:
         u = TrialUniforms(47, "oracle", n).values
         tol = 4.0 * math.sqrt(0.25 / n)
         for setting in (Setting(1, 1), Setting(2, 2)):
-            x, y = sample_pairs(OPTIMAL_MODEL, setting, u)
+            x, y = sample_pair(OPTIMAL_MODEL, setting, u)
             assert abs(float(x.mean()) - 0.5) < tol
             assert abs(float(y.mean()) - 0.5) < tol
 
@@ -102,7 +101,7 @@ class TestMarginals:
         x = np.empty(n, dtype=np.uint8)
         for cell in range(4):
             mask = cells == cell
-            xs, _ = sample_pairs(OPTIMAL_MODEL, Setting.from_cell(cell), u[mask])
+            xs, _ = sample_pair(OPTIMAL_MODEL, Setting.from_cell(cell), u[mask])
             x[mask] = xs
         j = (cells & 1).astype(np.uint8)
         table = np.array(
@@ -137,3 +136,42 @@ class TestOracleSampler:
         assert trials == [sample_pair(model, s, uniforms.at(m)) for m, s in settings]
         x, y = sampler.sample_columns(cells)
         assert list(zip(x.tolist(), y.tolist())) == trials
+
+
+def reference_pair(c: float, u: float) -> tuple[int, int]:
+    """The oracle's region rule written with branches, as it stood before
+    the scalar and array paths shared one branch-free form."""
+    if u < c:
+        x = int(u >= 0.5 * c)
+        return x, x
+    x = int(u >= 0.5 * (1.0 + c))
+    return x, 1 - x
+
+
+def _region_cases():
+    """(model, setting) for c = 0, c = 1 and every cell of both canonical
+    angle sets in both senses."""
+    zero = AngleConfig(0.0, 0.0, 0.0, 0.0)
+    cases = [
+        (QuantumModel(zero), Setting(1, 1)),
+        (QuantumModel(zero, OPPOSITE_POLARIZATION), Setting(1, 1)),
+    ]
+    for angles in (OPTIMAL_ANGLES, PI_THIRD_ANGLES):
+        for sense in ("equal-polarization", OPPOSITE_POLARIZATION):
+            cases += [(QuantumModel(angles, sense), Setting.from_cell(c)) for c in range(4)]
+    return cases
+
+
+class TestRegionRuleReference:
+    @pytest.mark.parametrize("model, setting", _region_cases())
+    def test_matches_branched_rule_at_region_edges(self, model, setting):
+        c = cell_coincidence_probability(model, setting)
+        edges = (0.0, 0.5 * c, c, 0.5 * (1.0 + c))
+        u = [nb for e in edges for nb in (math.nextafter(e, -1.0), e, math.nextafter(e, 2.0))]
+        expected = [reference_pair(c, uu) for uu in u]
+        scalar = [sample_pair(model, setting, uu) for uu in u]
+        assert scalar == expected
+        assert all(type(b) is int for pair in scalar for b in pair)
+        x, y = sample_pair(model, setting, np.array(u))
+        assert x.dtype == y.dtype == np.uint8
+        assert list(zip(x.tolist(), y.tolist())) == expected

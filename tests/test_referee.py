@@ -11,7 +11,7 @@ from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
 from bellbet.core import OPTIMAL_ANGLES, CountMatrix, chsh_count_statistic
 from bellbet.logfile import TrialLog
-from bellbet.montecarlo import simulate_many
+from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.referee import (
     ABORT_VALIDATION,
     OutcomeValidationError,
@@ -166,9 +166,48 @@ def engine_digest() -> str:
     return digest.hexdigest()
 
 
+# sha256 of the quantum side's engine logs and event lists in both senses,
+# every roster side's report, and the whole-run kernel's logs and reports,
+# recorded before the cell layout and the oracle's region rule got one
+# definition each. The opposite sense runs at the optimal angles with the
+# left pair turned by pi/2, where its mean is positive.
+PINNED_REPORT_DIGEST = "196a89cdb7455587a2282b62a7732b723cac39ab0c591b4ebbe24f0ed8f429e2"
+
+_OPPOSITE_ANGLES = [ANGLES[0] + math.pi / 2.0, ANGLES[1] + math.pi / 2.0, ANGLES[2], ANGLES[3]]
+_ROSTER_SIDES = (
+    ("quantum equal", QUANTUM_SIDE, ANGLES),
+    ("quantum opposite", {"kind": "quantum", "correlation_sense": "opposite-polarization"},
+     _OPPOSITE_ANGLES),
+    *((name, strategy_side(name), ANGLES) for name in (*LOCAL_STRATEGY_NAMES, "range-violator")),
+)
+
+
+def report_digest() -> str:
+    digest = hashlib.sha256()
+    for label, side, angles in _ROSTER_SIDES:
+        for mode in ("sequential", "cloned-source", "batch"):
+            doc = {"mode": mode, "angles": angles, "side": side, "n": 400, "seed": 20261,
+                   "critical_value": 20}
+            config = config_from_dict(doc)
+            result = RefereeEngine(config, record_events=True).run()
+            digest.update(f"{label} {mode}\n".encode("ascii"))
+            if side["kind"] == "quantum":
+                digest.update(result.log.to_bytes())
+                digest.update(json.dumps(result.events, separators=(",", ":")).encode("ascii"))
+            digest.update(json.dumps(build_report(result), sort_keys=True).encode("ascii"))
+            if label != "range-violator":
+                simulated = simulate_result(config)
+                digest.update(simulated.log.to_bytes())
+                digest.update(json.dumps(build_report(simulated), sort_keys=True).encode("ascii"))
+    return digest.hexdigest()
+
+
 class TestPinnedBytes:
     def test_logs_and_events_match_pinned_digest(self):
         assert engine_digest() == PINNED_ENGINE_DIGEST
+
+    def test_quantum_logs_reports_and_kernel_results_match_pinned_digest(self):
+        assert report_digest() == PINNED_REPORT_DIGEST
 
 
 class TestQuantumRuns:
