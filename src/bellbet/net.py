@@ -24,10 +24,15 @@ The referee writes an ordering transcript (one JSON line per frame, with a
 global sequence number) that the post-hoc auditor checks for the per-trial
 LAMBDA -> SETTING -> OUTCOME sequence.
 
-This is protocol version 2. Every socket runs with ``TCP_NODELAY``: the
-referee writes several small frames per trial while the station stays silent,
-and Nagle's algorithm would hold each one back until the station's delayed
-ACK, about 40 ms per trial on loopback.
+This is protocol version 2. The referee writes once per station per trial:
+frames are queued and go out in one ``sendall`` at the point where the
+station must answer, so a sequential station gets BROADCAST(m), LAMBDA(m+1)
+and SETTING(m+1) in one write, and a cloned-source station gets LAMBDA and
+SETTING. The frames, their bytes and their order are unchanged; only the
+write boundaries moved. Each side parses every whole frame one ``recv``
+delivered. Every socket still runs with ``TCP_NODELAY``, so no write waits
+for the peer's delayed ACK under Nagle's algorithm (about 40 ms on loopback),
+whatever the write pattern.
 """
 
 from __future__ import annotations
@@ -66,45 +71,49 @@ KIND_ABORT = "ABORT"
 
 _LEN = struct.Struct(">I")
 MAX_FRAME_BYTES = 1 << 22
+# Bytes asked of one recv by a connection's FrameReader: room for a whole
+# trial's frames with the built-in strategies, without a large buffer per call.
+_RECV_BYTES = 4096
 
 
 class FrameError(ProtocolAbort):
     """Malformed frame or broken transport."""
 
 
+_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_field(value) -> str:
+    """One envelope field, exactly as json.dumps(envelope, sort_keys=True,
+    separators=(",", ":")) writes it inside the whole envelope; a trial
+    number or a missing field skips the encoder's general path."""
+    if value is None:
+        return "null"
+    if type(value) is int:  # not a bool
+        return int.__repr__(value)
+    return _json_encode(value)
+
+
 def encode_frame(kind: str, trial: int | None = None, side: str | None = None, body: bytes = b"") -> bytes:
-    doc = {
-        "kind": kind,
-        "trial": trial,
-        "side": side,
-        "body": base64.b64encode(body).decode("ascii"),
-    }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    # The envelope's keys in sorted order; base64 text needs no JSON escaping.
+    payload = '{"body":"%s","kind":%s,"side":%s,"trial":%s}' % (
+        base64.b64encode(body).decode("ascii"),
+        _json_field(kind),
+        _json_field(side),
+        _json_field(trial),
+    )
+    payload = payload.encode("ascii")
     return _LEN.pack(len(payload)) + payload
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < count:
-        try:
-            chunk = sock.recv(count - got)
-        except socket.timeout as exc:
-            raise ProtocolAbort("station timeout") from exc
-        except OSError as exc:
-            raise FrameError(f"transport error: {exc}") from exc
-        if not chunk:
-            raise FrameError("connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> dict:
-    (length,) = _LEN.unpack(_recv_exact(sock, 4))
+def _read_frame(take) -> dict:
+    """One frame from ``take(count)``, which returns exactly ``count`` bytes
+    of the stream: the length prefix, refused before any payload byte is
+    read if it exceeds MAX_FRAME_BYTES, then the payload, decoded."""
+    (length,) = _LEN.unpack(take(4))
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {length} bytes exceeds limit")
-    payload = _recv_exact(sock, length)
+    payload = take(length)
     try:
         doc = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -113,6 +122,55 @@ def recv_frame(sock: socket.socket) -> dict:
         raise FrameError(f"frame without kind: {doc!r}")
     doc["body"] = _b64decode(doc.get("body", ""))
     return doc
+
+
+def _recv(sock: socket.socket, count: int) -> bytes:
+    """At most ``count`` bytes from ``sock``; a timeout is a station timeout,
+    and end of stream or a broken transport a FrameError."""
+    try:
+        chunk = sock.recv(count)
+    except socket.timeout as exc:
+        raise ProtocolAbort("station timeout") from exc
+    except OSError as exc:
+        raise FrameError(f"transport error: {exc}") from exc
+    if not chunk:
+        raise FrameError("connection closed mid-frame")
+    return chunk
+
+
+def recv_frame(sock: socket.socket) -> dict:
+    """One frame from a bare socket, reading no byte past it."""
+
+    def take(count: int) -> bytes:
+        chunks = []
+        while count:
+            chunk = _recv(sock, count)
+            chunks.append(chunk)
+            count -= len(chunk)
+        return b"".join(chunks)
+
+    return _read_frame(take)
+
+
+class FrameReader:
+    """The frames of one connection. Each ``recv`` asks for a few KB, and
+    the bytes past the frame being read are kept for the next ones, so every
+    whole frame one ``recv`` delivered is parsed without another call."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._buffer = bytearray()
+
+    def _take(self, count: int) -> bytearray:
+        buffer = self._buffer
+        while len(buffer) < count:
+            buffer += _recv(self.sock, max(_RECV_BYTES, count - len(buffer)))
+        data = buffer[:count]
+        del buffer[:count]  # cheap at the front of a bytearray
+        return data
+
+    def read_frame(self) -> dict:
+        return _read_frame(self._take)
 
 
 def _b64decode(text) -> bytes:
@@ -222,6 +280,12 @@ class RemoteStation:
     """Referee-side proxy for one station process; implements the same calls
     as the in-process LocalStation, over frames.
 
+    Frames are queued and written together at the point where the station
+    must answer: each SETTING (each LAMBDA in batch mode), CONFIG, VERDICT and
+    ABORT writes everything queued, and ``get_outcome`` writes anything still
+    queued before it waits. Transcript entries are added as frames are queued,
+    in the order they go on the wire.
+
     Each SETTING it sends carries a fresh nonce, and ``get_outcome`` accepts
     only an OUTCOME that echoes the nonce of that trial's SETTING."""
 
@@ -230,37 +294,59 @@ class RemoteStation:
         self.side = side
         self.transcript = transcript
         self.mode = mode
+        self._reader = FrameReader(sock)
+        self._queued: list[bytes] = []
         self._nonces: dict[int, str] = {}
         self._blob = b""
 
-    def _send(self, kind: str, trial: int | None, body: bytes = b"") -> None:
-        try:
-            self.sock.sendall(encode_frame(kind, trial, self.side, body))
-        except OSError as exc:
-            raise FrameError(f"cannot send to {self.side} station: {exc}") from exc
+    def _queue(self, kind: str, trial: int | None, body: bytes = b"") -> None:
+        self._queued.append(encode_frame(kind, trial, self.side, body))
         self.transcript.add("send", kind, trial, self.side)
 
-    def _send_setting(self, m: int, index: int) -> None:
+    def _flush(self) -> None:
+        if not self._queued:
+            return
+        data = b"".join(self._queued)
+        self._queued.clear()
+        try:
+            self.sock.sendall(data)
+        except OSError as exc:
+            raise FrameError(f"cannot send to {self.side} station: {exc}") from exc
+
+    def _send(self, kind: str, trial: int | None, body: bytes = b"") -> None:
+        """Queue one frame, then write everything queued."""
+        self._queue(kind, trial, body)
+        self._flush()
+
+    def _setting_frame(self, m: int, index: int) -> tuple[str, int, bytes]:
+        """The (kind, trial, body) of the SETTING for trial m, with a fresh nonce."""
         nonce = secrets.token_hex(8)
         self._nonces[m] = nonce
-        self._send(KIND_SETTING, m, json.dumps({"index": index, "nonce": nonce}).encode("ascii"))
+        return KIND_SETTING, m, json.dumps({"index": index, "nonce": nonce}).encode("ascii")
 
     def deliver_lambda(self, m: int, message: SourceMessage) -> None:
-        self._send(KIND_LAMBDA, m, message.payload)
+        if self.mode == "batch":  # every setting is out: the station answers now
+            self._send(KIND_LAMBDA, m, message.payload)
+        else:
+            self._queue(KIND_LAMBDA, m, message.payload)
 
     def post_setting(self, m: int, index: int) -> None:
         if self.mode == "batch":
             return  # already revealed up front via deliver_batch_settings
-        self._send_setting(m, index)
+        self._send(*self._setting_frame(m, index))
 
     def get_outcome(self, m: int):
         try:
-            doc = recv_frame(self.sock)
+            self._flush()
+            doc = self._reader.read_frame()
             self.transcript.add("recv", doc.get("kind"), doc.get("trial"), doc.get("side"))
-            if doc.get("kind") != KIND_OUTCOME or doc.get("trial") != m or doc.get("side") != self.side:
+            trial = doc.get("trial")
+            # An exact int: a JSON 1.0 or true equals 1 but is no trial number.
+            exact_trial = type(trial) is int and trial == m
+            if doc.get("kind") != KIND_OUTCOME or not exact_trial or doc.get("side") != self.side:
                 raise ProtocolAbort(
                     f"expected {KIND_OUTCOME} for trial {m} from {self.side}, got "
-                    f"{doc.get('kind')} trial {doc.get('trial')} side {doc.get('side')}"
+                    f"{doc.get('kind')} trial {trial!r} side {doc.get('side')}"
                 )
             body = _json_body(doc["body"])
             if body.get("nonce") != self._nonces.pop(m, None):
@@ -284,11 +370,11 @@ class RemoteStation:
 
     def deliver_broadcast(self, m: int, view: TrialView) -> None:
         if self.mode == "sequential":  # otherwise stations fold in their own wing
-            self._send(KIND_BROADCAST, m, encode_view(view))
+            self._queue(KIND_BROADCAST, m, encode_view(view))
 
     def deliver_batch_settings(self, settings) -> None:
         for m, index in enumerate(settings, start=1):
-            self._send_setting(m, index)
+            self._queue(*self._setting_frame(m, index))
 
     def send_verdict(self, report: dict) -> None:
         self._send(KIND_VERDICT, None, json.dumps(report, sort_keys=True).encode("ascii"))
@@ -308,7 +394,7 @@ def _handshake(sock: socket.socket, transcript: Transcript) -> str:
     body = _json_body(doc["body"])
     version = body.get("version")
     role = body.get("role")
-    if version != PROTOCOL_VERSION:
+    if type(version) is not int or version != PROTOCOL_VERSION:  # 2.0 is no version
         sock.sendall(
             encode_frame(
                 KIND_ABORT,
@@ -395,8 +481,9 @@ class StationClient:
     """One station process: connects to the referee, never to the other wing.
 
     Holds exactly one socket for its whole lifetime, with ``TCP_NODELAY``
-    set, and turns each referee frame into the matching call on the engine's
-    own ``LocalStation``, so a strategy takes the same steps as in-process.
+    set, reads it through one ``FrameReader``, and turns each referee frame
+    into the matching call on the engine's own ``LocalStation``, so a
+    strategy takes the same steps as in-process.
     Each OUTCOME echoes the nonce of the SETTING it answers; a malformed or
     out-of-order referee frame is a ``FrameError``.
     """
@@ -426,6 +513,11 @@ class StationClient:
     def run(self) -> int:
         """Returns a process exit status: 0 on VERDICT, nonzero otherwise."""
         host, port = parse_endpoint(self.endpoint)
+        if host.isascii():
+            # getaddrinfo IDNA-encodes a str host, and importing that codec
+            # costs a station about 2 ms before its first frame; an ASCII
+            # name needs no encoding.
+            host = host.encode("ascii")
         self.sock = _no_delay(socket.create_connection((host, port), timeout=self.timeout))
         try:
             self._send(
@@ -433,7 +525,8 @@ class StationClient:
                 None,
                 json.dumps({"role": self.role, "version": PROTOCOL_VERSION}).encode("ascii"),
             )
-            doc = recv_frame(self.sock)
+            reader = FrameReader(self.sock)
+            doc = reader.read_frame()
             if doc.get("kind") == KIND_ABORT:
                 self.abort_reason = _json_body(doc["body"]).get("reason")
                 return 3
@@ -450,7 +543,7 @@ class StationClient:
             # Batch mode: every (index, nonce), revealed up front.
             batch: list[tuple[int, str]] | None = [] if config.mode == "batch" else None
             while True:
-                doc = recv_frame(self.sock)
+                doc = reader.read_frame()
                 kind = doc.get("kind")
                 if kind == KIND_LAMBDA:
                     m = _field(doc, "trial", int)

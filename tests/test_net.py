@@ -1,5 +1,6 @@
 """Wire protocol: framing, equivalence, ordering enforcement, failure modes."""
 
+import base64
 import inspect
 import json
 import socket
@@ -19,8 +20,10 @@ from bellbet.net import (
     KIND_OUTCOME,
     KIND_SETTING,
     KIND_VERDICT,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameError,
+    FrameReader,
     RemoteStation,
     StationClient,
     Transcript,
@@ -149,6 +152,38 @@ class TestFraming:
             referee_end.close()
             station_end.close()
 
+    @pytest.mark.parametrize(
+        "kind, trial, side, body",
+        [
+            (KIND_HELLO, None, None, b""),
+            (KIND_SETTING, 7, "left", b'{"index": 1, "nonce": "00ff"}'),
+            (KIND_OUTCOME, 2**64 + 1, "right", bytes(range(256))),
+            ('R\u00e9f "quoted" \\ \u2603', -3, 'side "q"', b"\x00"),
+            (KIND_LAMBDA, True, None, b"x" * 1000),
+        ],
+    )
+    def test_envelope_bytes_match_the_json_reference(self, kind, trial, side, body):
+        doc = {"kind": kind, "trial": trial, "side": side, "body": base64.b64encode(body).decode("ascii")}
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+        assert encode_frame(kind, trial, side, body) == len(payload).to_bytes(4, "big") + payload
+
+    @pytest.mark.parametrize("trial", [1.0, True])
+    def test_outcome_trial_must_be_an_exact_int(self, trial):
+        # 1.0 == True == 1, but neither is the trial number the referee asked for.
+        referee_end, station_end = socket.socketpair()
+        try:
+            station = RemoteStation(referee_end, "left", Transcript(), "sequential")
+            station.post_setting(1, 2)
+            nonce = json.loads(recv_frame(station_end)["body"])["nonce"]
+            body = json.dumps({"value": 1, "blob": "", "nonce": nonce}).encode()
+            station_end.sendall(encode_frame(KIND_OUTCOME, trial, "left", body))
+            with pytest.raises(ProtocolAbort, match="expected OUTCOME") as caught:
+                station.get_outcome(1)
+            assert (caught.value.trial, caught.value.side) == (1, "left")
+        finally:
+            referee_end.close()
+            station_end.close()
+
     def test_view_codec_round_trip_and_bytes(self):
         view = TrialView(3, 1, 0, 2, 1, {"left": b"a", "right": b""})
         body = encode_view(view)
@@ -167,6 +202,126 @@ class TestFraming:
         for bad in ("no-port", "127.0.0.1:65536", "127.0.0.1:70000"):
             with pytest.raises(ValueError):
                 parse_endpoint(bad)
+
+
+class CountingSocket:
+    """A socket whose ``recv`` calls are counted."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.recv_calls = 0
+
+    def recv(self, count):
+        self.recv_calls += 1
+        return self.sock.recv(count)
+
+
+READERS = {
+    "recv_frame": lambda sock: lambda: recv_frame(sock),
+    "FrameReader": lambda sock: FrameReader(sock).read_frame,
+}
+
+
+@pytest.fixture
+def socket_pair():
+    left, right = socket.socketpair()
+    right.settimeout(5.0)
+    yield left, right
+    left.close()
+    right.close()
+
+
+class TestFrameBoundaries:
+    """Both frame readers, the one-shot ``recv_frame`` and a connection's
+    buffered ``FrameReader``, on every way the bytes of frames can arrive."""
+
+    FRAMES = [
+        encode_frame(KIND_LAMBDA, 1, "left", b"lambda"),
+        encode_frame(KIND_SETTING, 1, "left", b'{"index": 2, "nonce": "ab"}'),
+        encode_frame(KIND_BROADCAST, 1, "left", bytes(range(256)) * 20),
+    ]
+
+    @staticmethod
+    def kinds(read, count):
+        return [read()["kind"] for _ in range(count)]
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_one_byte_per_send(self, reader, socket_pair):
+        left, right = socket_pair
+        read = READERS[reader](right)
+        wire = b"".join(self.FRAMES[:2])
+
+        def dribble():
+            for k in range(len(wire)):
+                left.sendall(wire[k : k + 1])
+                time.sleep(0.0005)
+
+        sender = threading.Thread(target=dribble, daemon=True)
+        sender.start()
+        assert self.kinds(read, 2) == [KIND_LAMBDA, KIND_SETTING]
+        sender.join(10)
+        assert not sender.is_alive()
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_three_frames_in_one_send(self, reader, socket_pair):
+        left, right = socket_pair
+        left.sendall(b"".join(self.FRAMES))
+        read = READERS[reader](right)
+        assert self.kinds(read, 3) == [KIND_LAMBDA, KIND_SETTING, KIND_BROADCAST]
+
+    def test_reader_parses_every_frame_one_recv_delivered(self, socket_pair):
+        left, right = socket_pair
+        left.sendall(b"".join(self.FRAMES[:2]))
+        counting = CountingSocket(right)
+        reader = FrameReader(counting)
+        assert self.kinds(reader.read_frame, 2) == [KIND_LAMBDA, KIND_SETTING]
+        assert counting.recv_calls == 1
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_frame_split_across_two_sends(self, reader, socket_pair):
+        left, right = socket_pair
+        wire = self.FRAMES[2] + self.FRAMES[0]
+        cut = len(self.FRAMES[2]) // 2
+        left.sendall(wire[:cut])
+        sender = threading.Timer(0.2, left.sendall, args=(wire[cut:],))
+        sender.start()
+        read = READERS[reader](right)
+        doc = read()
+        assert (doc["kind"], doc["body"]) == (KIND_BROADCAST, bytes(range(256)) * 20)
+        assert read()["kind"] == KIND_LAMBDA
+        sender.join(10)
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_over_limit_length_refused_before_the_payload(self, reader, socket_pair):
+        # Only the length prefix is sent: a reader that went on to wait for
+        # the payload would time out instead.
+        left, right = socket_pair
+        right.settimeout(1.0)
+        left.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        with pytest.raises(FrameError, match="exceeds limit"):
+            READERS[reader](right)()
+        left.sendall(b"payload")
+        assert right.recv(16) == b"payload"
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_eof_mid_frame_is_a_frame_error(self, reader, socket_pair):
+        left, right = socket_pair
+        left.sendall(self.FRAMES[0] + self.FRAMES[1][:10])
+        left.shutdown(socket.SHUT_WR)
+        read = READERS[reader](right)
+        assert read()["kind"] == KIND_LAMBDA
+        with pytest.raises(FrameError, match="closed mid-frame"):
+            read()
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_timeout_is_a_station_timeout(self, reader, socket_pair):
+        left, right = socket_pair
+        right.settimeout(0.2)
+        left.sendall(self.FRAMES[0][:6])
+        with pytest.raises(ProtocolAbort) as caught:
+            READERS[reader](right)()
+        assert not isinstance(caught.value, FrameError)
+        assert caught.value.reason == "station timeout"
 
 
 class TestLoopbackEquivalence:
@@ -218,32 +373,40 @@ class TestLoopbackEquivalence:
         assert outputs[0] == outputs[1]
 
 
+def assert_version_refused(version):
+    """A HELLO offering ``version`` gets an ABORT back, and the bet still
+    completes once well-behaved stations arrive."""
+    config = make_config(n=20, seed=5)
+    thread, box = serve_in_thread(config, trial_timeout=5.0)
+    host, port = parse_endpoint(box["endpoint"])
+    bad = socket.create_connection((host, port), timeout=5.0)
+    try:
+        bad.sendall(
+            encode_frame(
+                KIND_HELLO,
+                None,
+                "left",
+                json.dumps({"role": "left", "version": version}).encode(),
+            )
+        )
+        doc = recv_frame(bad)
+        assert doc["kind"] == KIND_ABORT
+    finally:
+        bad.close()
+    statuses = run_stations(box["endpoint"], timeout=10.0)
+    thread.join(30)
+    assert statuses == {"left": 0, "right": 0}
+    result, _ = box["result"]
+    assert result.verdict is not None
+
+
 class TestHandshake:
     def test_wrong_protocol_version_rejected(self):
-        config = make_config(n=20, seed=5)
-        thread, box = serve_in_thread(config, trial_timeout=5.0)
-        host, port = parse_endpoint(box["endpoint"])
-        bad = socket.create_connection((host, port), timeout=5.0)
-        try:
-            bad.sendall(
-                encode_frame(
-                    KIND_HELLO,
-                    None,
-                    "left",
-                    json.dumps({"role": "left", "version": PROTOCOL_VERSION + 1}).encode(),
-                )
-            )
-            doc = recv_frame(bad)
-            assert doc["kind"] == KIND_ABORT
-        finally:
-            bad.close()
-        # The experiment still completes once well-behaved stations arrive.
-        statuses = run_stations(box["endpoint"], timeout=10.0)
-        thread.join(30)
-        assert statuses == {"left": 0, "right": 0}
-        result, _ = box["result"]
-        assert result.verdict is not None
+        assert_version_refused(PROTOCOL_VERSION + 1)
 
+    def test_float_protocol_version_rejected(self):
+        # 2.0 == 2, but a version is an exact int.
+        assert_version_refused(float(PROTOCOL_VERSION))
 
     def test_malformed_hello_is_dropped(self):
         config = make_config(n=20, seed=5)
@@ -646,6 +809,96 @@ class TestTransport:
         assert result.verdict is not None
         assert referee_side == {"left": True, "right": True}
         assert station_side == {"left": True, "right": True}
+
+
+class WriteRecorder:
+    """A referee-side socket that records the frames of each ``sendall``
+    as (kind, trial) pairs, one list per write."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.sock.sendall(data)
+        frames = []
+        start = 0
+        while start < len(data):
+            end = start + 4 + int.from_bytes(data[start : start + 4], "big")
+            doc = json.loads(data[start + 4 : end])
+            frames.append((doc["kind"], doc["trial"]))
+            start = end
+        self.writes.append(frames)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def expected_writes(mode, n):
+    """Each write to one station, as its frames: one write per trial."""
+    if mode == "batch":
+        settings = [(KIND_SETTING, m) for m in range(1, n + 1)]
+        trials = [settings + [(KIND_LAMBDA, 1)]] + [[(KIND_LAMBDA, m)] for m in range(2, n + 1)]
+    else:
+        trials = [[(KIND_LAMBDA, m), (KIND_SETTING, m)] for m in range(1, n + 1)]
+    verdict = [(KIND_VERDICT, None)]
+    if mode == "sequential":
+        for m in range(2, n + 1):
+            trials[m - 1].insert(0, (KIND_BROADCAST, m - 1))
+        verdict.insert(0, (KIND_BROADCAST, n))
+    return [[(KIND_CONFIG, None)], *trials, verdict]
+
+
+class TestWritePattern:
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    def test_one_write_per_station_per_trial(self, mode, monkeypatch):
+        recorders = {}
+        original_init = RemoteStation.__init__
+
+        def recording_init(self, sock, side, transcript, mode):
+            recorders[side] = WriteRecorder(sock)
+            original_init(self, recorders[side], side, transcript, mode)
+
+        monkeypatch.setattr(RemoteStation, "__init__", recording_init)
+        n = 12
+        config = make_config(n=n, seed=16, mode=mode)
+        thread, box = serve_in_thread(config, trial_timeout=10.0)
+        statuses = run_stations(box["endpoint"], timeout=10.0)
+        thread.join(30)
+        assert "error" not in box, box.get("error")
+        assert statuses == {"left": 0, "right": 0}
+        result, transcript = box["result"]
+        assert result.log.to_bytes() == run_experiment(config).log.to_bytes()
+        assert set(recorders) == {"left", "right"}
+        for side, recorder in recorders.items():
+            assert recorder.writes == expected_writes(mode, n)
+            sent = [
+                (e["kind"], e["trial"]) for e in transcript.entries
+                if e["dir"] == "send" and e["side"] == side
+            ]
+            assert sent == [frame for write in recorder.writes for frame in write]
+
+
+class TestStationStart:
+    def test_station_connects_without_the_idna_codec(self):
+        # An ASCII host reaches getaddrinfo as bytes, so the station never
+        # imports the IDNA codec (about 2 ms of its start-up).
+        import subprocess
+        import sys
+
+        code = (
+            "import socket, sys\n"
+            "listener = socket.socket()\n"
+            "listener.bind(('127.0.0.1', 0))\n"
+            "listener.listen()\n"
+            "from bellbet.net import station_client\n"
+            "status = station_client('left', '127.0.0.1:%d' % listener.getsockname()[1], timeout=0.5)\n"
+            "print(status, 'encodings.idna' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert done.stdout.split() == ["3", "False"]
 
 
 class TestIsolation:
