@@ -249,6 +249,13 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
         raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
     if int(port) > 65535:
         raise ValueError(f"endpoint port must be 0-65535, got {endpoint!r}")
+    if not host.isascii():
+        # The socket layer would IDNA-encode this host itself and fail with a
+        # UnicodeError or TypeError; an ASCII host never loads the codec.
+        try:
+            host = host.encode("idna").decode("ascii")
+        except UnicodeError as exc:
+            raise ValueError(f"endpoint host is not a valid IDNA name, got {endpoint!r}") from exc
     return host, int(port)
 
 
@@ -513,11 +520,10 @@ class StationClient:
     def run(self) -> int:
         """Returns a process exit status: 0 on VERDICT, nonzero otherwise."""
         host, port = parse_endpoint(self.endpoint)
-        if host.isascii():
-            # getaddrinfo IDNA-encodes a str host, and importing that codec
-            # costs a station about 2 ms before its first frame; an ASCII
-            # name needs no encoding.
-            host = host.encode("ascii")
+        # getaddrinfo IDNA-encodes a str host, and importing that codec costs
+        # a station about 2 ms before its first frame; parse_endpoint gives an
+        # ASCII name, which as bytes needs no encoding.
+        host = host.encode("ascii")
         self.sock = _no_delay(socket.create_connection((host, port), timeout=self.timeout))
         try:
             self._send(

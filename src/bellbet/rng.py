@@ -1,12 +1,13 @@
-"""Deterministic seed splitting and per-trial draw buffers.
+"""Deterministic seed splitting and per-trial draws.
 
 All randomness in an experiment derives from one unsigned experiment seed.
 Each role (settings, oracle, source, left, right) gets its own
 Philox4x64 counter-based stream, keyed by the first 128 bits of
-SHA-256("<seed>:<role>"). Per-trial values are materialized with a single
-array call per role, so the in-process referee, the networked referee, the
-replay verifier and the vectorized simulation kernels all see bit-identical
-values for trial m.
+SHA-256("<seed>:<role>"). A role's per-trial values are drawn with a single
+array call, the first time they are read, so the in-process referee, the
+networked referee, the replay verifier and the vectorized simulation kernels
+all see bit-identical values for trial m, and a process that never reads a
+role's values never draws them.
 """
 
 from __future__ import annotations
@@ -49,15 +50,27 @@ def settings_cells(seed: int, n: int) -> np.ndarray:
 class TrialUniforms:
     """Uniform(0,1) float64 draws, one per trial, for a single role.
 
-    ``at(m)`` is 1-indexed by trial number.
+    The whole stream is drawn with one array call on the first read of
+    ``values`` or ``at``, never at construction. ``at(m)`` is 1-indexed by
+    trial number.
     """
 
     def __init__(self, seed: int, role: str, n: int):
         self.seed = seed
         self.role = role
-        self.values = role_generator(seed, role).random(n)
+        self.n = n
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = role_generator(self.seed, self.role).random(self.n)
+        return self._values
 
     def at(self, m: int) -> float:
-        if not 1 <= m <= len(self.values):
-            raise IndexError(f"trial {m} outside 1..{len(self.values)}")
-        return float(self.values[m - 1])
+        if not 1 <= m <= self.n:
+            raise IndexError(f"trial {m} outside 1..{self.n}")
+        values = self._values
+        if values is None:
+            values = self.values
+        return values.item(m - 1)

@@ -10,7 +10,9 @@ the referee broadcasts the completed trial (plus optional opaque blobs), and
 stations fold it into their memory.
 
 Each honest strategy also answers a whole run at once, in
-``respond_columns``, from the same draw buffers ``prepare`` builds. The
+``respond_columns``, from the same seeded streams ``prepare`` binds. A
+role's values are drawn with one array call, the first time they are read,
+so a station process draws only the streams its own wing reads. The
 Monte-Carlo kernels run that rule; a contract test over the registry checks
 it against the engine byte for byte.
 
@@ -166,8 +168,9 @@ class Strategy:
     """Base class for local hidden-variable strategies.
 
     Lifecycle: construct with parameters, then ``prepare(...)`` binds the
-    experiment context (seed, n, angles, mode) and derives the per-role draw
-    buffers. All responses are deterministic given the seed and the history,
+    experiment context (seed, n, angles, mode) and the per-role streams; a
+    role's values are drawn with one array call, the first time they are
+    read. All responses are deterministic given the seed and the history,
     which makes runs reproducible and stations cloneable: evaluating both
     settings on identical (message, memory) is well defined.
     """

@@ -1,9 +1,28 @@
 """Let the ``python -m bellbet`` processes the network tests spawn import the
 package from this source tree when it is not installed (``pythonpath`` in
-pyproject.toml only reaches the test process itself)."""
+pyproject.toml only reaches the test process itself), and give the tests a
+spy on the seeded streams."""
 
 import os
 from pathlib import Path
 
+import pytest
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (seed, role) of every stream ``rng.TrialUniforms`` draws."""
+    from bellbet import rng
+
+    calls = []
+    real = rng.role_generator
+
+    def spy(seed, role):
+        calls.append((seed, role))
+        return real(seed, role)
+
+    monkeypatch.setattr(rng, "role_generator", spy)
+    return calls

@@ -443,6 +443,27 @@ class TestNetworkCommandErrors:
         assert main(args + ["--endpoint", "127.0.0.1:70000"]) == EXIT_CONFIG
         assert "config error: endpoint port must be 0-65535" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "station"])
+    def test_host_the_idna_codec_refuses_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        import socket
+
+        def no_resolver(*args, **kwargs):
+            raise AssertionError("the endpoint reached the socket layer")
+
+        for name in ("getaddrinfo", "create_connection", "create_server"):
+            monkeypatch.setattr(socket, name, no_resolver)
+        config = write_config(
+            tmp_path, side={"kind": "strategy", "strategy": "independent-coin", "params": {}}
+        )
+        args = {
+            "serve": ["serve", "--config", str(config)],
+            "station": ["station", "--role", "left"],
+        }[command]
+        assert main(args + ["--endpoint", "ä..b:80"]) == EXIT_CONFIG
+        assert "config error: endpoint host is not a valid IDNA name" in capsys.readouterr().err
+
     def test_serve_quantum_side_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--print-config"]) == EXIT_OK
         config = tmp_path / "default.json"

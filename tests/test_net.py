@@ -36,7 +36,7 @@ from bellbet.net import (
     referee_serve,
     station_client,
 )
-from bellbet.referee import ABORT_PROTOCOL, ProtocolAbort, run_experiment
+from bellbet.referee import ABORT_PROTOCOL, ProtocolAbort, build_report, run_experiment
 from bellbet.strategies import Strategy, TrialView
 
 
@@ -199,7 +199,9 @@ class TestFraming:
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:881") == ("127.0.0.1", 881)
         assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
-        for bad in ("no-port", "127.0.0.1:65536", "127.0.0.1:70000"):
+        # A non-ASCII host is IDNA-encoded; one the codec refuses is a ValueError.
+        assert parse_endpoint("bücher.example:80") == ("xn--bcher-kva.example", 80)
+        for bad in ("no-port", "127.0.0.1:65536", "127.0.0.1:70000", "ä..b:80", "ä" * 70 + ":80"):
             with pytest.raises(ValueError):
                 parse_endpoint(bad)
 
@@ -340,6 +342,21 @@ class TestLoopbackEquivalence:
         if mode != "batch":
             audit = audit_transcript(transcript.entries)
             assert audit.ok, audit.failures
+
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    def test_networked_coin_bet_matches_in_process(self, mode):
+        # The one honest side whose stations read their own seeded stream on
+        # every trial.
+        config = make_config("independent-coin", n=60, seed=17, mode=mode)
+        in_process = run_experiment(config)
+        thread, box = serve_in_thread(config, trial_timeout=15.0)
+        statuses = run_stations(box["endpoint"], timeout=15.0)
+        thread.join(30)
+        assert "error" not in box, box.get("error")
+        result, _ = box["result"]
+        assert statuses == {"left": 0, "right": 0}
+        assert result.log.to_bytes() == in_process.log.to_bytes()
+        assert build_report(result) == build_report(in_process)
 
     def test_transcript_write_and_read(self, tmp_path):
         config = make_config(n=30, seed=4)
@@ -899,6 +916,40 @@ class TestStationStart:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
         )
         assert done.stdout.split() == ["3", "False"]
+
+    def test_polarizer_station_never_imports_numpy_random(self):
+        # The polarizer's stations read only the source message; the seeded
+        # source stream is the referee's, so a station never draws it.
+        import subprocess
+        import sys
+
+        config = make_config(n=20, seed=6)
+        thread, box = serve_in_thread(config, trial_timeout=15.0)
+        code = (
+            "import sys\n"
+            "from bellbet.net import station_client\n"
+            "status = station_client(sys.argv[1], sys.argv[2], timeout=15.0)\n"
+            "print(status, 'numpy.random' in sys.modules)\n"
+        )
+        stations = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, role, box["endpoint"]],
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for role in ("left", "right")
+        ]
+        try:
+            outputs = [station.communicate(timeout=60)[0] for station in stations]
+        finally:
+            for station in stations:
+                station.kill()
+                station.communicate()
+        thread.join(30)
+        assert "error" not in box, box.get("error")
+        result, _ = box["result"]
+        assert result.log.to_bytes() == run_experiment(config).log.to_bytes()
+        assert [output.split() for output in outputs] == [["0", "False"]] * 2
 
 
 class TestIsolation:

@@ -77,3 +77,31 @@ class TestTrialUniforms:
         u = TrialUniforms(4, "source", 10_000)
         assert u.values.min() >= 0.0
         assert u.values.max() < 1.0
+
+
+class TestLazyDraw:
+    def test_construction_draws_nothing(self, draws):
+        TrialUniforms(3, "left", 100)
+        assert draws == []
+
+    @pytest.mark.parametrize("first", ["at", "values"])
+    def test_at_and_values_agree_and_draw_once(self, draws, first):
+        u = TrialUniforms(3, "left", 100)
+        if first == "values":
+            u.values
+        for m in (1, 50, 100):
+            assert u.at(m) == u.values[m - 1]
+        assert u.values is u.values
+        assert np.array_equal(u.values, role_generator(3, "left").random(100))
+        assert draws == [(3, "left")]
+
+    def test_out_of_range_raises_without_drawing(self, draws):
+        u = TrialUniforms(3, "left", 10)
+        for m in (0, 11):
+            with pytest.raises(IndexError):
+                u.at(m)
+        assert draws == []
+
+    def test_at_returns_a_python_float(self):
+        value = TrialUniforms(3, "oracle", 10).at(4)
+        assert type(value) is float

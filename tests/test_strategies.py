@@ -331,3 +331,29 @@ class TestIndependentCoin:
         assert left != right
         assert 0.4 < np.mean(left) < 0.6
         assert 0.4 < np.mean(right) < 0.6
+
+
+# A source message each station can read, made without the source's stream.
+STATION_MESSAGES = {
+    "classical-polarizer": SourceMessage(struct.pack("<d", 1.0)),
+    "deterministic-optimal": SourceMessage(bytes([OPTIMAL_ASSIGNMENT])),
+    "adaptive-frequency-tracker": SourceMessage(bytes([OPTIMAL_ASSIGNMENT])),
+}
+
+# The strategies whose stations read a seeded stream: each its own wing's.
+READS_OWN_WING = {"independent-coin", "range-violator"}
+
+
+class TestStationDraws:
+    """A station process prepares the strategy and answers for one wing; it
+    draws no stream it does not read, so the source's stream stays undrawn."""
+
+    @pytest.mark.parametrize("side", [LEFT, RIGHT])
+    @pytest.mark.parametrize("name", LOCAL_STRATEGY_NAMES + ("range-violator",))
+    def test_station_draws_only_its_own_wing(self, draws, name, side):
+        strategy = prepared(name, n=8)
+        memory = strategy.initial_memory(side)
+        message = STATION_MESSAGES.get(name, SourceMessage(b""))
+        for setting_index in (1, 2):
+            strategy.station_respond(side, setting_index, message, memory)
+        assert [role for _, role in draws] == ([side] if name in READS_OWN_WING else [])
