@@ -208,10 +208,12 @@ class CountMatrix:
 
     @classmethod
     def from_columns(cls, cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> "CountMatrix":
-        """Count from per-trial columns: cell codes 0..3 and both outcome bits."""
-        trials = np.bincount(cells, minlength=4)
-        coincidences = np.bincount(cells[x == y], minlength=4)
-        return cls(tuple(trials.tolist()), tuple(coincidences.tolist()))
+        """Count from per-trial columns: cell codes 0..3 (uint8 or wider)
+        and both outcome bits. One pass counts the eight (cell, coincided)
+        pairs, coded 2 * cell + coincided."""
+        pairs = np.bincount(2 * cells + (x == y), minlength=8)
+        coincidences = pairs[1::2]
+        return cls(tuple((pairs[0::2] + coincidences).tolist()), tuple(coincidences.tolist()))
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         """The counts document of reports and analyses: per-cell trials and

@@ -215,9 +215,10 @@ class TrialLog(Sequence):
             raise ValueError("column lengths must all equal header.n")
         arrays = [np.asarray(col) for col in (i, j, x, y)]
         for name, arr, allowed in zip("ijxy", arrays, ((1, 2), (1, 2), (0, 1), (0, 1))):
-            if not np.isin(arr, allowed).all():
+            lo, hi = allowed
+            if not ((arr == lo) | (arr == hi)).all():
                 raise ValueError(f"column {name} holds values outside {allowed}")
-        return cls._holding(header, *(arr.astype(np.uint8) for arr in arrays))
+        return cls._holding(header, *(arr.astype(np.uint8, copy=False) for arr in arrays))
 
     @classmethod
     def _holding(cls, header: LogHeader, i, j, x, y) -> "TrialLog":

@@ -38,6 +38,7 @@ from .core import (
     SETTINGS_BY_CELL,
     CountMatrix,
     TrialRecord,
+    cell_code,
     chsh_count_statistic,
     setting_indices,
 )
@@ -233,9 +234,10 @@ def log_header(config: ExperimentConfig) -> LogHeader:
 
 
 def tally(log: TrialLog) -> tuple[CountMatrix, StatisticTrace]:
-    """The cell counts and the statistic trace of the committed trials."""
-    cells = log.cells()
-    _, _, x, y = log.columns()
+    """The cell counts and the statistic trace of the committed trials,
+    from the log's uint8 columns without widening them."""
+    i, j, x, y = log.columns()
+    cells = cell_code(i, j)
     return CountMatrix.from_columns(cells, x, y), StatisticTrace.from_columns(cells, x, y)
 
 

@@ -148,14 +148,18 @@ def angular_distance(a, b):
     """Distance between orientations modulo pi, in [0, pi/2].
 
     Floats stay Python floats and arrays stay arrays, and both take the same
-    IEEE steps (an fmod-based remainder, then the smaller of d and pi - d),
-    so scalar and array callers agree bit for bit.
+    IEEE steps (the remainder of d = |a - b| by pi, then the smaller of d
+    and pi - d), so scalar and array callers agree bit for bit. Arrays use
+    ``np.fmod`` rather than ``%``: both are the exact fmod of d, and they
+    differ only in a sign fix for a negative remainder, which d >= 0 never
+    gives, so ``%`` would pay for a floor division it throws away.
     """
-    d = abs(a - b) % math.pi
-    other = math.pi - d
+    d = abs(a - b)
     if isinstance(d, np.ndarray):
-        return np.minimum(d, other)
-    return min(d, other)
+        d = np.fmod(d, math.pi)
+        return np.minimum(d, math.pi - d)
+    d %= math.pi
+    return min(d, math.pi - d)
 
 
 def polarizer_passes(theta, analyzer):

@@ -204,8 +204,9 @@ class TestCountStatistic:
             }
         )
 
-    @pytest.mark.parametrize("count", [0, 1, 37])
-    def test_from_columns_matches_from_records(self, count):
+    @staticmethod
+    def _log(trials):
+        """A log of (i, j, x, y) trials."""
         header = LogHeader(
             config_hash="0" * 64,
             seed=1,
@@ -214,15 +215,35 @@ class TestCountStatistic:
             n=40,
             critical_value=3,
         )
-        rng = np.random.default_rng(count)
         log = TrialLog(header)
-        for m in range(1, count + 1):
-            i, j, x, y = rng.integers(0, 2, size=4).tolist()
-            log.append(TrialRecord(m=m, setting=Setting(i + 1, j + 1), x=x, y=y))
-        _, _, x, y = log.columns()
-        from_columns = CountMatrix.from_columns(log.cells(), x, y)
-        assert from_columns == CountMatrix.from_records(log.records())
-        assert from_columns.total_trials == count
+        for m, (i, j, x, y) in enumerate(trials, start=1):
+            log.append(TrialRecord(m=m, setting=Setting(i, j), x=x, y=y))
+        return log
+
+    def _assert_columns_match_records(self, log):
+        i, j, x, y = log.columns()
+        uint8_cells = cell_code(i, j)
+        assert uint8_cells.dtype == np.uint8
+        # The log's own uint8 codes and the widened int64 ones count alike.
+        for cells in (uint8_cells, log.cells()):
+            from_columns = CountMatrix.from_columns(cells, x, y)
+            assert from_columns == CountMatrix.from_records(log.records())
+            assert from_columns.total_trials == len(log)
+
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    def test_from_columns_matches_from_records(self, count):
+        rng = np.random.default_rng(count)
+        trials = [(i + 1, j + 1, x, y) for i, j, x, y in rng.integers(0, 2, size=(count, 4)).tolist()]
+        self._assert_columns_match_records(self._log(trials))
+
+    @pytest.mark.parametrize("cell", range(4))
+    def test_from_columns_one_cell(self, cell):
+        i, j = setting_indices(cell)
+        log = self._log([(i, j, x, y) for x, y in itertools.product((0, 1), repeat=2)] * 3)
+        self._assert_columns_match_records(log)
+        counts = CountMatrix.from_records(log.records())
+        assert counts.trials == tuple(12 if c == cell else 0 for c in range(4))
+        assert counts.coincidences == tuple(6 if c == cell else 0 for c in range(4))
 
 
 class TestPhotonToSpin:

@@ -1,6 +1,7 @@
 """Trial log serialization, structural validation, canonical bytes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,42 @@ class TestRoundTrip:
                 np.array([0, 1, 0]),
                 np.array([0, 1, 1]),
             )
+
+    # Each column's allowed values; np.isin is the reference membership test
+    # that from_columns' equality check must agree with.
+    ALLOWED = {"i": (1, 2), "j": (1, 2), "x": (0, 1), "y": (0, 1)}
+    GOOD = {"i": [1, 2, 1], "j": [2, 1, 1], "x": [0, 1, 0], "y": [0, 1, 1]}
+
+    def _columns_with(self, name, column):
+        return [column if key == name else np.array(self.GOOD[key]) for key in "ijxy"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in "ij" for value in (0, 3)]
+        + [(name, value) for name in "xy" for value in (2, -1)]
+        + [(name, value) for name in "ijxy" for value in (1.5, math.nan)],
+    )
+    def test_from_columns_rejects_what_isin_rejects(self, name, value):
+        column = np.array(self.GOOD[name], dtype=type(value))
+        column[1] = value
+        assert not np.isin(column, self.ALLOWED[name]).all()
+        with pytest.raises(ValueError, match=f"column {name} "):
+            TrialLog.from_columns(make_header(n=3), *self._columns_with(name, column))
+
+    @pytest.mark.parametrize("name", "ijxy")
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    def test_from_columns_accepts_what_isin_accepts(self, name, kind):
+        if kind == "float":
+            column = np.array(self.GOOD[name], dtype=np.float64)
+        elif name in "xy":
+            column = np.array(self.GOOD[name], dtype=bool)
+        else:
+            column = np.ones(3, dtype=bool)  # True == 1, a valid setting
+        assert np.isin(column, self.ALLOWED[name]).all()
+        log = TrialLog.from_columns(make_header(n=3), *self._columns_with(name, column))
+        held = log.columns()["ijxy".index(name)]
+        assert held.dtype == np.uint8
+        assert held.tolist() == column.astype(np.uint8).tolist()
 
 
 class TestValidation:

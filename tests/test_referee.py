@@ -21,8 +21,10 @@ from bellbet.referee import (
     Verdict,
     adjudicate,
     build_report,
+    log_header,
     replay_verify,
     run_experiment,
+    tally,
     validate_outcome,
 )
 from bellbet.strategies import (
@@ -401,6 +403,19 @@ class TestReplay:
         result, report = self._run()
         assert replay_verify(result.log, report)
         assert replay_verify(result.log)
+
+    @pytest.mark.parametrize("n", [0, 20, 400])
+    def test_tally_matches_widened_codes(self, n):
+        # tally counts on the log's uint8 cell codes; the int64 codes of
+        # log.cells() are the reference for both the counts and the trace.
+        log = self._run(n=n)[0].log if n else TrialLog(log_header(make_config(QUANTUM_SIDE)))
+        counts, trace = tally(log)
+        _, _, x, y = log.columns()
+        reference = StatisticTrace.from_columns(log.cells(), x, y)
+        assert trace.deltas.dtype == reference.deltas.dtype == np.int8
+        assert trace.deltas.tolist() == reference.deltas.tolist()
+        assert len(trace.deltas) == len(log)
+        assert counts == CountMatrix.from_records(log.records())
 
     def test_statistic_equals_count_combination(self):
         result, _ = self._run(QUANTUM_SIDE)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bellbet.core import OPTIMAL_ANGLES, Setting, TrialRecord
@@ -22,7 +24,9 @@ from bellbet.strategies import (
     StationMemory,
     StrategyError,
     TrialView,
+    angular_distance,
     build_strategy,
+    polarizer_passes,
 )
 
 
@@ -200,6 +204,53 @@ class TestClassicalPolarizer:
             freq = float(coincide[mask].mean())
             se = math.sqrt(expected * (1.0 - expected) / int(mask.sum()))
             assert abs(freq - expected) <= 4.0 * se, (cell, freq, expected)
+
+
+def bits(values):
+    """Each float's exact bit pattern, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+# Orientations with |a - b| up to 1e9, exact multiples of pi and the pi/4
+# thresholds on either side of 0, so differences of both signs occur.
+ORIENTATION = st.one_of(
+    st.floats(-5e8, 5e8, allow_nan=False, allow_infinity=False),
+    st.integers(-1000, 1000).map(lambda k: k * math.pi),
+    st.sampled_from([0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 5e8, -5e8]),
+)
+
+
+class TestAngularDistance:
+    @given(st.lists(st.tuples(ORIENTATION, ORIENTATION), min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_array_equals_scalar_bit_for_bit(self, pairs):
+        a, b = np.array(pairs).T
+        array = angular_distance(a, b)
+        assert bits(array) == bits(angular_distance(p, q) for p, q in pairs)
+        # The floored remainder % is the reference for the array path.
+        d = np.abs(a - b) % math.pi
+        assert bits(array) == bits(np.minimum(d, math.pi - d))
+
+    def test_multiples_of_pi(self):
+        k = np.arange(-50, 51, dtype=np.float64)
+        a = k * math.pi
+        for b in (0.0, math.pi, -3 * math.pi):
+            array = angular_distance(a, np.full_like(a, b))
+            assert bits(array) == bits(angular_distance(p, b) for p in a.tolist())
+
+    def test_polarizer_passes_at_the_threshold(self):
+        quarter = math.pi / 4
+        pairs = [
+            (theta, analyzer)
+            for analyzer in (0.0, 1.0, -2.5)
+            for edge in (analyzer + quarter, analyzer - quarter)
+            for theta in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))
+        ]
+        thetas, analyzers = np.array(pairs).T
+        array = polarizer_passes(thetas, analyzers)
+        assert array.tolist() == [polarizer_passes(t, a) for t, a in pairs]
+        assert polarizer_passes(math.nextafter(quarter, 0.0), 0.0)
+        assert not polarizer_passes(quarter, 0.0)
 
 
 def reference_assignment_bits(k):
