@@ -32,13 +32,15 @@ from .config import (
     ExperimentConfig,
     config_from_dict,
     default_config_dict,
+    read_config_dict,
 )
-from .core import AngleConfig, chsh_count_statistic
+from .core import AngleConfig, chsh_count_statistic, parse_json
 from .logfile import LogFormatError, read_log
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
 from .quantum import QuantumModel, expected_statistic_per_trial
 from .referee import (
     ABORT_VALIDATION,
+    ProtocolAbort,
     adjudicate,
     build_report,
     replay_verify,
@@ -59,12 +61,7 @@ def _print_json(doc) -> None:
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
-    if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        doc = default_config_dict()
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+    doc = read_config_dict(args.config) if args.config else default_config_dict()
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     if getattr(args, "n", None) is not None:
@@ -102,7 +99,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
     try:
         config = _load_config_with_overrides(args)
-    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     result = run_experiment(config)
@@ -125,7 +122,7 @@ def cmd_design(args) -> int:
             critical_fraction=args.critical_fraction,
             quantum_target_error=args.quantum_target_error,
         )
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _print_json(design.as_dict())
@@ -133,14 +130,10 @@ def cmd_design(args) -> int:
 
 
 def _parse_angles(text: str) -> AngleConfig:
-    parts = [p for p in text.replace(",", " ").split() if p]
+    parts = text.replace(",", " ").split()
     if len(parts) != 4:
         raise ConfigError(f"--angles needs four comma-separated radians, got {text!r}")
-    try:
-        values = [float(eval_angle(p)) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return AngleConfig(*values)
+    return AngleConfig(*(eval_angle(p) for p in parts))
 
 
 def eval_angle(token: str) -> float:
@@ -151,26 +144,19 @@ def eval_angle(token: str) -> float:
         return float(token)
     except ValueError:
         pass
-    sign = 1.0
-    if token.startswith("-"):
-        sign, token = -1.0, token[1:]
-    if "pi" not in token:
+    head, pi, tail = token.partition("pi")
+    if not pi or (tail and not tail.startswith("/")):
         raise ValueError(f"cannot parse angle {token!r}")
-    head, _, tail = token.partition("pi")
-    factor = float(head) if head else 1.0
-    divisor = 1.0
-    if tail.startswith("/"):
-        divisor = float(tail[1:])
-    elif tail:
-        raise ValueError(f"cannot parse angle {token!r}")
-    return sign * factor * math.pi / divisor
+    if head in ("", "-"):
+        head += "1"  # pi/8, -pi/8
+    divisor = float(tail[1:]) if tail else 1.0
+    if divisor == 0:
+        raise ValueError(f"zero divisor in angle {token!r}")
+    return float(head) * math.pi / divisor
 
 
 def _read_report(path) -> dict:
-    try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise LogFormatError(f"report {path} is not valid JSON: {exc}") from exc
+    report = parse_json(Path(path).read_bytes(), LogFormatError, "report %s is not valid JSON", path)
     if not isinstance(report, dict):
         raise LogFormatError(f"report {path} is not a JSON object")
     return report
@@ -266,14 +252,12 @@ def cmd_serve(args) -> int:
     try:
         config = _load_config_with_overrides(args)
         parse_endpoint(args.endpoint)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     def announce(addr):
         print(f"listening on {addr[0]}:{addr[1]}", flush=True)
-
-    from .referee import ProtocolAbort
 
     try:
         result, transcript = referee_serve(

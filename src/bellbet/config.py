@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import MAX_TRIALS, midpoint_critical_value
-from .core import AngleConfig
+from .core import AngleConfig, parse_json
 from .quantum import (
     CORRELATION_SENSES,
     EQUAL_POLARIZATION,
@@ -240,15 +240,21 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_dict(path) -> dict:
+    """The JSON object in the config file at ``path``, not yet validated."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    doc = parse_json(data, ConfigError, "config %s is not valid JSON", path)
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return doc
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config_dict(path))
 
 
 def default_config_dict() -> dict:

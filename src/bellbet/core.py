@@ -1,9 +1,10 @@
-"""Domain types and pure mathematics of the CHSH coincidence statistic.
+"""Domain types and pure mathematics of the CHSH coincidence statistic, and
+the one JSON decoder of configs, reports, logs and wire frames.
 
 Everything here is deterministic and side-effect free: angle configurations,
 settings and their cell codes, trial records, coincidence counts, joint bit
 distributions, the deterministic CHSH implication, the cos^2 coincidence law,
-and the cell weights of the statistic N12 - N11 - N21 - N22.
+the cell weights of the statistic N12 - N11 - N21 - N22, and ``parse_json``.
 
 Conventions:
   * photon convention throughout: analyzer orientations live modulo pi;
@@ -13,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -25,6 +27,20 @@ NORMALIZATION_TOL = 1e-12
 # Per-trial ceiling on the expected statistic under quantum mechanics
 # (Cirel'son bound in this four-coincidence formulation): (sqrt(2)-1)/4.
 QUANTUM_CEILING = (math.sqrt(2.0) - 1.0) / 4.0
+
+# What json.loads raises on bad text.
+JSON_ERRORS = (ValueError, RecursionError)
+
+
+def parse_json(text, error: type[Exception], what: str, *args):
+    """The JSON document in ``text``, a str or bytes-like strict UTF-8 (never
+    UTF-16/32 by guess). On text that is not UTF-8 or not JSON, nests too deep
+    or holds an integer past Python's 4 300-digit limit, raises ``error`` with
+    the message ``what % args`` and the cause, formatted only on failure."""
+    try:
+        return json.loads(text if isinstance(text, str) else str(text, "utf-8"))
+    except JSON_ERRORS as exc:
+        raise error(f"{what % args}: {exc}") from exc
 
 
 def cell_code(i, j):

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import SETTINGS_BY_CELL, AngleConfig, TrialRecord, cell_code
+from .core import JSON_ERRORS, SETTINGS_BY_CELL, AngleConfig, TrialRecord, cell_code, parse_json
 
 LOG_VERSION = 1
 
@@ -85,7 +85,7 @@ class LogHeader:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LogFormatError(f"malformed log header: {doc!r}") from exc
         integers = (header.seed, header.n, header.critical_value)
-        if any(type(v) is not int for v in integers) or header.n < 0:
+        if any(type(v) is not int for v in integers) or header.n < 0 or doc.get("kind") != "header":
             raise LogFormatError(f"malformed log header: {doc!r}")
         return header
 
@@ -274,24 +274,22 @@ def _parse_lines(path, data: bytes) -> tuple[LogHeader, list[dict]]:
         raise LogFormatError(f"{path}: log is not UTF-8 text: {exc}") from exc
     if not lines:
         raise LogFormatError(f"{path}: empty log file")
-    try:
-        header_doc = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-        raise LogFormatError(f"{path}: unparseable header line") from exc
-    if not isinstance(header_doc, dict) or header_doc.get("kind") != "header":
-        raise LogFormatError(f"{path}: first line is not a log header")
+    header_doc = parse_json(lines[0], LogFormatError, "%s: unparseable header line", path)
     header = LogHeader.from_dict(header_doc)
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
+    # parse_json's rule around the whole loop, without its call per record.
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
             doc = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise LogFormatError(f"{path}:{lineno}: unparseable record") from exc
-        if not isinstance(doc, dict):
-            raise LogFormatError(f"{path}:{lineno}: record is not a JSON object")
-        records.append(doc)
+            if not isinstance(doc, dict):
+                raise LogFormatError(f"{path}:{lineno}: record is not a JSON object")
+            records.append(doc)
+    except LogFormatError:
+        raise
+    except JSON_ERRORS as exc:
+        raise LogFormatError(f"{path}:{lineno}: unparseable record: {exc}") from exc
     return header, records
 
 
@@ -307,8 +305,8 @@ def _canonical_log(data: bytes) -> TrialLog | None:
     if end < 0:
         return None
     try:
-        header = LogHeader.from_dict(json.loads(data[:end]))
-    except (ValueError, RecursionError):  # the per-line path says why
+        header = LogHeader.from_dict(parse_json(data[:end], LogFormatError, "header line"))
+    except LogFormatError:  # the per-line path says why
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
     ends = np.flatnonzero(body == ord("\n"))

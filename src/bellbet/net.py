@@ -45,6 +45,7 @@ import struct
 from dataclasses import dataclass
 
 from .config import ConfigError, ExperimentConfig, SIDE_STRATEGY, config_from_dict
+from .core import parse_json
 from .referee import LocalStation, ProtocolAbort, RefereeEngine, RunResult
 from .strategies import (
     LEFT,
@@ -114,10 +115,7 @@ def _read_frame(take) -> dict:
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {length} bytes exceeds limit")
     payload = take(length)
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"malformed frame payload: {exc}") from exc
+    doc = parse_json(payload, FrameError, "malformed frame payload")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FrameError(f"frame without kind: {doc!r}")
     doc["body"] = _b64decode(doc.get("body", ""))
@@ -185,10 +183,7 @@ def _b64decode(text) -> bytes:
 
 
 def _json_body(doc_body: bytes) -> dict:
-    try:
-        body = json.loads(doc_body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"malformed frame body: {exc}") from exc
+    body = parse_json(doc_body, FrameError, "malformed frame body")
     if not isinstance(body, dict):
         raise FrameError(f"frame body is not a JSON object: {body!r}")
     return body

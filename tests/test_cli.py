@@ -178,6 +178,14 @@ class TestDesign:
         assert eval_angle("0.25") == 0.25
         with pytest.raises(ValueError):
             eval_angle("tau/4")
+        for token in ("pi/0", "0pi/0", "-pi/0.0"):
+            with pytest.raises(ValueError, match="zero divisor"):
+                eval_angle(token)
+
+    @pytest.mark.parametrize("angles", ["pi/0,0,0,0", "0pi/0,0,0,0"])
+    def test_zero_divisor_is_config_error(self, capsys, angles):
+        assert main(["design", "--angles", angles]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: zero divisor")
 
 
 class TestAnalyzeValidate:
@@ -280,6 +288,37 @@ class TestAnalyzeValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"validation failure: report {report} ")
+
+    @pytest.mark.parametrize(
+        "command, file, status",
+        [
+            ("run --config", "deep.json", EXIT_CONFIG),
+            ("serve --config", "deep.json", EXIT_CONFIG),
+            ("run --config", "digits.json", EXIT_CONFIG),
+            ("analyze --log exp.log --report", "deep.report.json", EXIT_VALIDATION),
+            ("analyze --log", "digits.log", EXIT_VALIDATION),
+            ("validate --log", "digits.log", EXIT_VALIDATION),
+        ],
+    )
+    def test_json_past_the_decoder_limits_ends_with_its_code(
+        self, finished_run, capsys, command, file, status
+    ):
+        # Nesting 100 000 deep, or an integer of 5 000 digits, fails json.loads
+        # with a RecursionError or a plain ValueError.
+        folder = finished_run.parent
+        deep = "[" * 100_000 + "]" * 100_000
+        (folder / "deep.json").write_text(deep)
+        (folder / "deep.report.json").write_text(deep)
+        (folder / "digits.json").write_text('{"n": ' + "1" * 5000 + "}")
+        lines = finished_run.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace('"m":5,', '"m":' + "1" * 5000 + ",")
+        (folder / "digits.log").write_text("".join(lines))
+        argv = [arg.replace("exp.log", str(finished_run)) for arg in command.split()]
+        assert main([*argv, str(folder / file)]) == status
+        captured = capsys.readouterr()
+        message = captured.out if command.startswith("validate") else captured.err
+        assert message.count("\n") == 1
+        assert ("4300 digits" if "digits" in file else "recursion") in message
 
     def test_validate_catches_missing_trial(self, finished_run, capsys):
         lines = finished_run.read_text().splitlines()

@@ -14,6 +14,7 @@ from bellbet.config import (
     SideSpec,
     config_from_dict,
     default_config_dict,
+    load_config,
     mean_per_trial,
 )
 from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig, Setting
@@ -133,6 +134,21 @@ class TestParsing:
         doc["side"] = {"kind": "strategy", "strategy": name, "params": params}
         with pytest.raises(ConfigError, match="params"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"n": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"n": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "nested-too-deep", "5000-digit-int"],
+    )
+    def test_unreadable_json_file_is_a_config_error(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            load_config(path)
 
     def test_critical_value_must_be_attainable(self):
         with pytest.raises(ConfigError):

@@ -25,6 +25,7 @@ from bellbet.core import (
     chsh_count_statistic,
     coincidence_probability,
     deterministic_implication_holds,
+    parse_json,
     photon_to_spin_angles,
     setting_indices,
     spin_half_coincidence_probability,
@@ -323,3 +324,34 @@ class TestCellCode:
         back = cell_code(i, j)
         assert back.dtype == dtype
         assert back.tolist() == cells.tolist()
+
+
+class TestParseJson:
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("text", ['{"a": [1, 2]}', b'{"a": [1, 2]}', bytearray(b'{"a": [1, 2]}')])
+    def test_str_and_bytes_like(self, text):
+        assert parse_json(text, KeyError, "doc") == {"a": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ('{"a": 1}'.encode("utf-16"), "utf-8"),  # json.loads alone would guess UTF-16
+            (b'{"a": "\xff"}', "utf-8"),
+            ("{", "Expecting"),
+            (DEEP, "recursion"),
+            (DEEP.encode(), "recursion"),
+            ('{"m": ' + "1" * 5000 + "}", "4300 digits"),
+        ],
+    )
+    def test_bad_text_raises_the_callers_error(self, text, cause):
+        with pytest.raises(KeyError, match=cause) as caught:
+            parse_json(text, KeyError, "%s:%d: bad %s", "path", 7, "record")
+        assert caught.value.args[0].startswith("path:7: bad record: ")
+
+    def test_message_is_formatted_only_on_failure(self):
+        class Unprintable:
+            def __str__(self):
+                raise AssertionError("formatted eagerly")
+
+        assert parse_json("[]", ValueError, "%s", Unprintable()) == []

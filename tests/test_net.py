@@ -40,6 +40,10 @@ from bellbet.referee import ABORT_PROTOCOL, ProtocolAbort, build_report, run_exp
 from bellbet.strategies import Strategy, TrialView
 
 
+# A JSON value nested 100 000 deep: json.loads raises RecursionError on it.
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
 def make_config(name="classical-polarizer", n=200, seed=21, mode="sequential"):
     return config_from_dict(
         {
@@ -417,6 +421,22 @@ def assert_version_refused(version):
     assert result.verdict is not None
 
 
+def assert_hello_dropped(payload):
+    """A stray client whose HELLO frame has ``payload`` is hung up on, and the
+    bet still completes once well-behaved stations arrive."""
+    config = make_config(n=20, seed=5)
+    thread, box = serve_in_thread(config, trial_timeout=5.0)
+    host, port = parse_endpoint(box["endpoint"])
+    with socket.create_connection((host, port), timeout=5.0) as bad:
+        bad.sendall(len(payload).to_bytes(4, "big") + payload)
+        assert bad.recv(1) == b""  # the referee hangs up
+    statuses = run_stations(box["endpoint"], timeout=10.0)
+    thread.join(30)
+    assert "error" not in box, box.get("error")
+    assert statuses == {"left": 0, "right": 0}
+    assert box["result"][0].verdict is not None
+
+
 class TestHandshake:
     def test_wrong_protocol_version_rejected(self):
         assert_version_refused(PROTOCOL_VERSION + 1)
@@ -426,18 +446,10 @@ class TestHandshake:
         assert_version_refused(float(PROTOCOL_VERSION))
 
     def test_malformed_hello_is_dropped(self):
-        config = make_config(n=20, seed=5)
-        thread, box = serve_in_thread(config, trial_timeout=5.0)
-        host, port = parse_endpoint(box["endpoint"])
-        with socket.create_connection((host, port), timeout=5.0) as bad:
-            payload = json.dumps({"kind": KIND_HELLO, "trial": None, "side": "left", "body": "abc"})
-            bad.sendall(len(payload).to_bytes(4, "big") + payload.encode())
-            assert bad.recv(1) == b""  # the referee hangs up
-        statuses = run_stations(box["endpoint"], timeout=10.0)
-        thread.join(30)
-        assert "error" not in box, box.get("error")
-        assert statuses == {"left": 0, "right": 0}
-        assert box["result"][0].verdict is not None
+        assert_hello_dropped(b'{"kind":"HELLO","trial":null,"side":"left","body":"abc"}')
+
+    def test_deeply_nested_hello_is_dropped(self):
+        assert_hello_dropped(b'{"kind":"HELLO","trial":null,"side":"left","body":"","pad":' + DEEP + b"}")
 
 
 FAKE_N = 40
@@ -587,11 +599,12 @@ class EarlyAnswerClient:
 
 class GarbageClient:
     """Completes the handshake, then answers its first SETTING with a frame
-    whose payload is not JSON."""
+    whose payload is ``payload``."""
 
-    def __init__(self, endpoint, role="left"):
+    def __init__(self, endpoint, role, payload):
         self.endpoint = endpoint
         self.role = role
+        self.payload = payload
 
     def run(self):
         host, port = parse_endpoint(self.endpoint)
@@ -608,8 +621,7 @@ class GarbageClient:
             while True:
                 doc = recv_frame(sock)
                 if doc["kind"] == "SETTING":
-                    payload = b"\x00garbage\xff"
-                    sock.sendall(len(payload).to_bytes(4, "big") + payload)
+                    sock.sendall(len(self.payload).to_bytes(4, "big") + self.payload)
                 elif doc["kind"] == KIND_ABORT:
                     return 3
         except Exception:
@@ -618,22 +630,41 @@ class GarbageClient:
             sock.close()
 
 
+def assert_rogue_frame_aborts(payload):
+    """A station that answers its first SETTING with a frame whose payload is
+    ``payload`` ends the run as a protocol abort with an empty log."""
+    config = make_config(n=20, seed=61)
+    thread, box = serve_in_thread(config, trial_timeout=5.0)
+    endpoint = box["endpoint"]
+    rogue = threading.Thread(target=GarbageClient(endpoint, "left", payload).run, daemon=True)
+    honest = threading.Thread(
+        target=lambda: station_client("right", endpoint, timeout=10.0), daemon=True
+    )
+    rogue.start()
+    honest.start()
+    thread.join(30)
+    assert "error" not in box, box.get("error")
+    result, _ = box["result"]
+    assert result.abort is not None
+    assert result.abort.kind == ABORT_PROTOCOL
+    assert len(result.log) == 0
+
+
 class TestEnforcement:
     def test_malformed_frame_aborts(self):
-        config = make_config(n=20, seed=61)
-        thread, box = serve_in_thread(config, trial_timeout=5.0)
-        endpoint = box["endpoint"]
-        rogue = threading.Thread(target=GarbageClient(endpoint, "left").run, daemon=True)
-        honest = threading.Thread(
-            target=lambda: station_client("right", endpoint, timeout=10.0), daemon=True
-        )
-        rogue.start()
-        honest.start()
-        thread.join(30)
-        result, _ = box["result"]
-        assert result.abort is not None
-        assert result.abort.kind == ABORT_PROTOCOL
-        assert len(result.log) == 0
+        assert_rogue_frame_aborts(b"\x00garbage\xff")  # not JSON
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"kind":"OUTCOME","side":"left","trial":1,"body":"","pad":' + DEEP + b"}",
+            b'{"kind":"OUTCOME","side":"left","trial":' + b"1" * 5000 + b',"body":""}',
+            encode_frame(KIND_OUTCOME, 1, "left", DEEP)[4:],
+        ],
+        ids=["nested-too-deep", "5000-digit-trial", "body-nested-too-deep"],
+    )
+    def test_outcome_past_the_decoder_limits_aborts(self, payload):
+        assert_rogue_frame_aborts(payload)
 
     def test_premature_outcome_aborts(self):
         config = make_config(n=20, seed=6)
