@@ -26,7 +26,7 @@ from .quantum import (
 )
 from .strategies import NONLOCAL_CHEATER, STRATEGY_REGISTRY, build_strategy
 
-MODES = ("sequential", "cloned-source", "batch")
+MODES = ("sequential", "cloned-source")
 
 SIDE_QUANTUM = "quantum"
 SIDE_STRATEGY = "strategy"
@@ -105,6 +105,17 @@ def _trial_count(n) -> int:
     if type(n) is not int or not 1 <= n <= MAX_TRIALS:
         raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {n!r}")
     return n
+
+
+def _as_float(value, what: str) -> float:
+    """``float(value)``, or a ``ConfigError`` naming ``what`` when ``value``
+    has no float, such as an integer too large for one (``OverflowError``)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer too large for a float") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -194,8 +205,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
     if not isinstance(angles_doc, (list, tuple)) or len(angles_doc) != 4:
         raise ConfigError(f"angles must be a list of four radians, got {angles_doc!r}")
     try:
-        angles = AngleConfig(*(float(a) for a in angles_doc))
-    except (TypeError, ValueError) as exc:
+        angles = AngleConfig(*(_as_float(a, "an angle") for a in angles_doc))
+    except ValueError as exc:
         raise ConfigError(f"bad angles {angles_doc!r}: {exc}") from exc
 
     side = SideSpec.from_dict(doc["side"])
@@ -208,7 +219,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
     n = doc["n"]
     target_error = doc.get("target_error", 1e-6)
     if isinstance(target_error, int) and not isinstance(target_error, bool):
-        target_error = float(target_error)
+        target_error = _as_float(target_error, "target_error")
 
     raw_c = doc.get("critical_value", "auto")
     if raw_c == "auto":

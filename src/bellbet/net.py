@@ -283,10 +283,10 @@ class RemoteStation:
     as the in-process LocalStation, over frames.
 
     Frames are queued and written together at the point where the station
-    must answer: each SETTING (each LAMBDA in batch mode), CONFIG, VERDICT and
-    ABORT writes everything queued, and ``get_outcome`` writes anything still
-    queued before it waits. Transcript entries are added as frames are queued,
-    in the order they go on the wire.
+    must answer: each SETTING, CONFIG, VERDICT and ABORT writes everything
+    queued, and ``get_outcome`` writes anything still queued before it
+    waits. Transcript entries are added as frames are queued, in the order
+    they go on the wire.
 
     Each SETTING it sends carries a fresh nonce, and ``get_outcome`` accepts
     only an OUTCOME that echoes the nonce of that trial's SETTING."""
@@ -327,14 +327,9 @@ class RemoteStation:
         return KIND_SETTING, m, json.dumps({"index": index, "nonce": nonce}).encode("ascii")
 
     def deliver_lambda(self, m: int, message: SourceMessage) -> None:
-        if self.mode == "batch":  # every setting is out: the station answers now
-            self._send(KIND_LAMBDA, m, message.payload)
-        else:
-            self._queue(KIND_LAMBDA, m, message.payload)
+        self._queue(KIND_LAMBDA, m, message.payload)
 
     def post_setting(self, m: int, index: int) -> None:
-        if self.mode == "batch":
-            return  # already revealed up front via deliver_batch_settings
         self._send(*self._setting_frame(m, index))
 
     def get_outcome(self, m: int):
@@ -373,10 +368,6 @@ class RemoteStation:
     def deliver_broadcast(self, m: int, view: TrialView) -> None:
         if self.mode == "sequential":  # otherwise stations fold in their own wing
             self._queue(KIND_BROADCAST, m, encode_view(view))
-
-    def deliver_batch_settings(self, settings) -> None:
-        for m, index in enumerate(settings, start=1):
-            self._queue(*self._setting_frame(m, index))
 
     def send_verdict(self, report: dict) -> None:
         self._send(KIND_VERDICT, None, json.dumps(report, sort_keys=True).encode("ascii"))
@@ -541,28 +532,14 @@ class StationClient:
             strategy.prepare(seed=config.seed, n=config.n, angles=config.angles, mode=config.mode)
             station = LocalStation(strategy, self.role)
             own_wing = config.mode != "sequential"
-            # Batch mode: every (index, nonce), revealed up front.
-            batch: list[tuple[int, str]] | None = [] if config.mode == "batch" else None
             while True:
                 doc = reader.read_frame()
                 kind = doc.get("kind")
                 if kind == KIND_LAMBDA:
-                    m = _field(doc, "trial", int)
-                    station.deliver_lambda(m, SourceMessage(doc["body"]))
-                    if batch is not None:
-                        if len(batch) != config.n or not 1 <= m <= config.n:
-                            raise FrameError(f"batch LAMBDA for trial {m} out of order")
-                        self._answer(station, m, *batch[m - 1], own_wing)
+                    station.deliver_lambda(_field(doc, "trial", int), SourceMessage(doc["body"]))
                 elif kind == KIND_SETTING:
                     setting = _setting(_json_body(doc["body"]))
-                    if batch is None:
-                        self._answer(station, _field(doc, "trial", int), *setting, own_wing)
-                    elif len(batch) == config.n:
-                        raise FrameError(f"more than {config.n} batch settings")
-                    else:
-                        batch.append(setting)
-                        if len(batch) == config.n:
-                            station.deliver_batch_settings(tuple(index for index, _ in batch))
+                    self._answer(station, _field(doc, "trial", int), *setting, own_wing)
                 elif kind == KIND_BROADCAST:
                     view = decode_view(doc["body"])
                     station.deliver_broadcast(view.m, view)
@@ -588,9 +565,9 @@ class StationClient:
         self._send(KIND_OUTCOME, m, json.dumps(body).encode("ascii"))
         self.trials_completed = m
         if own_wing:
-            # Cloned-source and batch referees broadcast nothing: the station
-            # folds in its own wing, as the engine does. A non-bit value
-            # cannot get here usefully (the referee aborts that trial).
+            # A cloned-source referee broadcasts nothing: the station folds
+            # in its own wing, as the engine does. A non-bit value cannot
+            # get here usefully (the referee aborts that trial).
             station.deliver_broadcast(m, TrialView(m, index, value if value in (0, 1) else 0))
 
 
@@ -621,11 +598,7 @@ class AuditReport:
 def audit_transcript(entries: list[dict]) -> AuditReport:
     """Check the per-trial wire ordering: for every trial m and each side,
     LAMBDA(m) precedes SETTING(m) precedes OUTCOME(m), and SETTING(m+1) is
-    sent only after both OUTCOME(m) frames arrived.
-
-    Applies to sequential and cloned-source transcripts; a batch transcript
-    reveals all settings up front and correctly fails the commit-before-
-    reveal rule; that is the documented trade-off of batch mode."""
+    sent only after both OUTCOME(m) frames arrived."""
     failures: list[str] = []
     first: dict[tuple[str, str, int], int] = {}
     outcome_seq: dict[tuple[str, int], int] = {}

@@ -10,7 +10,7 @@ One experiment is one logical sequential loop. Per trial the referee:
      (anything else aborts the experiment), and commits the trial to the
      append-only log;
   4. runs the between-trial broadcast (full trial data in sequential mode;
-     own-wing data only in cloned-source and batch modes).
+     own-wing data only in cloned-source mode).
 
 The committed log is the engine's only record of the trials: the source's
 history in sequential mode is the log itself, and counts, the statistic and
@@ -322,9 +322,6 @@ class LocalStation:
     def deliver_broadcast(self, m: int, view: TrialView) -> None:
         self.memory = self.strategy.update_memory(self.side, self.memory, view)
 
-    def deliver_batch_settings(self, settings: Sequence[int]) -> None:
-        self.memory = self.strategy.receive_batch_settings(self.side, settings, self.memory)
-
 
 def _validated(value, side: str, m: int) -> int:
     """``validate_outcome``, naming the side and trial when it refuses."""
@@ -360,8 +357,8 @@ class RefereeEngine:
         self.n = config.n
         self.mode = config.mode
         # The referee's private settings: the documented counter-based stream
-        # (rng.settings_cells), revealed one trial at a time except in batch
-        # mode. The buffer never leaves the referee.
+        # (rng.settings_cells), revealed one trial at a time. The buffer never
+        # leaves the referee.
         self._cells = settings_cells(config.seed, config.n)
         self._design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
         self._events: list[tuple[int, str, int]] | None = [] if record_events else None
@@ -425,7 +422,6 @@ class RefereeEngine:
         log, n, cells = self.log, self.n, self._cells
         commit = log.commit
         event = self._event if self._events is not None else None
-        settings_event = event if self.mode != "batch" else None
         sequential = self.mode == "sequential"
         sample = self._oracle.sample_trial if self._oracle is not None else None
         respond_nonlocal = self.strategy.respond_nonlocal if self._nonlocal else None
@@ -448,8 +444,8 @@ class RefereeEngine:
                     event("lambda", m)
                 left.deliver_lambda(m, message)
                 right.deliver_lambda(m, message)
-            if settings_event is not None:
-                settings_event("settings", m)
+            if event is not None:
+                event("settings", m)
             cell = cells.item(m - 1)
             i, j = indices_by_cell[cell]
             if stations is not None:
@@ -489,23 +485,9 @@ class RefereeEngine:
         self._step(m)
         return self.log.record(m)
 
-    def _reveal_batch_settings(self) -> None:
-        if self._events is not None:
-            for m in range(1, self.n + 1):
-                self._event("settings", m)
-        if self._stations is not None:
-            left, right = self._stations
-            i, j = setting_indices(self._cells.astype(np.uint8))
-            left.deliver_batch_settings(tuple(i.tolist()))
-            right.deliver_batch_settings(tuple(j.tolist()))
-            if self._events is not None:
-                self._event("batch-settings", 0)
-
     def run(self) -> RunResult:
         abort: AbortReport | None = None
         try:
-            if self.mode == "batch":
-                self._reveal_batch_settings()
             step = self._step
             for m in range(1, self.n + 1):
                 step(m)

@@ -84,8 +84,8 @@ NO_BLOBS: Mapping[str, bytes] = MappingProxyType({})
 class TrialView(NamedTuple):
     """What one station learns about a completed trial at the boundary.
 
-    In cloned-source and batch modes the other wing's setting and outcome are
-    withheld (fields are None) and no side-channel blobs are relayed.
+    In cloned-source mode the other wing's setting and outcome are withheld
+    (fields are None) and no side-channel blobs are relayed.
 
     A named tuple rather than a frozen dataclass: the referee builds two per
     trial, and a tuple is built in about a third of the time.
@@ -202,7 +202,7 @@ class Strategy:
 
     def source_emit(self, m: int, history: Sequence[TrialRecord]) -> SourceMessage:
         """Hidden message for trial m. ``history`` holds all committed trials
-        in sequential mode and is empty in cloned-source and batch modes."""
+        in sequential mode and is empty in cloned-source mode."""
         return _EMPTY_MESSAGE
 
     # --- station role --------------------------------------------------
@@ -237,12 +237,6 @@ class Strategy:
         if type(memory) is StationMemory:
             return StationMemory(memory.next_trial + 1)
         return replace(memory, next_trial=memory.next_trial + 1)  # keeps subclass fields
-
-    def receive_batch_settings(
-        self, side: str, settings: Sequence[int], memory: StationMemory
-    ) -> StationMemory:
-        """Batch mode only: the station's full setting sequence, up front."""
-        return memory
 
     def boundary_blob(self, side: str, m: int) -> bytes:
         """Opaque side-channel payload exchanged (via the referee) at the
@@ -417,8 +411,8 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
     def assignments(self, cells):
         """The assignment at trial m is a pure function of the joint settings
         of trials 1..m-1, so a whole run vectorizes: cumulative one-hot
-        counts, then one argmax per trial. Cloned-source and batch sources
-        see an empty history."""
+        counts, then one argmax per trial. A cloned-source source sees an
+        empty history."""
         counts = np.zeros((len(cells), 4), dtype=np.int64)
         if self.mode == "sequential":
             np.cumsum(np.eye(4, dtype=np.int64)[cells[:-1]], axis=0, out=counts[1:])

@@ -1,5 +1,6 @@
 """CLI integration: subcommands, exit codes, file outputs."""
 
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from bellbet.cli import (
     eval_angle,
     main,
 )
+from bellbet.config import load_config
 from bellbet.core import OPTIMAL_ANGLES
 from bellbet.logfile import load_log
 from bellbet.net import KIND_CONFIG, KIND_LAMBDA, KIND_SETTING, encode_frame, recv_frame
@@ -109,6 +111,35 @@ class TestRun:
     def test_unknown_field_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, gremlins=True)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"target_error": 10**400}, "target_error is an integer too large for a float"),
+            ({"angles": [10**400, 0.0, 0.0, 0.0]}, "an angle is an integer too large for a float"),
+        ],
+        ids=["target_error", "angle"],
+    )
+    def test_integer_too_large_for_a_float_is_config_error(
+        self, tmp_path, capsys, overrides, message
+    ):
+        config = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_batch_mode_is_config_error(self, tmp_path, capsys, command):
+        # Settings are revealed one trial at a time; there is no batch mode.
+        side = {"kind": "strategy", "strategy": "constant", "params": {}}
+        config = write_config(tmp_path, side=side, mode="batch")
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert "config error: mode must be one of" in capsys.readouterr().err
+        config = write_config(tmp_path, side=side)
+        with pytest.raises(SystemExit) as caught:  # argparse refuses the choice
+            main([command, "--config", str(config), "--mode", "batch"])
+        assert caught.value.code == EXIT_CONFIG
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -454,6 +485,38 @@ class TestAnalyzeValidate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["replay_verify"]["ok"] is True
         assert doc["verdict"]["winner"] == "quantum-claimant"
+
+    def test_batch_log_stays_readable(self, tmp_path, capsys):
+        # Batch mode revealed every setting before trial 1 and is gone, but
+        # the logs it wrote stay readable: the reader never interprets the
+        # header's mode, and settings come from the seed alike in every mode.
+        # A batch source saw no history, as a cloned-source one sees none, so
+        # a batch log is the cloned-source log under the batch config's
+        # header. The sha256 pins the bytes that batch mode wrote for this
+        # config before it was deleted.
+        side = {"kind": "strategy", "strategy": "adaptive-frequency-tracker", "params": {}}
+        config = write_config(tmp_path, side=side, mode="cloned-source", n=400)
+        out = tmp_path / "cloned.log"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        batch_doc = {**load_config(config).to_dict(), "mode": "batch"}
+        canonical = json.dumps(batch_doc, sort_keys=True, separators=(",", ":"))
+        header_line, records = out.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header.update(mode="batch", config_hash=hashlib.sha256(canonical.encode()).hexdigest())
+        batch_log = tmp_path / "batch.log"
+        batch_log.write_bytes(
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + records
+        )
+        assert hashlib.sha256(batch_log.read_bytes()).hexdigest() == (
+            "6065d7e55f0b191f5c2896a36ebeb484dc24df508be0e61e6956dde64e4f117f"
+        )
+        capsys.readouterr()
+        assert main(["validate", "--log", str(batch_log)]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+        assert main(["analyze", "--log", str(batch_log)]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["replay_verify"]["ok"] is True
+        assert (doc["mode"], doc["trials_committed"]) == ("batch", 400)
 
     def test_analyze_detects_tampered_outcome_against_report(self, finished_run, capsys):
         lines = finished_run.read_text().splitlines()

@@ -82,8 +82,26 @@ class TestParsing:
             config_from_dict(base_doc(target_error=1.0))
 
     def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(base_doc(mode="parallel"))
+        # "batch" (every setting revealed before trial 1) was deleted:
+        # settings are revealed one trial at a time in every mode.
+        for mode in ("parallel", "batch"):
+            with pytest.raises(ConfigError, match="mode must be one of"):
+                config_from_dict(base_doc(mode=mode))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("target_error", 10**400), ("angles", [0.0, 10**400, 0.0, 0.0])],
+        ids=["target_error", "angle"],
+    )
+    def test_integer_too_large_for_a_float(self, field, value):
+        # float() raises OverflowError here, which is a config error too.
+        with pytest.raises(ConfigError, match="integer too large for a float"):
+            config_from_dict(base_doc(**{field: value}))
+
+    @pytest.mark.parametrize("angle", [None, "x", [0.0], float("nan")])
+    def test_angle_that_is_no_finite_number(self, angle):
+        with pytest.raises(ConfigError, match="bad angles"):
+            config_from_dict(base_doc(angles=[angle, 0.0, 0.0, 0.0]))
 
     def test_negative_seed(self):
         with pytest.raises(ConfigError):

@@ -58,7 +58,7 @@ class TestEngineEquality:
     def test_sequential_logs_byte_identical(self, side, seed):
         assert_kernel_matches_engine(make_config(side, seed=seed))
 
-    @pytest.mark.parametrize("mode", ["cloned-source", "batch"])
+    @pytest.mark.parametrize("mode", ["cloned-source"])
     @pytest.mark.parametrize("side", SIDES, ids=side_id)
     def test_other_modes_match(self, side, mode):
         for seed in SEEDS:

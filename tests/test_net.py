@@ -331,7 +331,7 @@ class TestFrameBoundaries:
 
 
 class TestLoopbackEquivalence:
-    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
     def test_networked_log_matches_in_process(self, mode):
         config = make_config("adaptive-frequency-tracker", n=150, seed=33, mode=mode)
         in_process = run_experiment(config)
@@ -343,11 +343,10 @@ class TestLoopbackEquivalence:
         assert statuses == {"left": 0, "right": 0}
         assert result.log.to_bytes() == in_process.log.to_bytes()
         assert result.verdict == in_process.verdict
-        if mode != "batch":
-            audit = audit_transcript(transcript.entries)
-            assert audit.ok, audit.failures
+        audit = audit_transcript(transcript.entries)
+        assert audit.ok, audit.failures
 
-    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
     def test_networked_coin_bet_matches_in_process(self, mode):
         # The one honest side whose stations read their own seeded stream on
         # every trial.
@@ -455,10 +454,16 @@ class TestHandshake:
 FAKE_N = 40
 
 
-def fake_referee(mode, frames):
-    """Serve one station: CONFIG for ``mode`` at n=FAKE_N, then ``frames``
-    (raw bytes), then wait for the station to hang up. Returns the endpoint."""
-    config_body = make_config(n=FAKE_N, seed=3, mode=mode).canonical_json().encode()
+def fake_config_doc(**overrides):
+    """The config of a sequential bet at n=FAKE_N, with ``overrides``."""
+    return {**make_config(n=FAKE_N, seed=3).to_dict(), **overrides}
+
+
+def fake_referee(frames, config_doc=None):
+    """Serve one station: ``config_doc`` as its CONFIG (by default
+    ``fake_config_doc()``), then ``frames`` (raw bytes), then wait for the
+    station to hang up. Returns the endpoint."""
+    config_body = json.dumps(config_doc or fake_config_doc()).encode()
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10)
 
@@ -485,37 +490,26 @@ def broadcast(body):
     return encode_frame(KIND_BROADCAST, 1, "left", json.dumps(body).encode())
 
 
-def batch_settings(count):
-    return [setting(m, index=1 + m % 2, nonce=f"{m:04x}") for m in range(1, count + 1)]
-
-
 GOOD_VIEW = {**TrialView(1, 1, 0, 2, 1)._asdict(), "blobs": {}}
 
 MALFORMED_REFEREE_FRAMES = {
-    "setting without index": ("sequential", [setting(1, nonce="ab")]),
-    "string index": ("sequential", [setting(1, index="1", nonce="ab")]),
-    "index out of range": ("sequential", [setting(1, index=3, nonce="ab")]),
-    "setting without nonce": ("sequential", [setting(1, index=1)]),
-    "integer nonce": ("sequential", [setting(1, index=1, nonce=7)]),
-    "string trial": ("sequential", [setting("1", index=1, nonce="ab")]),
-    "missing trial": ("sequential", [setting(None, index=1, nonce="ab")]),
-    "setting body not json": ("sequential", [encode_frame(KIND_SETTING, 1, "left", b"{")]),
-    "lambda without trial": ("sequential", [encode_frame(KIND_LAMBDA, None, "left", b"")]),
-    "broadcast not an object": ("sequential", [encode_frame(KIND_BROADCAST, 1, "left", b"[1]")]),
-    "broadcast missing field": (
-        "sequential", [broadcast({k: v for k, v in GOOD_VIEW.items() if k != "own_outcome"})]
-    ),
-    "broadcast string setting": ("sequential", [broadcast({**GOOD_VIEW, "own_setting": "1"})]),
-    "broadcast blobs not an object": ("sequential", [broadcast({**GOOD_VIEW, "blobs": [1]})]),
-    "broadcast bad blob": ("sequential", [broadcast({**GOOD_VIEW, "blobs": {"left": "abc"}})]),
-    "batch lambda before settings": (
-        "batch", [*batch_settings(FAKE_N - 1), encode_frame(KIND_LAMBDA, 1, "left", b"")]
-    ),
-    "batch lambda past n": (
-        "batch", [*batch_settings(FAKE_N), encode_frame(KIND_LAMBDA, FAKE_N + 1, "left", b"")]
-    ),
-    "extra batch setting": ("batch", batch_settings(FAKE_N + 1)),
-    "unknown kind": ("sequential", [encode_frame("GREETING", 1, "left", b"")]),
+    "setting without index": [setting(1, nonce="ab")],
+    "string index": [setting(1, index="1", nonce="ab")],
+    "index out of range": [setting(1, index=3, nonce="ab")],
+    "setting without nonce": [setting(1, index=1)],
+    "integer nonce": [setting(1, index=1, nonce=7)],
+    "string trial": [setting("1", index=1, nonce="ab")],
+    "missing trial": [setting(None, index=1, nonce="ab")],
+    "setting body not json": [encode_frame(KIND_SETTING, 1, "left", b"{")],
+    "lambda without trial": [encode_frame(KIND_LAMBDA, None, "left", b"")],
+    "broadcast not an object": [encode_frame(KIND_BROADCAST, 1, "left", b"[1]")],
+    "broadcast missing field": [
+        broadcast({k: v for k, v in GOOD_VIEW.items() if k != "own_outcome"})
+    ],
+    "broadcast string setting": [broadcast({**GOOD_VIEW, "own_setting": "1"})],
+    "broadcast blobs not an object": [broadcast({**GOOD_VIEW, "blobs": [1]})],
+    "broadcast bad blob": [broadcast({**GOOD_VIEW, "blobs": {"left": "abc"}})],
+    "unknown kind": [encode_frame("GREETING", 1, "left", b"")],
 }
 
 
@@ -524,9 +518,25 @@ class TestMalformedRefereeFrames:
     def test_station_exits_3(self, case):
         # A station ends a malformed referee frame with the protocol-abort
         # status, never a traceback.
-        mode, frames = MALFORMED_REFEREE_FRAMES[case]
-        endpoint = fake_referee(mode, frames)
+        endpoint = fake_referee(MALFORMED_REFEREE_FRAMES[case])
         assert station_client("left", endpoint, timeout=10.0) == 3
+
+
+class TestBadConfigFrame:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"target_error": 10**400},
+            {"angles": [10**400, 0.0, 0.0, 0.0]},
+            {"mode": "batch"},
+        ],
+        ids=["huge target_error", "huge angle", "batch mode"],
+    )
+    def test_station_exits_2(self, overrides):
+        # A CONFIG the station cannot accept is a config mismatch, never a
+        # traceback; a 401-digit integer has no float.
+        endpoint = fake_referee([], fake_config_doc(**overrides))
+        assert station_client("left", endpoint, timeout=10.0) == 2
 
 
 class MisbehavingClient:
@@ -884,11 +894,7 @@ class WriteRecorder:
 
 def expected_writes(mode, n):
     """Each write to one station, as its frames: one write per trial."""
-    if mode == "batch":
-        settings = [(KIND_SETTING, m) for m in range(1, n + 1)]
-        trials = [settings + [(KIND_LAMBDA, 1)]] + [[(KIND_LAMBDA, m)] for m in range(2, n + 1)]
-    else:
-        trials = [[(KIND_LAMBDA, m), (KIND_SETTING, m)] for m in range(1, n + 1)]
+    trials = [[(KIND_LAMBDA, m), (KIND_SETTING, m)] for m in range(1, n + 1)]
     verdict = [(KIND_VERDICT, None)]
     if mode == "sequential":
         for m in range(2, n + 1):
@@ -898,7 +904,7 @@ def expected_writes(mode, n):
 
 
 class TestWritePattern:
-    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
     def test_one_write_per_station_per_trial(self, mode, monkeypatch):
         recorders = {}
         original_init = RemoteStation.__init__

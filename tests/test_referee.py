@@ -127,20 +127,16 @@ class TestAdjudicate:
 
 class TestCommitOrdering:
     @pytest.mark.parametrize("name", LOCAL_STRATEGY_NAMES)
-    @pytest.mark.parametrize("mode", ["sequential", "cloned-source", "batch"])
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
     def test_event_order(self, name, mode):
         # Each trial runs lambda < settings < outcome < broadcast and ends
-        # before the next starts; batch mode reveals every setting up front.
+        # before the next starts, in every mode.
         n = 40
         config = make_config(strategy_side(name), n=n, seed=9, mode=mode)
         result = RefereeEngine(config, record_events=True).run()
         assert result.verdict is not None
-        if mode == "batch":
-            revealed = [("settings", m) for m in range(1, n + 1)] + [("batch-settings", 0)]
-            per_trial = ("lambda", "outcome", "broadcast")
-        else:
-            revealed, per_trial = [], ("lambda", "settings", "outcome", "broadcast")
-        expected = revealed + [(kind, m) for m in range(1, n + 1) for kind in per_trial]
+        per_trial = ("lambda", "settings", "outcome", "broadcast")
+        expected = [(kind, m) for m in range(1, n + 1) for kind in per_trial]
         assert [(kind, m) for _, kind, m in result.events] == expected
         assert [seq for seq, _, _ in result.events] == list(range(1, len(expected) + 1))
         # The trace is off by default and never reaches the log.
@@ -152,13 +148,13 @@ class TestCommitOrdering:
 # sha256 of every honest strategy's log and event list in every mode, pinned
 # so that a refactor of the trial loop proves byte identity here. A change
 # that alters a log on purpose records the new digest and the reason.
-PINNED_ENGINE_DIGEST = "eb761e3130f1e1f8a25ee5f2ee0b9c290131f37b884c9444bfa7af9bcfb9350a"
+PINNED_ENGINE_DIGEST = "b2010d05c67e0eb782b3993fb50182c9b9254e8153435b6b5a608d1be004caae"
 
 
 def engine_digest() -> str:
     digest = hashlib.sha256()
     for name in LOCAL_STRATEGY_NAMES:
-        for mode in ("sequential", "cloned-source", "batch"):
+        for mode in ("sequential", "cloned-source"):
             config = make_config(strategy_side(name), n=400, seed=20260, mode=mode)
             result = RefereeEngine(config, record_events=True).run()
             assert result.verdict is not None
@@ -173,7 +169,7 @@ def engine_digest() -> str:
 # recorded before the cell layout and the oracle's region rule got one
 # definition each. The opposite sense runs at the optimal angles with the
 # left pair turned by pi/2, where its mean is positive.
-PINNED_REPORT_DIGEST = "196a89cdb7455587a2282b62a7732b723cac39ab0c591b4ebbe24f0ed8f429e2"
+PINNED_REPORT_DIGEST = "3317f978e87bf9f0fa8278ee3b66a415817c732ce02750dec14833275cc52af7"
 
 _OPPOSITE_ANGLES = [ANGLES[0] + math.pi / 2.0, ANGLES[1] + math.pi / 2.0, ANGLES[2], ANGLES[3]]
 _ROSTER_SIDES = (
@@ -187,7 +183,7 @@ _ROSTER_SIDES = (
 def report_digest() -> str:
     digest = hashlib.sha256()
     for label, side, angles in _ROSTER_SIDES:
-        for mode in ("sequential", "cloned-source", "batch"):
+        for mode in ("sequential", "cloned-source"):
             doc = {"mode": mode, "angles": angles, "side": side, "n": 400, "seed": 20261,
                    "critical_value": 20}
             config = config_from_dict(doc)
@@ -248,10 +244,11 @@ class TestLocalStrategyRuns:
         assert np.all(np.abs(finals) < band)
 
     @pytest.mark.parametrize("name", LOCAL_STRATEGY_NAMES)
-    @pytest.mark.parametrize("mode", ["sequential", "batch"])
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
     def test_drift_bound(self, name, mode):
         # Monte-Carlo supermartingale drift: mean S_n over R runs at n=1000
-        # below 4 sqrt(0.75 n / R); batch mode keeps the expectation bound.
+        # below 4 sqrt(0.75 n / R), with the source's history (sequential)
+        # and without it (cloned-source, the kernels' own-wing path).
         n, runs = 1000, 1000
         side = SideSpec(kind="strategy", strategy=name)
         finals = np.empty(runs, dtype=np.int64)
