@@ -3,7 +3,11 @@
 Subcommands:
 
   run        execute an experiment in-process; writes the trial log and a
-             structured report next to it
+             structured report next to it. A built-in side (the quantum
+             oracle or an honest registry strategy) is settled by its
+             whole-run rule, ``montecarlo.simulate_result``, which writes
+             the engine's exact bytes; any other side (``range-violator``)
+             runs through the referee engine
   design     compute sample size, critical value and both guaranteed error
              bounds for a target error probability
   analyze    recompute counts, statistic, supremum, symmetric slacks and the
@@ -22,12 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from .bounds import design_for, design_protocol
 from .config import (
     MODES,
+    SIDE_QUANTUM,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -36,6 +42,7 @@ from .config import (
 )
 from .core import AngleConfig, chsh_count_statistic, parse_json
 from .logfile import LogFormatError, read_log
+from .montecarlo import simulate_result
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
 from .quantum import QuantumModel, expected_statistic_per_trial
 from .referee import (
@@ -49,6 +56,7 @@ from .referee import (
     tally,
     winner_for,
 )
+from .strategies import LOCAL_STRATEGY_NAMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,8 +64,18 @@ EXIT_ABORT = 3
 EXIT_VALIDATION = 4
 
 
+def _print(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``); the command keeps
+        # its own exit status. Stdout goes to devnull so that the flush at
+        # interpreter shutdown does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
@@ -93,6 +111,17 @@ def _run_status(result) -> int:
     return EXIT_VALIDATION if result.abort.kind == ABORT_VALIDATION else EXIT_ABORT
 
 
+def _settles_by_kernel(config: ExperimentConfig) -> bool:
+    """Whether ``run`` settles this config with the whole-run kernel.
+
+    A columnar rule sees both wings' settings at once, so it is trusted only
+    for built-in code the contract tests tie to the engine byte for byte: the
+    quantum oracle and the honest registry strategies (the tests' roster is
+    ``LOCAL_STRATEGY_NAMES``). Any other side runs through the engine.
+    """
+    return config.side.kind == SIDE_QUANTUM or config.side.strategy in LOCAL_STRATEGY_NAMES
+
+
 def cmd_run(args) -> int:
     if args.print_config:
         _print_json(default_config_dict())
@@ -102,7 +131,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    result = run_experiment(config)
+    result = simulate_result(config) if _settles_by_kernel(config) else run_experiment(config)
     _print_json(_write_outputs(result, args.out or config.output))
     return _run_status(result)
 
@@ -237,14 +266,13 @@ def cmd_validate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LogFormatError as exc:
-        print(f"FAIL: {exc}")
+        _print(f"FAIL: {exc}")
         return EXIT_VALIDATION
     if validation.ok:
-        print(f"PASS: {len(log)} trials, all outcomes bits, sequence contiguous")
+        _print(f"PASS: {len(log)} trials, all outcomes bits, sequence contiguous")
         return EXIT_OK
-    print(f"FAIL: {len(validation.violations)} violation(s)")
-    for violation in validation.violations:
-        print(f"  - {violation}")
+    violations = (f"  - {violation}" for violation in validation.violations)
+    _print("\n".join([f"FAIL: {len(validation.violations)} violation(s)", *violations]))
     return EXIT_VALIDATION
 
 

@@ -108,8 +108,12 @@ def _trial_count(n) -> int:
 
 
 def _as_float(value, what: str) -> float:
-    """``float(value)``, or a ``ConfigError`` naming ``what`` when ``value``
-    has no float, such as an integer too large for one (``OverflowError``)."""
+    """``float(value)`` for a JSON number, or a ``ConfigError`` naming
+    ``what``: for a string or a bool, which ``float`` would accept, and for a
+    value with no float, such as an integer too large for one
+    (``OverflowError``)."""
+    if isinstance(value, (str, bool)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -217,9 +221,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(f"bad params for strategy {side.strategy!r}: {exc}") from exc
 
     n = doc["n"]
-    target_error = doc.get("target_error", 1e-6)
-    if isinstance(target_error, int) and not isinstance(target_error, bool):
-        target_error = _as_float(target_error, "target_error")
+    target_error = _as_float(doc.get("target_error", 1e-6), "target_error")
 
     raw_c = doc.get("critical_value", "auto")
     if raw_c == "auto":

@@ -8,9 +8,18 @@ therefore owns a columnar rule beside its per-trial one:
 ``OracleSampler.sample_columns`` for the quantum oracle. This module only
 draws the settings and calls that rule, so it reproduces, value for value,
 the trials the referee engine commits for the same experiment seed; the
-contract is pinned by tests that compare logs byte for byte. It exists so
-that multi-thousand-run Monte-Carlo validations of the concentration bounds
-stay inside their runtime budgets.
+contract is pinned by tests that compare logs byte for byte. It keeps
+multi-thousand-run Monte-Carlo validations of the concentration bounds inside
+their runtime budgets, and ``bellbet run`` settles a built-in side (the
+quantum oracle or a strategy in ``LOCAL_STRATEGY_NAMES``) with
+``simulate_result``, which costs a small fraction of the engine's per-trial
+loop for the same bytes.
+
+Trust boundary: a columnar rule sees both wings' settings of every trial at
+once, so it is used only for built-in code that those contract tests tie to
+the engine. ``serve``, the stations, replay, a strategy object handed to the
+engine (as the API allows) and ``range-violator`` all run through the
+referee engine, which reveals each station only its own setting.
 """
 
 from __future__ import annotations

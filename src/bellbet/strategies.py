@@ -251,7 +251,7 @@ class ConstantStrategy(Strategy):
 
     def __init__(self, bit: int = 1):
         super().__init__()
-        if bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):  # refuses 1.0 and True
             raise StrategyError(f"constant bit must be 0 or 1, got {bit!r}")
         self.bit = bit
 

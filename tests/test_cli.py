@@ -5,6 +5,8 @@ import json
 import math
 import os
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -22,9 +24,23 @@ from bellbet.config import load_config
 from bellbet.core import OPTIMAL_ANGLES
 from bellbet.logfile import load_log
 from bellbet.net import KIND_CONFIG, KIND_LAMBDA, KIND_SETTING, encode_frame, recv_frame
-from bellbet.referee import summarize, tally
+from bellbet.quantum import CORRELATION_SENSES
+from bellbet.referee import RefereeEngine, build_report, run_experiment, summarize, tally
+from bellbet.strategies import LOCAL_STRATEGY_NAMES
 
-BAD_PARAMS = [("constant", {"bit": 2}), ("classical-polarizer", {"bogus": 1})]
+BAD_PARAMS = [
+    ("constant", {"bit": 2}),
+    ("classical-polarizer", {"bogus": 1}),
+    ("constant", {"bit": 1.0}),
+]
+
+# The sides `run` settles with the whole-run kernel: both quantum senses,
+# every honest registry strategy, and the constant strategy's other bit.
+KERNEL_SIDES = [
+    *({"kind": "quantum", "correlation_sense": sense} for sense in CORRELATION_SENSES),
+    *({"kind": "strategy", "strategy": name, "params": {}} for name in LOCAL_STRATEGY_NAMES),
+    {"kind": "strategy", "strategy": "constant", "params": {"bit": 0}},
+]
 
 
 def station_against_fake_referee(name, params, frames=(), n=100):
@@ -74,6 +90,21 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def side_id(side):
+    if side.get("params"):
+        return "{strategy}-bit{bit}".format(bit=side["params"]["bit"], **side)
+    return side.get("strategy") or side["correlation_sense"]
+
+
+def side_config(tmp_path, side, **overrides):
+    """A config for ``side`` whose 'auto' critical value exists: the
+    opposite-polarization sense needs its right-wing angles turned by pi/2."""
+    angles = list(OPTIMAL_ANGLES.as_tuple())
+    if side.get("correlation_sense") == "opposite-polarization":
+        angles[2:] = [a + math.pi / 2 for a in angles[2:]]
+    return write_config(tmp_path, side=side, angles=angles, **overrides)
 
 
 class TestRun:
@@ -155,17 +186,51 @@ class TestRun:
         assert main([command, "--config", str(config)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: bad params for strategy {name!r}")
 
-    def test_range_violator_is_validation_failure(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            side={"kind": "strategy", "strategy": "range-violator", "params": {}},
-            n=100,
-        )
+    def test_range_violator_is_validation_failure(self, tmp_path, capsys, monkeypatch):
+        # The one registry side with no whole-run rule runs through the
+        # engine and writes the engine's abort.
+        calls = []
+
+        def engine(config, **kwargs):
+            calls.append(config)
+            return run_experiment(config, **kwargs)
+
+        def no_kernel(config):
+            raise AssertionError("run took the kernel for range-violator")
+
+        monkeypatch.setattr("bellbet.cli.run_experiment", engine)
+        monkeypatch.setattr("bellbet.cli.simulate_result", no_kernel)
+        config = write_config(tmp_path, n=100)
         out = tmp_path / "violator.log"
-        status = main(["run", "--config", str(config), "--out", str(out)])
-        assert status == EXIT_VALIDATION
+        argv = ["run", "--config", str(config), "--strategy", "range-violator", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        [config] = calls
+        assert config.side.strategy == "range-violator"
+        expected = run_experiment(config)
         report = json.loads((tmp_path / "violator.log.report.json").read_text())
+        assert report == build_report(expected)
         assert report["abort"]["kind"] == "validation-failure"
+        assert out.read_bytes() == expected.log.to_bytes()
+
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
+    @pytest.mark.parametrize("side", KERNEL_SIDES, ids=side_id)
+    def test_built_in_side_writes_the_engines_bytes(
+        self, tmp_path, capsys, monkeypatch, side, mode
+    ):
+        # `run` settles a built-in side with the whole-run kernel (the
+        # engine call is stubbed out) and writes the engine's exact bytes.
+        def no_engine(*args, **kwargs):
+            raise AssertionError("run took the engine for a built-in side")
+
+        monkeypatch.setattr("bellbet.cli.run_experiment", no_engine)
+        config = side_config(tmp_path, side, mode=mode, n=300, seed=5)
+        out = tmp_path / "bet.log"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        expected = RefereeEngine(load_config(config)).run()
+        report_text = json.dumps(build_report(expected), indent=2, sort_keys=True)
+        assert out.read_bytes() == expected.log.to_bytes()
+        assert (tmp_path / "bet.log.report.json").read_text() == report_text
+        assert json.loads(capsys.readouterr().out) == json.loads(report_text)
 
     def test_strategy_override(self, tmp_path, capsys):
         config = write_config(tmp_path, n=400)
@@ -530,6 +595,21 @@ class TestAnalyzeValidate:
         assert status == EXIT_VALIDATION
         doc = json.loads(capsys.readouterr().out)
         assert doc["replay_verify"]["ok"] is False
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_closed_pipe_ends_quietly(self, finished_run, command):
+        # The reader closes the pipe before the command prints (`| head`):
+        # no traceback, and the command's own exit status.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellbet", command, "--log", str(finished_run)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert b"Traceback" not in err and b"Error" not in err, err
 
 
 class TestNetworkCommandErrors:

@@ -103,6 +103,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bad angles"):
             config_from_dict(base_doc(angles=[angle, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "angle", ["0.39269908169872414", "pi/8", True, False], ids=["str", "pi-str", "true", "false"]
+    )
+    def test_angle_must_be_a_json_number(self, angle):
+        # float() would take all four, and a string angle would load with
+        # the numeric form's config hash.
+        with pytest.raises(ConfigError, match="an angle must be a number"):
+            config_from_dict(base_doc(angles=[angle, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("value", ["1e-6", True, None], ids=["str", "true", "null"])
+    def test_target_error_must_be_a_json_number(self, value):
+        with pytest.raises(ConfigError, match="target_error must be a number"):
+            config_from_dict(base_doc(target_error=value))
+
     def test_negative_seed(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(seed=-1))
@@ -145,7 +159,14 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "name, params",
-        [("constant", {"bit": 2}), ("classical-polarizer", {"bogus": 1}), ("constant", 5)],
+        [
+            ("constant", {"bit": 2}),
+            ("classical-polarizer", {"bogus": 1}),
+            ("constant", 5),
+            ("constant", {"bit": 1.0}),
+            ("constant", {"bit": 0.0}),
+            ("constant", {"bit": True}),
+        ],
     )
     def test_bad_strategy_params_rejected(self, name, params):
         doc = base_doc()

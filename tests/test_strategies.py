@@ -148,6 +148,13 @@ class TestConstant:
         with pytest.raises(StrategyError):
             ConstantStrategy(bit=2)
 
+    @pytest.mark.parametrize("bit", [1.0, 0.0, True, False, "1"])
+    def test_rejects_a_bit_that_is_no_int(self, bit):
+        # Only an exact int 0 or 1: the engine refuses any other outcome, so
+        # a bit that equals 1 but is no int would void every run.
+        with pytest.raises(StrategyError, match="constant bit must be 0 or 1"):
+            ConstantStrategy(bit=bit)
+
 
 class TestClassicalPolarizer:
     def test_polarization_angles_uniform(self):
