@@ -93,15 +93,16 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _write_outputs(result, out_path: str | None) -> dict:
-    report = build_report(result)
+def _write_outputs(result, out_path: str | None) -> str:
+    """The run's report as JSON text, written once: to the report file next
+    to the log when there is an ``out_path``, and returned for stdout."""
+    text = json.dumps(build_report(result), indent=2, sort_keys=True)
     if out_path:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         result.log.write(path)
-        report_path = path.with_suffix(path.suffix + ".report.json")
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
-    return report
+        path.with_suffix(path.suffix + ".report.json").write_text(text, encoding="utf-8")
+    return text
 
 
 def _run_status(result) -> int:
@@ -132,7 +133,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     result = simulate_result(config) if _settles_by_kernel(config) else run_experiment(config)
-    _print_json(_write_outputs(result, args.out or config.output))
+    _print(_write_outputs(result, args.out or config.output))
     return _run_status(result)
 
 
@@ -301,7 +302,7 @@ def cmd_serve(args) -> int:
     except (ProtocolAbort, OSError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    _print_json(_write_outputs(result, args.out or config.output))
+    _print(_write_outputs(result, args.out or config.output))
     return _run_status(result)
 
 

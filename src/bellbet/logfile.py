@@ -15,18 +15,23 @@ For int fields that template is byte-identical to the canonical JSON
 So two runs that commit the same trials produce byte-identical files; replay
 verification relies on that.
 
-``read_log`` is the one reader. A file is canonical when it is byte-equal to
-the serialization of the log it holds: the writer's output, or any prefix of
-it cut after a record line (an aborted run's log). Such a file is read in one
-vectorized pass: the header line with ``json``, then i, j, x and y of every
-record from their fixed offsets in the template, mapped into their allowed
-values, and the result is accepted only if it serializes back to the file's
-exact bytes. That equality proves what the per-record validator checks (field
-set, integer types, bit and setting ranges, m = 1..count, count <= n), so the
-fast path adds no rule of its own. Every other file, whether valid JSON laid
-out differently or corrupt, is read line by line (``read_raw_log``,
-``validate_raw_records``, ``TrialLog.from_raw``), so each message and
-``last_valid`` comes from that path alone.
+Writer and reader share one layout, fixed by the trial count alone: after
+the header line, one block per width of m, each a run of equal-length rows
+(``_record_rows``). The writer fills one preallocated byte buffer through
+it. ``read_log`` is the one reader. A file is canonical when it is
+byte-equal to the serialization of the log it holds: the writer's output,
+or any prefix of it cut after a record line (an aborted run's log). Such a
+file is read in one vectorized pass: the header line with ``json``; the
+count from the length of the rest, the one count of at most n whose record
+lines fill it exactly, so there is no scan for newlines; then i, j, x and y
+of every record through the same block views, mapped into their allowed
+values. The result is accepted only if it serializes back to the file's
+exact bytes. That equality proves what the per-record validator checks
+(field set, integer types, bit and setting ranges, m = 1..count, count <=
+n), so the fast path adds no rule of its own. Every other file, whether
+valid JSON laid out differently or corrupt, is read line by line
+(``read_raw_log``, ``validate_raw_records``, ``TrialLog.from_raw``), so each
+message and ``last_valid`` comes from that path alone.
 """
 
 from __future__ import annotations
@@ -99,6 +104,43 @@ _RECORD_LINE = '{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}'
 # digits of m start, and x and y back from the line's newline.
 _I_AT, _J_AT, _M_AT = 5, 11, 17
 _X_BEFORE_NL, _Y_BEFORE_NL = 8, 2
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
+
+def _blocks(count: int) -> Iterator[tuple[int, int, bytes]]:
+    """The layout of record lines 1..count: for each width of m, the trials
+    lo..hi-1 that print m with it and their common line, with m = lo."""
+    lo = 1
+    while lo <= count:
+        yield lo, min(10 * lo, count + 1), (_RECORD_LINE % (0, 0, lo, 0, 0) + "\n").encode("ascii")
+        lo *= 10
+
+
+def _body_size(count: int) -> int:
+    """Bytes of record lines 1..count."""
+    return sum((hi - lo) * len(line) for lo, hi, line in _blocks(count))
+
+
+def _count_of(size: int, n: int) -> int | None:
+    """The count of at most n whose record lines take exactly ``size``
+    bytes, or None; the size grows with the count, so there is at most one."""
+    for lo, hi, line in _blocks(n):
+        if size <= (hi - lo) * len(line):
+            rows, rest = divmod(size, len(line))
+            return None if rest else lo - 1 + rows
+        size -= (hi - lo) * len(line)
+    return None if size else n
+
+
+def _record_rows(body: np.ndarray, count: int) -> Iterator[tuple[slice, np.ndarray, bytes]]:
+    """Record lines 1..count laid out from the start of the uint8 array
+    ``body``, one block per width of m: the block's slice of trial indices,
+    its (rows, line length) view into ``body`` and its line with m = lo."""
+    start = 0
+    for lo, hi, line in _blocks(count):
+        stop = start + (hi - lo) * len(line)
+        yield slice(lo - 1, hi - 1), body[start:stop].reshape(hi - lo, len(line)), line
+        start = stop
 
 
 class TrialLog(Sequence):
@@ -184,12 +226,11 @@ class TrialLog(Sequence):
     # --- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        header = json.dumps(self.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        return header.encode("ascii") + _record_lines(*self.columns())
+        return _serialize(self).tobytes()
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(_serialize(self))
 
     @classmethod
     def from_raw(cls, header: LogHeader, raw_records: list[dict]) -> "TrialLog":
@@ -233,28 +274,39 @@ class TrialLog(Sequence):
         return log
 
 
-def _record_lines(i: np.ndarray, j: np.ndarray, x: np.ndarray, y: np.ndarray) -> bytes:
-    """``_RECORD_LINE % (i, j, m, x, y)`` and a newline for m = 1..len(i),
-    built as uint8 rows: one block for each width of m, whose lines all have
-    one length. Each value is one digit, as the columns of a log only hold
-    settings and bits."""
-    blocks = []
-    lo, count = 1, len(i)
-    while lo <= count:
-        hi = min(10 * lo, count + 1)  # trials lo..hi-1 print m with one width
-        line = (_RECORD_LINE % (0, 0, lo, 0, 0) + "\n").encode("ascii")
-        block = np.tile(np.frombuffer(line, dtype=np.uint8), (hi - lo, 1))
-        trials = slice(lo - 1, hi - 1)
-        block[:, _I_AT] += i[trials]
-        block[:, _J_AT] += j[trials]
-        block[:, -1 - _X_BEFORE_NL] += x[trials]
-        block[:, -1 - _Y_BEFORE_NL] += y[trials]
-        width = len(str(lo))
-        powers = 10 ** np.arange(width - 1, -1, -1)
-        block[:, _M_AT : _M_AT + width] = ord("0") + np.arange(lo, hi)[:, None] // powers % 10
-        blocks.append(block)
-        lo = hi
-    return b"".join(block.tobytes() for block in blocks)
+def _serialize(log: TrialLog) -> np.ndarray:
+    """The log's file bytes as one uint8 array: the header line, then
+    ``_RECORD_LINE % (i, j, m, x, y)`` and a newline for m = 1..len(log),
+    laid out by ``_record_rows``. Each value is one digit, as the columns of
+    a log only hold settings and bits."""
+    head = json.dumps(log.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    head = head.encode("ascii")
+    i, j, x, y = log.columns()
+    count = len(log)
+    out = np.empty(len(head) + _body_size(count), dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    for trials, rows, line in _record_rows(out[len(head) :], count):
+        # The line into every row, as doubling copies of the rows already
+        # written: a few contiguous copies in place of one broadcast per row.
+        rows[0] = np.frombuffer(line, dtype=np.uint8)
+        done = 1
+        while done < len(rows):
+            step = min(done, len(rows) - done)
+            rows[done : done + step] = rows[:step]
+            done += step
+        rows[:, _I_AT] += i[trials]
+        rows[:, _J_AT] += j[trials]
+        rows[:, -1 - _X_BEFORE_NL] += x[trials]
+        rows[:, -1 - _Y_BEFORE_NL] += y[trials]
+        # Row t prints m = lo + t with lo a power of ten, so the digit for
+        # 10^p runs through 0-9 in runs of 10^p, the leading one through 1-9.
+        width = len(str(trials.start + 1))
+        for k in range(width):
+            run = 10 ** (width - 1 - k)
+            digits = _DIGITS[1:] if k == 0 else _DIGITS
+            cycle = np.repeat(digits[: -(-len(rows) // run)], run)
+            rows[:, _M_AT + k] = np.tile(cycle, -(-len(rows) // len(cycle)))[: len(rows)]
+    return out
 
 
 def read_raw_log(path) -> tuple[LogHeader, list[dict]]:
@@ -296,10 +348,12 @@ def _parse_lines(path, data: bytes) -> tuple[LogHeader, list[dict]]:
 def _canonical_log(data: bytes) -> TrialLog | None:
     """The log whose serialization is exactly ``data``, or None if no log's is.
 
-    Each record's i, j, x and y are read from their fixed offsets and mapped
-    into their allowed values (a byte other than "2" reads as 1 for a
-    setting, one other than "1" as 0 for a bit), so the columns hold a valid
-    log whatever the file says; byte equality then decides.
+    The count is the one of at most the header's n whose record lines fill
+    the rest of ``data`` exactly; each record's i, j, x and y are then read
+    through ``_record_rows`` and mapped into their allowed values (a byte
+    other than "2" reads as 1 for a setting, one other than "1" as 0 for a
+    bit), so the columns hold a valid log whatever the file says; byte
+    equality then decides.
     """
     end = data.find(b"\n")
     if end < 0:
@@ -308,23 +362,18 @@ def _canonical_log(data: bytes) -> TrialLog | None:
         header = LogHeader.from_dict(parse_json(data[:end], LogFormatError, "header line"))
     except LogFormatError:  # the per-line path says why
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
-    ends = np.flatnonzero(body == ord("\n"))
-    if len(ends) > header.n:
+    count = _count_of(len(data) - end - 1, header.n)
+    if count is None:
         return None
-    starts = np.concatenate(([0], ends + 1))[:-1]
-
-    def byte_is(offsets: np.ndarray, char: str) -> np.ndarray:
-        # Clipped, as a line too short for an offset only has to fail equality.
-        return (body.take(offsets, mode="clip") == ord(char)).view(np.uint8)
-
-    log = TrialLog._holding(
-        header,
-        byte_is(starts + _I_AT, "2") + 1,
-        byte_is(starts + _J_AT, "2") + 1,
-        byte_is(ends - _X_BEFORE_NL, "1"),
-        byte_is(ends - _Y_BEFORE_NL, "1"),
-    )
+    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    columns = i, j, x, y = np.empty((4, count), dtype=np.uint8)
+    for trials, rows, _ in _record_rows(body, count):
+        i[trials] = rows[:, _I_AT] == ord("2")
+        j[trials] = rows[:, _J_AT] == ord("2")
+        x[trials] = rows[:, -1 - _X_BEFORE_NL] == ord("1")
+        y[trials] = rows[:, -1 - _Y_BEFORE_NL] == ord("1")
+    columns[:2] += 1
+    log = TrialLog._holding(header, *columns)
     return log if log.to_bytes() == data else None
 
 

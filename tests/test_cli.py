@@ -114,10 +114,10 @@ class TestRun:
         status = main(["run", "--config", str(config), "--out", str(out)])
         assert status == EXIT_OK
         assert out.exists()
-        report = json.loads((tmp_path / "exp.log.report.json").read_text())
-        assert report["verdict"]["winner"] == "quantum-claimant"
-        printed = json.loads(capsys.readouterr().out)
-        assert printed == report
+        text = (tmp_path / "exp.log.report.json").read_text()
+        assert json.loads(text)["verdict"]["winner"] == "quantum-claimant"
+        # Stdout is the report file's text, to the byte, and a newline.
+        assert capsys.readouterr().out == text + "\n"
 
     def test_print_config(self, capsys):
         assert main(["run", "--print-config"]) == EXIT_OK

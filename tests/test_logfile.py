@@ -373,37 +373,59 @@ def serialized(n, trials):
     return "".join(lines).encode()
 
 
+# Counts at each change of m's width, up to six digits.
+BOUNDARY_COUNTS = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10_000, 10_001, 99_999, 100_000, 100_001]
+
+
+@pytest.fixture(scope="module")
+def boundary_trials():
+    """Random columns of the largest boundary count; the bytes of their
+    record lines from the record template, formatted one by one; and where
+    the line of each count ends."""
+    columns = random_columns(np.random.default_rng(18), BOUNDARY_COUNTS[-1])
+    trials = zip(*(col.tolist() for col in columns))
+    lines = [
+        '{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}\n' % (i, j, m, x, y)
+        for m, (i, j, x, y) in enumerate(trials, 1)
+    ]
+    ends = np.cumsum([0] + [len(line) for line in lines])
+    return columns, "".join(lines).encode("ascii"), ends
+
+
+@pytest.fixture()
+def per_line_calls(monkeypatch):
+    # Counts the files that take the per-line path.
+    calls = []
+
+    def spy(header, records):
+        calls.append(len(records))
+        return validate_raw_records(header, records)
+
+    monkeypatch.setattr(logfile, "validate_raw_records", spy)
+    return calls
+
+
 EDIT_BYTES = st.one_of(st.sampled_from(list(b'0123\n\r ,:{}"ijmxy.e-')), st.integers(0, 255))
 
 
 class TestReadLog:
     """``read_log`` gives what the per-line path gives, on any file."""
 
-    @pytest.fixture()
-    def per_line_calls(self, monkeypatch):
-        # Counts the files that take the per-line path.
-        calls = []
-
-        def spy(header, records):
-            calls.append(len(records))
-            return validate_raw_records(header, records)
-
-        monkeypatch.setattr(logfile, "validate_raw_records", spy)
-        return calls
-
     @given(
-        st.integers(0, 25).flatmap(
-            lambda n: st.tuples(st.just(n), st.lists(TRIAL, max_size=n + 2))
-        ),
+        st.integers(0, 120).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 2))),
+        st.integers(0, 2**32 - 1),
         st.sampled_from(["none", "set", "delete", "insert"]),
         st.integers(0, 10**6),
         EDIT_BYTES,
     )
     @settings(max_examples=400, deadline=None)
-    def test_both_paths_agree(self, tmp_path_factory, design, edit, where, byte):
-        # Complete, partial (aborted) and over-long logs, unedited or with
-        # one byte set, deleted or inserted.
-        data = serialized(*design)
+    def test_both_paths_agree(self, tmp_path_factory, design, trials_seed, edit, where, byte):
+        # Complete, partial (aborted) and over-long logs of up to 122 trials,
+        # so m has one to three digits, unedited or with one byte set,
+        # deleted or inserted.
+        n, count = design
+        columns = random_columns(np.random.default_rng(trials_seed), count)
+        data = serialized(n, zip(*(col.tolist() for col in columns)))
         pos = where % (len(data) + 1)
         if edit == "set" and pos < len(data):
             data = data[:pos] + bytes([byte]) + data[pos + 1 :]
@@ -477,6 +499,59 @@ class TestReadLog:
         assert read_log(path)[1] is None
         assert per_line_calls == [1]
         assert one_pass_read(path) == per_line_read(path)
+
+    @pytest.mark.parametrize(
+        "edit, records",
+        [("byte-moved", 0), ("record-padded", -1), ("extra-record", 1), ("one-byte-short", 0)],
+    )
+    @pytest.mark.parametrize("count", [5, 40, 120])
+    def test_length_derived_count(self, tmp_path, per_line_calls, edit, records, count):
+        # Valid JSON whose size gives the one-pass reader a count that is
+        # not the records the file holds, or no count of at most n: the
+        # per-line path reads it, and both readers give the same result.
+        columns = random_columns(np.random.default_rng(count), count + 1)
+        trials = list(zip(*(col.tolist() for col in columns)))
+        lines = serialized(count, trials[:count]).splitlines(keepends=True)
+        if edit == "byte-moved":
+            # The last record's newline deleted and a space inserted in the
+            # first: the size of `count` trials, but not their bytes.
+            lines[1] = b"{ " + lines[1][1:]
+            lines[-1] = lines[-1][:-1]
+        elif edit == "record-padded":
+            # The last record deleted and its length in spaces inserted in
+            # the first: the size of `count` trials, holding one fewer.
+            dropped = lines.pop()
+            lines[1] = b"{" + b" " * len(dropped) + lines[1][1:]
+        elif edit == "extra-record":
+            lines = serialized(count, trials).splitlines(keepends=True)
+        else:
+            lines[-1] = lines[-1][:-1]
+        path = tmp_path / "sized.log"
+        path.write_bytes(b"".join(lines))
+        assert one_pass_read(path) == per_line_read(path)
+        assert per_line_calls == [count + records]
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["complete", "partial"])
+    @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+    def test_width_boundaries(self, tmp_path, per_line_calls, boundary_trials, count, partial):
+        # Every width of m, each cut at its first, second and last trial,
+        # written and read back in one pass. A partial log's header names
+        # ten times more trials, so its n has a wider m than its records.
+        columns, body, ends = boundary_trials
+        n = 10 * count + 1 if partial else count
+        log = TrialLog(make_header(n=n))
+        for trial in zip(*(col[:count].tolist() for col in columns)):
+            log.commit(*trial)
+        head = json.dumps(log.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        reference = head.encode() + body[: ends[count]]
+        assert log.to_bytes() == reference
+        path = tmp_path / "boundary.log"
+        log.write(path)
+        assert path.read_bytes() == reference
+        header, read, validation = read_log(path)
+        assert per_line_calls == []
+        assert header == log.header and log_columns(read) == log_columns(log)
+        assert validation.last_valid == count and validation.incomplete == partial
 
 
 def read_raw_records_from(log):

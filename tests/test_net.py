@@ -1058,7 +1058,7 @@ class TestServeCli:
                 )
                 for role in ("left", "right")
             ]
-            _, err = serve.communicate(timeout=30)
+            out, err = serve.communicate(timeout=30)
             assert serve.returncode == 0, err
             assert [proc.wait(timeout=10) for proc in procs[1:]] == [0, 0]
         finally:
@@ -1068,6 +1068,8 @@ class TestServeCli:
         in_process = run_experiment(config)
         assert log_path.read_bytes() == in_process.log.to_bytes()
         assert audit_transcript(Transcript.read(transcript_path)).ok
+        # After the banner, stdout is the report file's text and a newline.
+        assert out == (tmp_path / "net.log.report.json").read_text() + "\n"
 
 
 class TestServeValidation:
