@@ -197,10 +197,6 @@ class TrialLog(Sequence):
     def _buffers(self) -> tuple[bytearray, bytearray, bytearray, bytearray]:
         return self._i, self._j, self._x, self._y
 
-    def cells(self) -> np.ndarray:
-        i, j, _, _ = self.columns()
-        return cell_code(i, j).astype(np.int64)
-
     def record(self, m: int) -> TrialRecord:
         """Trial m. The last trial's record is kept once built (or as
         appended), so every read of it hands back the same object."""

@@ -41,7 +41,7 @@ def simulate_run(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full experiment's (cells, x, y) columns for any honest participant.
 
-    Cells are the int64 setting codes 0..3, x and y the uint8 outcome bits.
+    Cells are the uint8 setting codes 0..3, x and y the uint8 outcome bits.
     A strategy without a local whole-run rule raises ``StrategyError`` (a
     ``ValueError``).
     """
@@ -76,7 +76,7 @@ def simulate_result(config: ExperimentConfig) -> RunResult:
     """A RunResult equal to what the referee engine produces for this config
     (the equality is pinned by contract tests)."""
     cells, x, y = simulate_run(config.side, config.angles, config.n, config.seed, config.mode)
-    i, j = setting_indices(cells.astype(np.uint8))
+    i, j = setting_indices(cells)
     return RunResult(
         log=TrialLog.from_columns(log_header(config), i, j, x, y),
         design=design_for(config.n, config.critical_value, config.qm_mean_per_trial),

@@ -104,5 +104,5 @@ class OracleSampler:
     def sample_columns(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outcome columns for a whole run of cell codes; the same values
         ``sample_trial`` gives trial by trial."""
-        x, y = _regions(self._probabilities[cells], self._uniforms.values)
+        x, y = _regions(self._probabilities.take(cells), self._uniforms.values)
         return x.view(np.uint8), y.view(np.uint8)

@@ -570,8 +570,8 @@ def replay_verify(
     """
     header = log.header
     expected_cells = settings_cells(header.seed, len(log))  # the stream is prefix-stable
-    actual_cells = log.cells()
-    mismatches = np.nonzero(actual_cells != expected_cells)[0]
+    i, j, _, _ = log.columns()
+    mismatches = np.nonzero(cell_code(i, j) != expected_cells)[0]
     if mismatches.size:
         trial = int(mismatches[0]) + 1
         return ReplayReport(False, f"settings diverge from seed at trial {trial}", trial)

@@ -2,17 +2,21 @@
 
 All randomness in an experiment derives from one unsigned experiment seed.
 Each role (settings, oracle, source, left, right) gets its own
-Philox4x64 counter-based stream, keyed by the first 128 bits of
-SHA-256("<seed>:<role>"). A role's per-trial values are drawn with a single
-array call, the first time they are read, so the in-process referee, the
-networked referee, the replay verifier and the vectorized simulation kernels
-all see bit-identical values for trial m, and a process that never reads a
-role's values never draws them.
+Philox4x64-10 stream (Salmon et al., SC'11) from counter 0, keyed by the
+first 128 bits of SHA-256("<seed>:<role>") read as a little-endian integer.
+The settings are two bits of each raw 64-bit word and a uniform is
+``Generator.random`` of one, so replay rests on raw words alone, the one
+stream NumPy keeps across versions (NEP 19). A role's per-trial values are
+drawn with a single array call, the first time they are read, so the
+in-process referee, the networked referee, the replay verifier and the
+vectorized simulation kernels all see bit-identical values for trial m, and
+a process that never reads a role's values never draws them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -21,6 +25,11 @@ ROLE_ORACLE = "oracle"
 ROLE_SOURCE = "source"
 ROLE_LEFT = "left"
 ROLE_RIGHT = "right"
+
+_WORD = (1 << 64) - 1
+# Philox at counter 0 with an empty buffer: a fresh generator, but for its key.
+_FRESH = dict(bit_generator="Philox", buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+_thread = threading.local()
 
 
 def derive_key(seed: int, role: str) -> int:
@@ -31,20 +40,33 @@ def derive_key(seed: int, role: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-def role_generator(seed: int, role: str) -> np.random.Generator:
-    """Fresh Philox generator for a role; same (seed, role) => same stream."""
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, role)))
+def _draw(seed: int, role: str, n: int, *, words: bool = False) -> np.ndarray:
+    """The first n raw words (``words``) or ``Generator.random`` doubles of
+    the (seed, role) stream, from this thread's one Philox (built on its first
+    draw, never returned), re-keyed at a fraction of a keyed build's cost."""
+    generator = getattr(_thread, "generator", None)
+    if generator is None:
+        generator = _thread.generator = np.random.Generator(np.random.Philox(key=0))
+    key = derive_key(seed, role)
+    bits = generator.bit_generator
+    bits.state = dict(_FRESH, state={"counter": (0,) * 4, "key": (key & _WORD, key >> 64)})
+    return bits.random_raw(n) if words else generator.random(n)
 
 
 def settings_cells(seed: int, n: int) -> np.ndarray:
-    """Cell codes 0..3 for trials 1..n, each multinomial(1; 1/4,1/4,1/4,1/4).
+    """uint8 cell codes 0..3 for trials 1..n, each multinomial(1; 1/4,1/4,1/4,1/4).
 
-    Code = 2*(i-1) + (j-1). Produced by one ``integers(0, 4, size=n)`` call
-    on the settings stream, which is the documented generation scheme.
+    Code = 2*(i-1) + (j-1): the top two bits of each 32-bit half of a raw
+    word w, low half first, ``(w >> 30) & 3`` then ``w >> 62``, as NumPy's
+    ``integers(0, 4, size=n)``. Each length is a prefix of every longer one.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return role_generator(seed, ROLE_SETTINGS).integers(0, 4, size=n)
+    words = _draw(seed, ROLE_SETTINGS, (n + 1) // 2, words=True)
+    cells = np.empty(2 * len(words), dtype=np.uint8)
+    cells[0::2] = (words >> 30) & 3
+    cells[1::2] = words >> 62
+    return cells[:n]
 
 
 class TrialUniforms:
@@ -64,7 +86,7 @@ class TrialUniforms:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = role_generator(self.seed, self.role).random(self.n)
+            self._values = _draw(self.seed, self.role, self.n)
         return self._values
 
     def at(self, m: int) -> float:

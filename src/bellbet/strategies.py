@@ -344,7 +344,7 @@ class AssignmentStrategy(Strategy):
     def respond_columns(self, cells):
         self._require_prepared()
         at = 4 * self.assignments(cells) + cells
-        return _ANSWERS[LEFT][at], _ANSWERS[RIGHT][at]
+        return _ANSWERS[LEFT].take(at), _ANSWERS[RIGHT].take(at)
 
 
 class DeterministicOptimalStrategy(AssignmentStrategy):
@@ -415,7 +415,7 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
         empty history."""
         counts = np.zeros((len(cells), 4), dtype=np.int64)
         if self.mode == "sequential":
-            np.cumsum(np.eye(4, dtype=np.int64)[cells[:-1]], axis=0, out=counts[1:])
+            np.cumsum(np.eye(4, dtype=np.int64).take(cells[:-1], axis=0), axis=0, out=counts[1:])
         return self.choose_assignment(counts)
 
 

@@ -14,15 +14,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The (seed, role) of every stream ``rng.TrialUniforms`` draws."""
+    """The (seed, role) of every seeded stream drawn, in order."""
     from bellbet import rng
 
     calls = []
-    real = rng.role_generator
+    real = rng._draw
 
-    def spy(seed, role):
+    def spy(seed, role, *args, **kwargs):
         calls.append((seed, role))
-        return real(seed, role)
+        return real(seed, role, *args, **kwargs)
 
-    monkeypatch.setattr(rng, "role_generator", spy)
+    monkeypatch.setattr(rng, "_draw", spy)
     return calls

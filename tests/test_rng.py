@@ -1,25 +1,41 @@
-"""Seed splitting and the settings stream distribution."""
+"""Seed splitting, the seeded streams and the settings stream distribution."""
+
+import sys
+import threading
 
 import numpy as np
+import philox_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from bellbet.rng import TrialUniforms, derive_key, role_generator, settings_cells
+from bellbet.rng import TrialUniforms, derive_key, settings_cells
+
+ROLES = ("settings", "oracle", "source", "left", "right")
+SEEDS = st.integers(0, 2**64)
+# Empty, one trial, odd lengths (half a raw word left over) and a full run.
+LENGTHS = st.one_of(st.sampled_from([0, 1, 3, 25_001]), st.integers(0, 5000))
+
+
+def fresh(seed, role):
+    """The reference stream: a newly built generator keyed for (seed, role)."""
+    return np.random.Generator(np.random.Philox(key=derive_key(seed, role)))
 
 
 class TestSeedSplitting:
     def test_roles_get_distinct_streams(self):
-        keys = {derive_key(1, role) for role in ("settings", "oracle", "source", "left", "right")}
+        keys = {derive_key(1, role) for role in ROLES}
         assert len(keys) == 5
 
     def test_same_seed_same_stream(self):
-        a = role_generator(99, "left").random(16)
-        b = role_generator(99, "left").random(16)
+        a = TrialUniforms(99, "left", 16).values
+        b = TrialUniforms(99, "left", 16).values
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = role_generator(1, "left").random(16)
-        b = role_generator(2, "left").random(16)
+        a = TrialUniforms(1, "left", 16).values
+        b = TrialUniforms(2, "left", 16).values
         assert not np.array_equal(a, b)
 
     def test_rejects_negative_seed(self):
@@ -92,7 +108,7 @@ class TestLazyDraw:
         for m in (1, 50, 100):
             assert u.at(m) == u.values[m - 1]
         assert u.values is u.values
-        assert np.array_equal(u.values, role_generator(3, "left").random(100))
+        assert np.array_equal(u.values, fresh(3, "left").random(100))
         assert draws == [(3, "left")]
 
     def test_out_of_range_raises_without_drawing(self, draws):
@@ -105,3 +121,78 @@ class TestLazyDraw:
     def test_at_returns_a_python_float(self):
         value = TrialUniforms(3, "oracle", 10).at(4)
         assert type(value) is float
+
+
+class TestStreams:
+    """Each seeded stream is what a fresh keyed generator draws, so the one
+    re-keyed generator per thread changes no value, on any thread."""
+
+    @given(SEEDS, LENGTHS, st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_settings_are_numpys_integers_and_prefix_stable(self, seed, n, extra):
+        cells = settings_cells(seed, n)
+        assert cells.dtype == np.uint8
+        assert np.array_equal(cells, fresh(seed, "settings").integers(0, 4, size=n))
+        assert np.array_equal(settings_cells(seed, n + extra)[:n], cells)
+
+    @given(SEEDS, st.sampled_from(ROLES), LENGTHS, st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_uniforms_are_numpys_random_and_prefix_stable(self, seed, role, n, extra):
+        values = TrialUniforms(seed, role, n).values
+        assert np.array_equal(values, fresh(seed, role).random(n))
+        assert np.array_equal(TrialUniforms(seed, role, n + extra).values[:n], values)
+
+    def test_threads_draw_their_own_streams(self):
+        # Full-run lengths: NumPy fills them with the GIL released, so a
+        # generator shared across threads would be re-keyed mid-draw.
+        def settings_draw():
+            return settings_cells(3, 25_001), fresh(3, "settings").integers(0, 4, size=25_001)
+
+        def uniforms_draw():
+            return TrialUniforms(4, "left", 25_000).values, fresh(4, "left").random(25_000)
+
+        mismatches = []
+
+        def worker(draw):
+            for _ in range(200):
+                got, want = draw()
+                if not np.array_equal(got, want):
+                    mismatches.append(draw.__name__)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(draw,))
+                for draw in (settings_draw, uniforms_draw)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+
+class TestPhiloxOracle:
+    """The pure-Python Philox4x64-10 of Salmon et al. (tests/philox_oracle.py)."""
+
+    @pytest.mark.parametrize("key", [0, 1, derive_key(0, "settings"), 2**128 - 1])
+    @pytest.mark.parametrize("counter", [0, 2**64 - 1, 2**256 - 1])
+    def test_equals_numpys_raw_words(self, key, counter):
+        # Nine words are three blocks; from 2**64 - 1 the first block's
+        # counter carries into the second word, from 2**256 - 1 it wraps.
+        numpy_words = np.random.Philox(key=key, counter=counter).random_raw(9).tolist()
+        assert philox_oracle.raw_words(key, 9, counter) == numpy_words
+
+    @pytest.mark.parametrize("seed", [0, 7, 52_100])
+    def test_rederives_the_settings_without_numpy(self, seed):
+        for n in (0, 1, 2, 101):
+            assert philox_oracle.settings_cells(seed, n) == settings_cells(seed, n).tolist()
+
+    @pytest.mark.parametrize("role", ["oracle", "left"])
+    def test_uniforms_are_the_top_53_bits_of_raw_words(self, role):
+        words = philox_oracle.raw_words(derive_key(5, role), 101)
+        assert [(w >> 11) * 2.0**-53 for w in words] == TrialUniforms(5, role, 101).values.tolist()
