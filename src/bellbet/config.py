@@ -55,7 +55,8 @@ class SideSpec:
                     f"got {self.correlation_sense!r}"
                 )
         else:
-            cls = STRATEGY_REGISTRY.get(self.strategy)
+            # A JSON list or object is unhashable: test the type before the lookup.
+            cls = STRATEGY_REGISTRY.get(self.strategy) if isinstance(self.strategy, str) else None
             if cls is None:
                 raise ConfigError(
                     f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGY_REGISTRY)}"

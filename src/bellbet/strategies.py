@@ -138,10 +138,23 @@ _ASSIGNMENT_MESSAGES = tuple(SourceMessage(bytes([k])) for k in range(16))
 
 # SCORE_COLUMNS[cell][k] = ASSIGNMENT_VALUES[k, cell]: what one trial drawn
 # in that cell adds to the adaptive tracker's score for assignment k, as
-# plain ints for its per-trial step and as one array for its whole-run rule.
+# plain ints for its per-trial step and as one array for rescoring a history
+# and, through _KEY_TABLE, for its whole-run rule.
 SCORE_COLUMNS = tuple(tuple(column) for column in ASSIGNMENT_VALUES.T.tolist())
 _SCORE_TABLE = np.array(SCORE_COLUMNS, dtype=np.int64)
 _SCORE_TABLE.flags.writeable = False
+
+# Assignment 15 - k flips every bit of k, so it agrees in the same cells and
+# has the same score column: the first maximizer is always below 8.
+assert (_SCORE_TABLE == _SCORE_TABLE[:, ::-1]).all()
+
+# The whole-run rule ranks k = 0..7 by the key 8 * score - k: the largest key
+# is the first maximizer, and k = (-key) & 7. _KEY_TABLE[cell, k] is 8 times
+# the score column, so keys are cell counts times it, less _TIE_BREAKS. In
+# int64 they stay exact for any n up to bounds.MAX_TRIALS (|key| < 8n + 8).
+_KEY_TABLE = 8 * _SCORE_TABLE[:, :8]
+_TIE_BREAKS = np.arange(8)[:, None]
+_CELL_CODES = np.arange(4, dtype=np.uint8)[:, None]
 
 
 def angular_distance(a, b):
@@ -372,7 +385,9 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
     increment in that cell) and plays the first argmax, so it chases
     whichever zero-slack assignment best fits the observed setting
     imbalance. Integer scores keep the rule exactly reproducible across
-    implementations; both paths read them from ``SCORE_COLUMNS``.
+    implementations; both paths read them from ``SCORE_COLUMNS``: the
+    per-trial step adds one column to 16 plain-int scores, the whole-run
+    rule weighs running cell counts by the same table in ``choose_assignment``.
     """
 
     name = "adaptive-frequency-tracker"
@@ -389,10 +404,14 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
         self._scores = [0] * 16
         self._scored = 0  # trials of history folded into _scores
 
-    def choose_assignment(self, cell_counts: np.ndarray):
-        """First argmax assignment for one count vector, or one per row of a
-        stack."""
-        return np.argmax(cell_counts @ _SCORE_TABLE, axis=-1)
+    @staticmethod
+    def choose_assignment(cell_counts: np.ndarray) -> np.ndarray:
+        """First argmax assignment per column of a (4, n) int64 stack of cell
+        counts: the largest key 8 * score - k over k = 0..7, in exact integer
+        arithmetic with no BLAS call."""
+        keys = np.einsum("ck,cn->kn", _KEY_TABLE, cell_counts)
+        keys -= _TIE_BREAKS
+        return -keys.max(axis=0) & 7
 
     def source_emit(self, m, history):
         # One step per trial: the log grew by its last trial since the
@@ -410,12 +429,12 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
 
     def assignments(self, cells):
         """The assignment at trial m is a pure function of the joint settings
-        of trials 1..m-1, so a whole run vectorizes: cumulative one-hot
-        counts, then one argmax per trial. A cloned-source source sees an
-        empty history."""
-        counts = np.zeros((len(cells), 4), dtype=np.int64)
+        of trials 1..m-1, so a whole run vectorizes: per-cell running counts
+        along the trial axis, then one choice per trial. A cloned-source
+        source sees an empty history, so every count is 0."""
+        counts = np.zeros((4, len(cells)), dtype=np.int64)
         if self.mode == "sequential":
-            np.cumsum(np.eye(4, dtype=np.int64).take(cells[:-1], axis=0), axis=0, out=counts[1:])
+            np.cumsum(cells[:-1] == _CELL_CODES, axis=1, dtype=np.int64, out=counts[:, 1:])
         return self.choose_assignment(counts)
 
 

@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from bellbet.config import (
 )
 from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig, Setting
 from bellbet.quantum import QuantumModel, cell_coincidence_probability, expected_statistic_per_trial
+from bellbet.strategies import LOCAL_STRATEGY_NAMES
 
 
 def base_doc(**overrides):
@@ -194,6 +197,75 @@ class TestParsing:
             config_from_dict(base_doc(critical_value=10_000))
         with pytest.raises(ConfigError):
             config_from_dict(base_doc(critical_value=0))
+
+    def test_unhashable_strategy_name_is_a_config_error(self):
+        for name in ([], {}):
+            with pytest.raises(ConfigError, match="unknown strategy"):
+                config_from_dict(base_doc(side={"kind": "strategy", "strategy": name}))
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# What a JSON document can hold, biased towards the values the parser tests
+# for: integers past float range (up to the decoder's 4 300-digit limit),
+# non-finite floats, the schema's own words in the wrong places, lists and
+# objects nested a few levels or hundreds of levels deep.
+HUGE_INTS = st.builds(
+    lambda digits, sign: sign * 10**digits, st.integers(300, 4299), st.sampled_from((1, -1))
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | HUGE_INTS
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(("auto", "quantum", "strategy", "sequential", "cloned-source", "batch"))
+    | st.sampled_from(LOCAL_STRATEGY_NAMES)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=8,
+)
+FIELD_VALUES = (
+    JSON_VALUES
+    | st.builds(nested, JSON_VALUES, st.integers(1, 900))
+    | st.lists(JSON_VALUES, min_size=4, max_size=4)
+)
+SIDE_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("quantum", "strategy")) | FIELD_VALUES},
+    optional={
+        "strategy": st.sampled_from(LOCAL_STRATEGY_NAMES) | FIELD_VALUES,
+        "params": st.dictionaries(st.sampled_from(("bit", "")), FIELD_VALUES, max_size=2)
+        | FIELD_VALUES,
+        "correlation_sense": FIELD_VALUES,
+    },
+)
+CONFIG_FIELDS = sorted(default_config_dict()) + ["unknown"]
+
+
+class TestOnlyConfigErrorEscapes:
+    @given(
+        st.dictionaries(st.sampled_from(CONFIG_FIELDS), FIELD_VALUES | SIDE_DOCS, max_size=3),
+        st.sets(st.sampled_from(CONFIG_FIELDS), max_size=2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_edited_default_config(self, overrides, dropped):
+        # A few fields of the default config replaced and a few dropped:
+        # the parser returns a config or raises ConfigError, nothing else.
+        doc = {**default_config_dict(), **overrides}
+        for name in dropped:
+            doc.pop(name, None)
+        try:
+            config = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(config, ExperimentConfig)
 
 
 class TestAutoCriticalValue:

@@ -84,6 +84,15 @@ class TestStatisticTrace:
         assert trace.sup == 1
         assert trace.variance_budget() == 3.0
         assert trace.variance_budget(2) == 1.5
+        # The running sum is computed on its first read and kept.
+        assert trace.running_sum is trace.running_sum
+        assert not trace.running_sum.flags.writeable
+
+    def test_empty_trace_aggregates_are_zero(self):
+        no_trials = np.zeros(0, dtype=np.uint8)
+        trace = StatisticTrace.from_columns(no_trials, no_trials, no_trials)
+        assert (trace.n, trace.statistic, trace.sup) == (0, 0, 0)
+        assert trace.running_sum.shape == (0,)
 
 
 class TestAdjudicate:

@@ -24,6 +24,7 @@ from bellbet.strategies import (
     StationMemory,
     StrategyError,
     TrialView,
+    _SCORE_TABLE,
     angular_distance,
     build_strategy,
     polarizer_passes,
@@ -349,17 +350,42 @@ class TestAdaptiveTracker:
         assert grown.source_emit(len(jump) + 1, jump) == fresh.source_emit(len(jump) + 1, jump)
         assert grown.source_emit(1, ()).payload[0] == 0
 
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 3), max_size=300),
+            # Runs of one cell keep ties between assignments alive.
+            st.lists(st.tuples(st.integers(0, 3), st.integers(1, 60)), max_size=5).map(
+                lambda runs: [cell for cell, length in runs for _ in range(length)]
+            ),
+        ),
+        st.sampled_from(["sequential", "cloned-source"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_whole_run_matches_plain_int_reference(self, cells, mode):
+        # Per trial: 16 plain-int scores of the trials before it (none in
+        # cloned-source mode), then the first maximizer.
+        scores, expected = [0] * 16, []
+        for cell in cells:
+            expected.append(scores.index(max(scores)))
+            if mode == "sequential":
+                scores = [score + int(ASSIGNMENT_VALUES[k, cell]) for k, score in enumerate(scores)]
+        strategy = prepared("adaptive-frequency-tracker", mode=mode)
+        whole_run = strategy.assignments(np.array(cells, dtype=np.uint8))
+        assert whole_run.tolist() == expected
+
+    def test_complementary_assignments_score_alike(self):
+        # Assignment 15 - k flips every bit of k, so both agree in the same
+        # cells: the first maximizer is always one of 0..7.
+        for k in range(16):
+            assert np.array_equal(_SCORE_TABLE[:, k], _SCORE_TABLE[:, 15 - k])
+
     def test_conditional_mean_nonpositive(self):
         # Whatever assignment it picks, E[delta | counts] <= 0 under uniform
         # settings: the chosen assignment is still a deterministic local law.
-        from bellbet.strategies import ASSIGNMENT_VALUES
-
         strategy = prepared("adaptive-frequency-tracker")
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            counts = rng.integers(0, 50, size=4)
-            k = strategy.choose_assignment(counts.astype(np.int64))
-            assert ASSIGNMENT_VALUES[k].sum() <= 0
+        counts = np.random.default_rng(12).integers(0, 50, size=(4, 200))
+        chosen = strategy.choose_assignment(counts)
+        assert (ASSIGNMENT_VALUES[chosen].sum(axis=1) <= 0).all()
 
 
 class TestRangeViolator:
