@@ -538,16 +538,30 @@ def run_experiment(
 # --- reports and replay ----------------------------------------------------
 
 
+def _report(
+    log: TrialLog,
+    counts: CountMatrix,
+    trace: StatisticTrace,
+    design: ProtocolDesign,
+    verdict: Verdict | None,
+    abort: dict | None,
+) -> dict:
+    """The run report: ``summarize``'s fields, the angles, the design, the
+    verdict and the abort document. The writer and replay both build it here."""
+    return {
+        **summarize(log, counts, trace),
+        "angles": list(log.header.angles),
+        "design": design.as_dict(),
+        "verdict": verdict.to_dict() if verdict else None,
+        "abort": abort,
+    }
+
+
 def build_report(result: RunResult) -> dict:
     """Structured summary a jury can recheck by hand: counts, statistic,
     running supremum, verdict and the exact (log-space) bound values."""
-    return {
-        **summarize(result.log, result.counts, result.trace),
-        "angles": list(result.header.angles),
-        "design": result.design.as_dict(),
-        "verdict": result.verdict.to_dict() if result.verdict else None,
-        "abort": result.abort.to_dict() if result.abort else None,
-    }
+    abort = result.abort.to_dict() if result.abort else None
+    return _report(result.log, result.counts, result.trace, result.design, result.verdict, abort)
 
 
 @dataclass(frozen=True)
@@ -567,15 +581,16 @@ def replay_verify(
     counts: CountMatrix | None = None,
     trace: StatisticTrace | None = None,
 ) -> ReplayReport:
-    """Recompute settings from the seed and all aggregates from the records;
+    """Recompute settings from the seed and the report from the records;
     true iff everything matches bit-exactly.
 
     Without a report only the seed-derived settings and structural integrity
-    are checkable (outcomes are the claimant's data and not derivable);
-    with a report, counts, statistic, supremum and verdict are re-derived
-    and compared, so any flipped outcome bit is caught. A caller that has
-    already computed ``tally(log)`` passes its counts and trace; without
-    both, they are computed here.
+    are checkable (outcomes are the claimant's data and not derivable).
+    With one, the writer's own builder rebuilds it, taking only the design's
+    mean and the abort document from it, and the first key that differs, is
+    missing or is extra is named, so any flipped outcome bit is caught. A
+    caller that has already computed ``tally(log)`` passes its counts and
+    trace; without both, they are computed here.
     """
     header = log.header
     expected_cells = settings_cells(header.seed, len(log))  # the stream is prefix-stable
@@ -585,60 +600,42 @@ def replay_verify(
         trial = int(mismatches[0]) + 1
         return ReplayReport(False, f"settings diverge from seed at trial {trial}", trial)
 
+    if counts is None or trace is None:
+        counts, trace = tally(log)
+    if trace.statistic != chsh_count_statistic(counts):
+        return ReplayReport(False, "statistic does not equal the count combination")
     if report is None:
         return ReplayReport(True)
 
-    if report.get("n") != header.n or report.get("critical_value") != header.critical_value:
-        return ReplayReport(False, "report design does not match log header")
-    if report.get("config_hash") != header.config_hash:
-        return ReplayReport(False, "report config hash does not match log header")
-
     abort = report.get("abort")
-    if abort is not None and not isinstance(abort, dict):
-        return ReplayReport(False, "report abort is not an object")
     if abort is None:
-        if not log.complete:
-            return ReplayReport(
-                False, f"log holds {len(log)} of {header.n} trials with no abort report"
-            )
+        expected_len = header.n
+    elif not isinstance(abort, dict):
+        return ReplayReport(False, "report abort is not an object")
     else:
         abort_trial = abort.get("trial")
         if abort_trial is not None and type(abort_trial) is not int:
             return ReplayReport(False, "report abort trial is not an integer")
         expected_len = (abort_trial or 1) - 1
-        if len(log) != expected_len:
-            return ReplayReport(
-                False,
-                f"abort at trial {abort_trial} but log holds {len(log)} trials",
-            )
+    if len(log) != expected_len:
+        return ReplayReport(
+            False, f"report abort does not fit a log of {len(log)} of {header.n} trials"
+        )
 
-    if counts is None or trace is None:
-        counts, trace = tally(log)
-    if report.get("counts") != counts.as_dict():
-        return ReplayReport(False, "recomputed counts do not match report")
-    if report.get("statistic") != trace.statistic:
-        return ReplayReport(False, "recomputed statistic does not match report")
-    if report.get("sup_statistic") != trace.sup:
-        return ReplayReport(False, "recomputed supremum does not match report")
-    if trace.statistic != chsh_count_statistic(counts):
-        return ReplayReport(False, "statistic does not equal the count combination")
-
-    verdict_doc = report.get("verdict")
-    if abort is None:
-        design_doc = report.get("design") or {}
-        if not isinstance(design_doc, dict):
-            return ReplayReport(False, "report design is not an object")
-        mu = design_doc.get("qm_mean_per_trial")
-        if not isinstance(mu, float):
-            return ReplayReport(False, "report lacks the design's per-trial mean")
-        try:
-            design = design_for(header.n, header.critical_value, mu)
-        except ValueError:
-            return ReplayReport(False, "report design is not a valid protocol design")
-        verdict = adjudicate(trace, design)
-        if verdict_doc != verdict.to_dict():
-            return ReplayReport(False, "re-derived verdict does not match report")
-    elif verdict_doc is not None:
-        return ReplayReport(False, "aborted run must not carry a verdict")
-
+    design_doc = report.get("design")
+    if not isinstance(design_doc, dict):
+        return ReplayReport(False, "report design is not an object")
+    mu = design_doc.get("qm_mean_per_trial")
+    if not isinstance(mu, float):
+        return ReplayReport(False, "report design lacks the per-trial mean")
+    try:
+        design = design_for(header.n, header.critical_value, mu)
+    except ValueError:
+        return ReplayReport(False, "report design is not a valid protocol design")
+    verdict = adjudicate(trace, design) if abort is None else None
+    expected = _report(log, counts, trace, design, verdict, abort)
+    shared = expected.keys() & report.keys()
+    for key in {**expected, **report}:
+        if key not in shared or report[key] != expected[key]:
+            return ReplayReport(False, f"report field {key!r} does not match the log")
     return ReplayReport(True)

@@ -480,6 +480,19 @@ class TestAnalyzeValidate:
         assert main(["analyze", "--log", str(tampered)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("validation failure: corrupt log")
 
+    @pytest.mark.parametrize("version", [2, "1", 1.0, [1], None, True])
+    def test_header_of_another_version_is_refused(self, finished_run, capsys, version):
+        header_line, records = finished_run.read_bytes().split(b"\n", 1)
+        header = {**json.loads(header_line), "version": version}
+        other = finished_run.parent / "other-version.log"
+        header_line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        other.write_bytes(header_line + b"\n" + records)
+        message = f"log version {version!r} is not 1"
+        assert main(["validate", "--log", str(other)]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == f"FAIL: {message}\n"
+        assert main(["analyze", "--log", str(other)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation failure: {message}\n"
+
     def test_analyze_missing_file(self, tmp_path, capsys):
         assert main(["analyze", "--log", str(tmp_path / "nope.log")]) == EXIT_CONFIG
 

@@ -459,6 +459,88 @@ class TestReplay:
         assert not replay_verify(result.log, report)
 
 
+def _changed(value):
+    """A JSON value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return {**value, first: _changed(value[first])}
+    if isinstance(value, list):
+        return [_changed(value[0]), *value[1:]]
+    if isinstance(value, str):
+        return value + "0"
+    if value is None:
+        return {}
+    return value + 1
+
+
+def _run_and_report(side, mode="sequential"):
+    result = run_experiment(make_config(strategy_side(side), n=400, seed=8, mode=mode))
+    return result, json.loads(json.dumps(build_report(result)))
+
+
+REFERENCE_REPORT = _run_and_report("constant")[1]
+REPORT_KEYS = tuple(REFERENCE_REPORT)
+RUN_SIDES = ["classical-polarizer", "range-violator"]  # a complete and an aborted run
+
+
+def _names(failure, key):
+    return f"report field {key!r} " in failure or failure.startswith(f"report {key} ")
+
+
+class TestReplayWholeReport:
+    """Replay rebuilds the report with the writer's builder; every key counts."""
+
+    @pytest.fixture(scope="class", params=RUN_SIDES)
+    def run(self, request):
+        return _run_and_report(request.param)
+
+    def test_every_report_has_the_same_keys(self, run):
+        assert tuple(run[1]) == REPORT_KEYS
+
+    @pytest.mark.parametrize("key", REPORT_KEYS)
+    def test_changed_field_is_named(self, run, key):
+        result, report = run
+        value = report[key]
+        if key == "abort" and value is not None:
+            # The abort document is taken as-is: the log pins only its trial.
+            value = {**value, "trial": value["trial"] + 1}
+        else:
+            value = _changed(value)
+        replay = replay_verify(result.log, {**report, key: value})
+        assert not replay.ok
+        assert _names(replay.failure, key), replay.failure
+
+    @pytest.mark.parametrize("key", REPORT_KEYS)
+    def test_missing_field_is_named(self, run, key):
+        result, report = run
+        replay = replay_verify(result.log, {k: v for k, v in report.items() if k != key})
+        assert not replay.ok
+        assert _names(replay.failure, key), replay.failure
+
+    def test_extra_field_is_named(self, run):
+        result, report = run
+        replay = replay_verify(result.log, {**report, "note": "hand-edited"})
+        assert not replay.ok
+        assert replay.failure == "report field 'note' does not match the log"
+
+    @pytest.mark.parametrize("field", list(REFERENCE_REPORT["design"]))
+    def test_changed_design_field_is_named(self, run, field):
+        result, report = run
+        design = {**report["design"], field: _changed(report["design"][field])}
+        replay = replay_verify(result.log, {**report, "design": design})
+        assert not replay.ok
+        assert _names(replay.failure, "design"), replay.failure
+
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
+    @pytest.mark.parametrize("side", RUN_SIDES)
+    def test_untampered_report_replays(self, side, mode):
+        result, report = _run_and_report(side, mode)
+        assert replay_verify(result.log, report)
+        if result.completed:
+            kernel = simulate_result(make_config(strategy_side(side), n=400, seed=8, mode=mode))
+            assert replay_verify(kernel.log, json.loads(json.dumps(build_report(kernel))))
+
+
 class TestRunResult:
     def test_verdict_only_for_complete_log_without_abort(self):
         complete = run_experiment(make_config(strategy_side("classical-polarizer"), n=120, seed=6))
