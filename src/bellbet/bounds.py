@@ -20,7 +20,7 @@ state bounds like e^-700 precisely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import QUANTUM_CEILING
 
@@ -100,6 +100,10 @@ def quantum_side_error_bound(n: int, critical_value: float, qm_mean_per_trial: f
 class ProtocolDesign:
     """Sample size, critical value and both sides' guaranteed error bounds.
 
+    The one rule for which (n, C, mu) is a bet: n is an integer in
+    1..``MAX_TRIALS``, C an integer with 0 < C < n * mu, and both bounds,
+    derived here, fall below 1. A ValueError names the first that fails.
+
     ``local_realist_error_bound`` bounds the probability that an honest local
     world produces S_n > C (the local-realist side falsely loses);
     ``quantum_claimant_error_bound`` bounds the probability that a true
@@ -109,24 +113,31 @@ class ProtocolDesign:
 
     n: int
     critical_value: int
-    local_realist_error_bound: float
-    quantum_claimant_error_bound: float
-    local_realist_log_error_bound: float
-    quantum_claimant_log_error_bound: float
     qm_mean_per_trial: float
+    local_realist_error_bound: float = field(init=False)
+    quantum_claimant_error_bound: float = field(init=False)
+    local_realist_log_error_bound: float = field(init=False)
+    quantum_claimant_log_error_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 < self.critical_value < self.n * self.qm_mean_per_trial:
-            raise ValueError(
-                f"critical value must lie strictly between 0 and n*mu = "
-                f"{self.n * self.qm_mean_per_trial}, got {self.critical_value}"
-            )
-        for name in ("local_realist_error_bound", "quantum_claimant_error_bound"):
-            bound = getattr(self, name)
-            if not 0.0 <= bound < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {bound}")
+        n, c, mu = self.n, self.critical_value, self.qm_mean_per_trial
+        # Both are checked before any float arithmetic: a log header may hold
+        # an integer too large for a float. ``type(...) is int`` refuses bools.
+        if type(n) is not int or not 1 <= n <= MAX_TRIALS:
+            raise ValueError(f"n must be an integer in 1..{MAX_TRIALS}")
+        if type(c) is not int:
+            raise ValueError("critical_value must be an integer")
+        if not 0 < c < n * mu:
+            raise ValueError(f"critical_value must lie strictly between 0 and n*mu = {n * mu:.6g}")
+        for side, log_bound in (
+            ("local_realist", bernstein_sup_log_bound(n, c)),
+            ("quantum_claimant", quantum_side_error_log_bound(n, c, mu)),
+        ):
+            bound = math.exp(log_bound)
+            if not bound < 1.0:
+                raise ValueError(f"{side}_error_bound is {bound}, not below 1")
+            object.__setattr__(self, f"{side}_error_bound", bound)
+            object.__setattr__(self, f"{side}_log_error_bound", log_bound)
 
     def as_dict(self) -> dict:
         return {
@@ -140,19 +151,8 @@ class ProtocolDesign:
         }
 
 
-def design_for(n: int, critical_value: int, qm_mean_per_trial: float) -> ProtocolDesign:
-    """Assemble a ProtocolDesign for explicit n and C, recomputing bounds."""
-    log_lr = bernstein_sup_log_bound(n, critical_value)
-    log_qc = quantum_side_error_log_bound(n, critical_value, qm_mean_per_trial)
-    return ProtocolDesign(
-        n=n,
-        critical_value=critical_value,
-        local_realist_error_bound=math.exp(log_lr),
-        quantum_claimant_error_bound=math.exp(log_qc),
-        local_realist_log_error_bound=log_lr,
-        quantum_claimant_log_error_bound=log_qc,
-        qm_mean_per_trial=qm_mean_per_trial,
-    )
+# The name callers use for the design of explicit n and C.
+design_for = ProtocolDesign
 
 
 def midpoint_critical_value(n: int, qm_mean_per_trial: float, fraction: float = 0.5) -> int:
@@ -201,23 +201,19 @@ def design_protocol(
             and quantum_side_error_log_bound(n, c, mu) <= log_q_target
         )
 
-    too_strict = f"no feasible sample size up to {MAX_TRIALS} trials; targets too strict"
     hi = 1
     while not feasible(hi):
         if hi == MAX_TRIALS:
-            raise ValueError(too_strict)
+            raise ValueError(f"no feasible sample size up to {MAX_TRIALS} trials; targets too strict")
         hi = min(2 * hi, MAX_TRIALS)
     lo = hi // 2
+    # Every step keeps ``hi`` feasible, and it ends one above an infeasible
+    # n. Integer rounding of C can make feasibility non-monotone by one
+    # trial, so a smaller n can still be feasible.
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    # Integer rounding of C can make feasibility non-monotone by one trial.
-    n = hi
-    while not feasible(n):
-        n += 1
-    if n > MAX_TRIALS:
-        raise ValueError(too_strict)
-    return design_for(n, midpoint_critical_value(n, mu, critical_fraction), mu)
+    return ProtocolDesign(hi, midpoint_critical_value(hi, mu, critical_fraction), mu)

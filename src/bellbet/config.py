@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .bounds import MAX_TRIALS, midpoint_critical_value
+from .bounds import MAX_TRIALS, ProtocolDesign, midpoint_critical_value
 from .core import AngleConfig, parse_json
 from .quantum import (
     CORRELATION_SENSES,
@@ -126,7 +126,8 @@ def _as_float(value, what: str) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One pre-agreed experiment. ``critical_value`` may be given explicitly
-    or resolved from the midpoint rule at load time ('auto')."""
+    or as 'auto', which construction resolves by the midpoint rule. A config
+    is valid only if its (n, C, mu) is a ``ProtocolDesign``, built here once."""
 
     angles: AngleConfig
     side: SideSpec
@@ -136,29 +137,34 @@ class ExperimentConfig:
     mode: str = "sequential"
     target_error: float = 1e-6
     output: str | None = None
+    design: ProtocolDesign = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _trial_count(self.n)
         if type(self.seed) is not int or self.seed < 0:  # a bool is not a seed
             raise ConfigError(f"seed must be an unsigned integer, got {self.seed!r}")
         if not isinstance(self.target_error, float) or not 0.0 < self.target_error < 1.0:
             raise ConfigError(f"target_error must be in (0, 1), got {self.target_error!r}")
-        if type(self.critical_value) is not int:
-            raise ConfigError(f"critical_value must be an integer, got {self.critical_value!r}")
-        mu = self.qm_mean_per_trial
-        if not 0 < self.critical_value < self.n * mu:
+        mu = mean_per_trial(self.side, self.angles)
+        if self.critical_value == "auto":
+            # checked before the midpoint rule multiplies it
+            c = midpoint_critical_value(_trial_count(self.n), mu)
+            object.__setattr__(self, "critical_value", c)
+        try:
+            design = ProtocolDesign(self.n, self.critical_value, mu)
+        except ValueError as exc:
             raise ConfigError(
-                f"critical_value must lie strictly between 0 and n*mu = {self.n * mu:.6g}, "
-                f"got {self.critical_value}"
-            )
+                f"no protocol design for n={self.n!r}, "
+                f"critical_value={self.critical_value!r}: {exc}"
+            ) from None
+        object.__setattr__(self, "design", design)
 
     @property
     def qm_mean_per_trial(self) -> float:
         """The quantum expectation the claimant aims for at these angles (used
         for the midpoint rule and both error bounds)."""
-        return mean_per_trial(self.side, self.angles)
+        return self.design.qm_mean_per_trial
 
     def to_dict(self) -> dict:
         doc = {
@@ -221,23 +227,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad params for strategy {side.strategy!r}: {exc}") from exc
 
-    n = doc["n"]
     target_error = _as_float(doc.get("target_error", 1e-6), "target_error")
-
-    raw_c = doc.get("critical_value", "auto")
-    if raw_c == "auto":
-        n = _trial_count(n)  # checked before the midpoint rule multiplies it
-        mu = mean_per_trial(side, angles)
-        if not mu > 0:
-            raise ConfigError(
-                f"cannot resolve critical_value='auto': expected statistic {mu:.6g} is not positive"
-            )
-        critical_value = midpoint_critical_value(n, mu)
-    elif isinstance(raw_c, int) and not isinstance(raw_c, bool):
-        critical_value = raw_c
-    else:
-        raise ConfigError(f"critical_value must be an integer or 'auto', got {raw_c!r}")
-
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a path string, got {output!r}")
@@ -245,8 +235,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(
         angles=angles,
         side=side,
-        n=n,
-        critical_value=critical_value,
+        n=doc["n"],
+        critical_value=doc.get("critical_value", "auto"),
         seed=doc["seed"],
         mode=doc.get("mode", "sequential"),
         target_error=target_error,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import design_for
 from .config import SIDE_QUANTUM, ExperimentConfig, SideSpec
 from .core import AngleConfig, setting_indices
 from .logfile import TrialLog
@@ -79,6 +78,6 @@ def simulate_result(config: ExperimentConfig) -> RunResult:
     i, j = setting_indices(cells)
     return RunResult(
         log=TrialLog.from_columns(log_header(config), i, j, x, y),
-        design=design_for(config.n, config.critical_value, config.qm_mean_per_trial),
+        design=config.design,
         abort=None,
     )

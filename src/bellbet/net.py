@@ -289,7 +289,8 @@ class RemoteStation:
     they go on the wire.
 
     Each SETTING it sends carries a fresh nonce, and ``get_outcome`` accepts
-    only an OUTCOME that echoes the nonce of that trial's SETTING."""
+    only an OUTCOME that echoes the nonce of that trial's SETTING, the one
+    SETTING awaiting its OUTCOME."""
 
     def __init__(self, sock: socket.socket, side: str, transcript: Transcript, mode: str):
         self.sock = sock
@@ -298,7 +299,7 @@ class RemoteStation:
         self.mode = mode
         self._reader = FrameReader(sock)
         self._queued: list[bytes] = []
-        self._nonces: dict[int, str] = {}
+        self._nonce: str | None = None
         self._blob = b""
 
     def _queue(self, kind: str, trial: int | None, body: bytes = b"") -> None:
@@ -320,17 +321,13 @@ class RemoteStation:
         self._queue(kind, trial, body)
         self._flush()
 
-    def _setting_frame(self, m: int, index: int) -> tuple[str, int, bytes]:
-        """The (kind, trial, body) of the SETTING for trial m, with a fresh nonce."""
-        nonce = secrets.token_hex(8)
-        self._nonces[m] = nonce
-        return KIND_SETTING, m, json.dumps({"index": index, "nonce": nonce}).encode("ascii")
-
     def deliver_lambda(self, m: int, message: SourceMessage) -> None:
         self._queue(KIND_LAMBDA, m, message.payload)
 
     def post_setting(self, m: int, index: int) -> None:
-        self._send(*self._setting_frame(m, index))
+        self._nonce = secrets.token_hex(8)
+        body = json.dumps({"index": index, "nonce": self._nonce}).encode("ascii")
+        self._send(KIND_SETTING, m, body)
 
     def get_outcome(self, m: int):
         try:
@@ -346,7 +343,8 @@ class RemoteStation:
                     f"{doc.get('kind')} trial {trial!r} side {doc.get('side')}"
                 )
             body = _json_body(doc["body"])
-            if body.get("nonce") != self._nonces.pop(m, None):
+            nonce, self._nonce = self._nonce, None
+            if body.get("nonce") != nonce:
                 raise ProtocolAbort(
                     f"{self.side} station answered trial {m} without the nonce of its "
                     "setting, so before the setting arrived: within-trial communication "

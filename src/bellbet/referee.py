@@ -369,7 +369,6 @@ class RefereeEngine:
         # (rng.settings_cells), revealed one trial at a time. The buffer never
         # leaves the referee.
         self._cells = settings_cells(config.seed, config.n)
-        self._design = design_for(config.n, config.critical_value, config.qm_mean_per_trial)
         self._events: list[tuple[int, str, int]] | None = [] if record_events else None
 
         self._oracle: OracleSampler | None = None
@@ -515,7 +514,7 @@ class RefereeEngine:
                 trial=exc.trial,
                 side=exc.side,
             )
-        return RunResult(log=self.log, design=self._design, abort=abort, events=self._events)
+        return RunResult(log=self.log, design=self.config.design, abort=abort, events=self._events)
 
 
 def run_experiment(

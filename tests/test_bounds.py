@@ -208,12 +208,4 @@ class TestDesignProtocol:
 class TestProtocolDesignInvariants:
     def test_validates_fields(self):
         with pytest.raises(ValueError):
-            ProtocolDesign(
-                n=100,
-                critical_value=200,
-                local_realist_error_bound=0.5,
-                quantum_claimant_error_bound=0.5,
-                local_realist_log_error_bound=math.log(0.5),
-                quantum_claimant_log_error_bound=math.log(0.5),
-                qm_mean_per_trial=0.1,
-            )
+            ProtocolDesign(n=100, critical_value=200, qm_mean_per_trial=0.1)

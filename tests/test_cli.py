@@ -1,6 +1,8 @@
 """CLI integration: subcommands, exit codes, file outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellbet.bounds import MAX_TRIALS
 from bellbet.cli import (
@@ -138,6 +142,21 @@ class TestRun:
         argv = [command, "--config", str(config), "--n", str(MAX_TRIALS + 1)]
         assert main(argv) == EXIT_CONFIG
         assert f"config error: n must be an integer in 1..{MAX_TRIALS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["run", "--strategy", "constant"], ["serve"]],
+        ids=["run-quantum", "run-constant", "serve-constant"],
+    )
+    def test_design_whose_bound_rounds_to_one_is_config_error(self, tmp_path, capsys, argv):
+        # C = 40391 lies below n * mu, about 40391.6, but the quantum side's
+        # bound rounds to 1.0: no design, so no config, and nothing runs.
+        side = {"kind": "strategy", "strategy": "constant", "params": {}}
+        overrides = {"side": side} if argv[0] == "serve" else {}
+        config = write_config(tmp_path, n=390_050, critical_value=40_391, **overrides)
+        assert main([*argv, "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no protocol design for n=390050, critical_value=40391")
 
     def test_unknown_field_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, gremlins=True)
@@ -623,6 +642,84 @@ class TestAnalyzeValidate:
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_OK
         assert b"Traceback" not in err and b"Error" not in err, err
+
+
+def quiet_main(argv) -> tuple[int, str]:
+    """``main(argv)`` with stdout and stderr captured: the status and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def bet_200(tmp_path_factory):
+    """A finished 200-trial bet: its directory, header, record lines and report."""
+    tmp = tmp_path_factory.mktemp("bet200")
+    log = tmp / "bet.log"
+    status, _ = quiet_main(["run", "--config", str(write_config(tmp, n=200)), "--out", str(log)])
+    assert status == EXIT_OK
+    header, *records = log.read_text().splitlines(keepends=True)
+    report = json.loads((tmp / "bet.log.report.json").read_text())
+    return tmp, json.loads(header), records, report
+
+
+def analyze_edited(bet, header_edits, report_kind, records=None) -> tuple[int, str]:
+    """``analyze`` of the bet's log, at ``edited.log``, with ``header_edits``
+    applied to its header and only ``records`` kept (default: all), against
+    no report, the bet's own report or that report aborted at the trial
+    after the log's last."""
+    tmp, header, all_records, report = bet
+    records = all_records if records is None else records
+    log = tmp / "edited.log"
+    edited = json.dumps({**header, **header_edits}, sort_keys=True, separators=(",", ":"))
+    log.write_text(edited + "\n" + "".join(records))
+    argv = ["analyze", "--log", str(log)]
+    if report_kind != "none":
+        if report_kind == "aborted":
+            abort = {"kind": "protocol-abort", "reason": "station gone", "trial": len(records) + 1}
+            report = {**report, "abort": {**abort, "side": "left", "value": None}, "verdict": None}
+        path = tmp / "report.json"
+        path.write_text(json.dumps(report))
+        argv += ["--report", str(path)]
+    return quiet_main(argv)
+
+
+# JSON integers of up to a few hundred digits, small ones and powers of ten.
+HEADER_INTEGERS = (
+    st.integers(-10, 10**6)
+    | st.integers(-(10**300), 10**300)
+    | st.integers(0, 400).map(lambda k: 10**k)
+)
+
+
+class TestEditedHeaderDesign:
+    """A header's n and C are any JSON integers; only a design is adjudicated."""
+
+    @given(
+        st.fixed_dictionaries({}, optional={"n": HEADER_INTEGERS, "critical_value": HEADER_INTEGERS}),
+        st.sampled_from(["none", "matching", "aborted"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_analyze_ends_with_its_code(self, bet_200, edits, report_kind):
+        status, _ = analyze_edited(bet_200, edits, report_kind)
+        assert status in (EXIT_OK, EXIT_VALIDATION)
+
+    def test_critical_value_too_large_for_a_float_is_no_design(self, bet_200):
+        status, out = analyze_edited(bet_200, {"critical_value": 10**400}, "none")
+        assert status == EXIT_OK
+        doc = json.loads(out)
+        assert doc["design"] is None
+        assert doc["verdict"]["winner"] == "local-realist"
+        assert quiet_main(["validate", "--log", str(bet_200[0] / "edited.log")])[0] == EXIT_OK
+
+    def test_trial_count_too_large_for_a_float_fails_replay(self, bet_200):
+        # The header alone, against a report aborted at trial 1: replay
+        # reaches the design, which the header's n cannot have.
+        status, out = analyze_edited(bet_200, {"n": 10**400}, "aborted", records=[])
+        assert status == EXIT_VALIDATION
+        failure = json.loads(out)["replay_verify"]["failure"]
+        assert failure == "report design is not a valid protocol design"
 
 
 class TestNetworkCommandErrors:

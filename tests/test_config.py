@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from bellbet.bounds import MAX_TRIALS, design_protocol, midpoint_critical_value
+from bellbet.bounds import MAX_TRIALS, design_for, design_protocol, midpoint_critical_value
 from bellbet.config import (
     ConfigError,
     ExperimentConfig,
@@ -365,3 +365,45 @@ def test_mean_per_trial_is_bit_identical(side):
         config = config_from_dict(doc)
         assert config.qm_mean_per_trial == mu
         assert config.critical_value == midpoint_critical_value(n, mu)
+
+
+# At the optimal angles n * mu is about 40391.6 for n = 390 050, so C = 40391
+# lies below it, yet the quantum side's bound rounds to 1.0.
+EDGE_DESIGN = {"n": 390_050, "critical_value": 40_391}
+
+
+class TestValidIffDesign:
+    """A config is accepted exactly when its (n, C, mu) is a design."""
+
+    @pytest.mark.parametrize("side", MU_SIDES[::2], ids=["quantum", "constant"])
+    def test_bound_that_rounds_to_one_is_a_config_error(self, side):
+        with pytest.raises(
+            ConfigError,
+            match="no protocol design for n=390050, critical_value=40391: "
+            "quantum_claimant_error_bound is 1.0",
+        ):
+            config_from_dict(base_doc(side=side, **EDGE_DESIGN))
+        smaller = base_doc(side=side, **{**EDGE_DESIGN, "critical_value": 40_000})
+        assert config_from_dict(smaller).design.quantum_claimant_error_bound < 1.0
+
+    @given(
+        st.sampled_from([OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig(0.0, 0.0, 0.0, 0.0)]),
+        st.sampled_from(MU_SIDES),
+        st.integers(-2, 2_000_000) | st.sampled_from([EDGE_DESIGN["n"], MAX_TRIALS, MAX_TRIALS + 1]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_config_accepts_exactly_the_designs(self, angles, side, n, data):
+        mu = mean_per_trial(SideSpec.from_dict(side), angles)
+        # C anywhere, or within a few of n * mu, where the bounds near 1.
+        below = int(n * mu) if 1 <= n <= MAX_TRIALS and mu > 0 else 0
+        c = data.draw(st.integers(-2, max(below, 2)) | st.integers(below - 3, below + 1))
+        doc = base_doc(angles=list(angles.as_tuple()), side=side, n=n, critical_value=c)
+        try:
+            design = design_for(n, c, mu)
+        except ValueError:
+            with pytest.raises(ConfigError, match="no protocol design"):
+                config_from_dict(doc)
+            return
+        config = config_from_dict(doc)
+        assert config.design == design == design_for(n, c, config.qm_mean_per_trial)
