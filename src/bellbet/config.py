@@ -64,7 +64,7 @@ class SideSpec:
             if cls.locality_class == NONLOCAL_CHEATER:
                 raise ConfigError(
                     "the nonlocal cheater cannot be selected from a config file; "
-                    "it exists only for enforcement-disabled diagnostics"
+                    "it exists only for the nonlocality diagnostic"
                 )
 
     def to_dict(self) -> dict:

@@ -154,14 +154,13 @@ class TrialLog(Sequence):
 
     def __init__(self, header: LogHeader):
         self.header = header
-        # One byte per trial in each column: ``append`` is a plain store, and
+        # One byte per trial in each column: ``commit`` is a plain store, and
         # ``columns`` views the committed prefix as uint8 arrays.
         self._i = bytearray(header.n)
         self._j = bytearray(header.n)
         self._x = bytearray(header.n)
         self._y = bytearray(header.n)
         self._count = 0
-        self._last: TrialRecord | None = None  # the last trial's record, once built
 
     def __len__(self) -> int:
         return self._count
@@ -170,49 +169,32 @@ class TrialLog(Sequence):
     def complete(self) -> bool:
         return self._count == self.header.n
 
-    def append(self, record: TrialRecord) -> None:
-        if record.m != self._count + 1:
-            raise ValueError(f"expected trial {self._count + 1}, got {record.m}")
-        if self._count >= len(self._i):
-            raise ValueError(f"log already holds all {self._count} trials")
-        setting = record.setting
-        self.commit(setting.i, setting.j, record.x, record.y)
-        self._last = record
-
     def commit(self, i: int, j: int, x: int, y: int) -> None:
         """Append the next trial from its setting indices and outcome bits,
-        which the caller has checked, without building its record: ``record``
-        builds one when it is read. A full log raises IndexError."""
+        which the caller has checked: the one way a trial enters a log. No
+        record is built; ``record`` builds one when it is read. A full log
+        raises IndexError."""
         idx = self._count
         self._i[idx] = i
         self._j[idx] = j
         self._x[idx] = x
         self._y[idx] = y
         self._count = idx + 1
-        self._last = None
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, x, y) arrays for the committed trials, in order."""
         c = self._count
-        return tuple(np.frombuffer(col, dtype=np.uint8, count=c) for col in self._buffers())
-
-    def _buffers(self) -> tuple[bytearray, bytearray, bytearray, bytearray]:
-        return self._i, self._j, self._x, self._y
+        cols = self._i, self._j, self._x, self._y
+        return tuple(np.frombuffer(col, dtype=np.uint8, count=c) for col in cols)
 
     def record(self, m: int) -> TrialRecord:
-        """Trial m. The last trial's record is kept once built (or as
-        appended), so every read of it hands back the same object."""
+        """Trial m, built from the columns."""
         if not 1 <= m <= self._count:
             raise IndexError(f"trial {m} outside 1..{self._count}")
-        if m == self._count and self._last is not None:
-            return self._last
         idx = m - 1
-        record = TrialRecord(
+        return TrialRecord(
             m, SETTINGS_BY_CELL[cell_code(self._i[idx], self._j[idx])], self._x[idx], self._y[idx]
         )
-        if m == self._count:
-            self._last = record
-        return record
 
     def __getitem__(self, index: int) -> TrialRecord:
         return self.record(index + 1 if index >= 0 else self._count + index + 1)
@@ -268,7 +250,6 @@ class TrialLog(Sequence):
         log.header = header
         log._i, log._j, log._x, log._y = (bytearray(col) for col in (i, j, x, y))
         log._count = len(log._i)
-        log._last = None
         return log
 
 

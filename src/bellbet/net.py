@@ -490,7 +490,7 @@ class StationClient:
         if role not in SIDES:
             raise ValueError(f"role must be one of {SIDES}, got {role!r}")
         self.role = role
-        self.endpoint = endpoint
+        self.host, self.port = parse_endpoint(endpoint)
         self.timeout = timeout
         self._strategy = strategy
         self.trials_completed = 0
@@ -503,12 +503,11 @@ class StationClient:
 
     def run(self) -> int:
         """Returns a process exit status: 0 on VERDICT, nonzero otherwise."""
-        host, port = parse_endpoint(self.endpoint)
         # getaddrinfo IDNA-encodes a str host, and importing that codec costs
         # a station about 2 ms before its first frame; parse_endpoint gives an
         # ASCII name, which as bytes needs no encoding.
-        host = host.encode("ascii")
-        self.sock = _no_delay(socket.create_connection((host, port), timeout=self.timeout))
+        address = (self.host.encode("ascii"), self.port)
+        self.sock = _no_delay(socket.create_connection(address, timeout=self.timeout))
         try:
             self._send(
                 KIND_HELLO,
@@ -577,8 +576,13 @@ def station_client(
     timeout: float = DEFAULT_TRIAL_TIMEOUT,
 ) -> int:
     """Convenience wrapper: run a station to completion, return exit status
-    (0 verdict received, 2 config mismatch, 3 protocol abort)."""
-    client = StationClient(role, endpoint, strategy=strategy, timeout=timeout)
+    (0 verdict received, 2 config error or mismatch, 3 protocol abort). A
+    role or endpoint no station can take is a config error, found before any
+    socket is opened."""
+    try:
+        client = StationClient(role, endpoint, strategy=strategy, timeout=timeout)
+    except ValueError:
+        return 2
     try:
         return client.run()
     except (ConfigError, StrategyError):
@@ -596,15 +600,31 @@ class AuditReport:
 def audit_transcript(entries: list[dict]) -> AuditReport:
     """Check the per-trial wire ordering: for every trial m and each side,
     LAMBDA(m) precedes SETTING(m) precedes OUTCOME(m), and SETTING(m+1) is
-    sent only after both OUTCOME(m) frames arrived."""
+    sent only after both OUTCOME(m) frames arrived.
+
+    A station writes the kind, trial and side of the frames it sends, so a
+    received frame whose kind is not a string, whose trial is not an exact
+    int or whose side is not a side is named as a failure and left out of
+    the ordering."""
     failures: list[str] = []
     first: dict[tuple[str, str, int], int] = {}
     outcome_seq: dict[tuple[str, int], int] = {}
     for entry in entries:
-        key = (entry["kind"], entry.get("side") or "", entry.get("trial") or 0)
+        kind, trial, side = entry["kind"], entry.get("trial"), entry.get("side")
+        if (
+            type(kind) is not str
+            or not (trial is None or type(trial) is int)
+            or not (side is None or side in SIDES)
+        ):
+            failures.append(
+                f"frame {entry['seq']}: {kind!r} with trial {trial!r} and side {side!r} "
+                "is no protocol frame"
+            )
+            continue
+        key = (kind, side or "", trial or 0)
         first.setdefault(key, entry["seq"])
-        if entry["kind"] == KIND_OUTCOME and entry["dir"] == "recv":
-            outcome_seq[(entry["side"], entry["trial"])] = entry["seq"]
+        if kind == KIND_OUTCOME and entry["dir"] == "recv":
+            outcome_seq[(side, trial)] = entry["seq"]
 
     trials = sorted({t for (_, _, t) in first if t})
     for m in trials:

@@ -349,8 +349,8 @@ class RefereeEngine:
 
     The quantum oracle (side 'quantum') runs inside the referee and
     legitimately sees both settings; locality enforcement does not apply to
-    it. A nonlocal strategy can only run when ``allow_nonlocal=True`` is
-    passed explicitly (never reachable from a config file).
+    it. Every other participant is a pair of stations, each told only its
+    own setting, so a strategy that needs both settings is refused.
     """
 
     def __init__(
@@ -359,7 +359,6 @@ class RefereeEngine:
         *,
         strategy: Strategy | None = None,
         stations: tuple | None = None,
-        allow_nonlocal: bool = False,
         record_events: bool = False,
     ):
         self.config = config
@@ -374,7 +373,6 @@ class RefereeEngine:
         self._oracle: OracleSampler | None = None
         self.strategy: Strategy | None = None
         self._stations = None
-        self._nonlocal = False
 
         if config.side.kind == SIDE_QUANTUM:
             if strategy is not None or stations is not None:
@@ -383,24 +381,15 @@ class RefereeEngine:
             self._oracle = OracleSampler(model, config.seed, config.n)
         else:
             if strategy is None:
-                strategy = build_strategy(
-                    config.side.strategy, config.side.params, allow_nonlocal=allow_nonlocal
-                )
+                strategy = build_strategy(config.side.strategy, config.side.params)
+            elif strategy.locality_class == NONLOCAL_CHEATER:
+                raise ValueError("the referee runs no strategy that sees both settings")
             strategy.prepare(seed=config.seed, n=config.n, angles=config.angles, mode=config.mode)
             self.strategy = strategy
-            self._nonlocal = strategy.locality_class == NONLOCAL_CHEATER
-            if self._nonlocal:
-                if not allow_nonlocal:
-                    raise ValueError(
-                        "nonlocal strategy requires allow_nonlocal=True (enforcement-disabled mode)"
-                    )
-                if stations is not None:
-                    raise ValueError("nonlocal diagnostics run without stations")
-            else:
-                self._stations = stations or (
-                    LocalStation(strategy, LEFT),
-                    LocalStation(strategy, RIGHT),
-                )
+            self._stations = stations or (
+                LocalStation(strategy, LEFT),
+                LocalStation(strategy, RIGHT),
+            )
 
         self.log = TrialLog(log_header(config))
         self._step = self._trial_step()
@@ -432,7 +421,6 @@ class RefereeEngine:
         event = self._event if self._events is not None else None
         sequential = self.mode == "sequential"
         sample = self._oracle.sample_trial if self._oracle is not None else None
-        respond_nonlocal = self.strategy.respond_nonlocal if self._nonlocal else None
         stations = self._stations
         new_tuple = tuple.__new__
         indices_by_cell = tuple(map(setting_indices, range(4)))
@@ -460,10 +448,8 @@ class RefereeEngine:
                 left.post_setting(m, i)
                 right.post_setting(m, j)
                 x, y = left.get_outcome(m), right.get_outcome(m)
-            elif sample is not None:
-                x, y = sample(m, SETTINGS_BY_CELL[cell])
             else:
-                x, y = respond_nonlocal(LEFT, i, j), respond_nonlocal(RIGHT, i, j)
+                x, y = sample(m, SETTINGS_BY_CELL[cell])
             if type(x) is not int or not 0 <= x <= 1:
                 x = _validated(x, LEFT, m)
             if type(y) is not int or not 0 <= y <= 1:
@@ -517,21 +503,9 @@ class RefereeEngine:
         return RunResult(log=self.log, design=self.config.design, abort=abort, events=self._events)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    *,
-    strategy: Strategy | None = None,
-    allow_nonlocal: bool = False,
-    record_events: bool = False,
-) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     """Build and run an in-process experiment for this config."""
-    engine = RefereeEngine(
-        config,
-        strategy=strategy,
-        allow_nonlocal=allow_nonlocal,
-        record_events=record_events,
-    )
-    return engine.run()
+    return RefereeEngine(config).run()
 
 
 # --- reports and replay ----------------------------------------------------

@@ -18,9 +18,10 @@ it against the engine byte for byte.
 
 Built-in roster: constant, independent-coin, classical-polarizer,
 deterministic-optimal, adaptive-frequency-tracker, plus the two deliberately
-ill-behaved ones used by validation tests: nonlocal-cheater (only
-constructible when enforcement is explicitly disabled) and range-violator
-(emits reals in [-sqrt(2*pi), sqrt(2*pi)] instead of bits).
+ill-behaved ones used by validation tests: nonlocal-cheater (constructible
+only with ``allow_nonlocal``, for the nonlocality diagnostic; the referee
+never runs it) and range-violator (emits reals in [-sqrt(2*pi),
+sqrt(2*pi)] instead of bits).
 """
 
 from __future__ import annotations
@@ -442,8 +443,9 @@ class NonlocalCheaterStrategy(Strategy):
     """Coordinates on the full joint setting, which no local model can see.
 
     Coincides in cell (1,2) and anti-coincides elsewhere, attaining the
-    nonlocal maximum E[S_n] = n/4. Only runnable when the referee explicitly
-    disables locality enforcement; ``station_respond`` always fails.
+    nonlocal maximum E[S_n] = n/4. The referee refuses it and
+    ``station_respond`` always fails; ``respond_nonlocal`` answers with both
+    settings, for the nonlocality diagnostic.
     """
 
     name = "nonlocal-cheater"
@@ -505,8 +507,8 @@ def build_strategy(
 ) -> Strategy:
     """Instantiate a registered strategy by name.
 
-    The nonlocal cheater is refused unless ``allow_nonlocal`` is set: in the
-    default mode it must be impossible to even construct a participant the
+    The nonlocal cheater is refused unless ``allow_nonlocal`` is set: by
+    default it must be impossible to even construct a participant the
     engine cannot run locally.
     """
     cls = STRATEGY_REGISTRY.get(name)
@@ -514,6 +516,6 @@ def build_strategy(
         raise StrategyError(f"unknown strategy {name!r}; known: {sorted(STRATEGY_REGISTRY)}")
     if cls.locality_class == NONLOCAL_CHEATER and not allow_nonlocal:
         raise StrategyError(
-            "nonlocal-cheater requires a referee with enforcement explicitly disabled"
+            "nonlocal-cheater is built only with allow_nonlocal, for the nonlocality diagnostic"
         )
     return cls(**dict(params or {}))

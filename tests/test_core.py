@@ -217,8 +217,8 @@ class TestCountStatistic:
             critical_value=3,
         )
         log = TrialLog(header)
-        for m, (i, j, x, y) in enumerate(trials, start=1):
-            log.append(TrialRecord(m=m, setting=Setting(i, j), x=x, y=y))
+        for i, j, x, y in trials:
+            log.commit(i, j, x, y)
         return log
 
     def _assert_columns_match_records(self, log):

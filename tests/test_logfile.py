@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbet import logfile
-from bellbet.core import Setting, TrialRecord
 from bellbet.logfile import (
     LogFormatError,
     LogHeader,
@@ -40,8 +39,8 @@ def make_header(n=4, seed=9):
 
 def small_log():
     log = TrialLog(make_header())
-    for m, (i, j, x, y) in enumerate([(1, 2, 1, 1), (2, 1, 0, 1), (1, 1, 0, 0), (2, 2, 1, 0)], 1):
-        log.append(TrialRecord(m=m, setting=Setting(i, j), x=x, y=y))
+    for i, j, x, y in [(1, 2, 1, 1), (2, 1, 0, 1), (1, 1, 0, 0), (2, 2, 1, 0)]:
+        log.commit(i, j, x, y)
     return log
 
 
@@ -68,8 +67,8 @@ class TestRoundTrip:
         # Partial logs included: the committed count ranges over 0..n.
         n, trials = design
         log = TrialLog(make_header(n=n))
-        for m, (i, j, x, y) in enumerate(trials, 1):
-            log.append(TrialRecord(m=m, setting=Setting(i, j), x=x, y=y))
+        for i, j, x, y in trials:
+            log.commit(i, j, x, y)
         docs = [log.header.to_dict()] + [
             {"m": m, "i": i, "j": j, "x": x, "y": y}
             for m, (i, j, x, y) in enumerate(trials, 1)
@@ -126,14 +125,10 @@ class TestRoundTrip:
         with pytest.raises(IndexError):
             TrialLog(make_header())[-1]
 
-    def test_append_enforces_sequence(self):
-        log = TrialLog(make_header())
-        log.append(TrialRecord(m=1, setting=Setting(1, 1), x=0, y=0))
-        with pytest.raises(ValueError):
-            log.append(TrialRecord(m=3, setting=Setting(1, 1), x=0, y=0))
+    def test_commit_on_a_full_log_raises(self):
         full = small_log()
-        with pytest.raises(ValueError):
-            full.append(TrialRecord(m=5, setting=Setting(1, 1), x=0, y=0))
+        with pytest.raises(IndexError):
+            full.commit(1, 1, 0, 0)
         assert len(full) == 4
 
     def test_from_columns_validates(self):

@@ -171,22 +171,41 @@ class TestFraming:
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
         assert encode_frame(kind, trial, side, body) == len(payload).to_bytes(4, "big") + payload
 
-    @pytest.mark.parametrize("trial", [1.0, True])
-    def test_outcome_trial_must_be_an_exact_int(self, trial):
-        # 1.0 == True == 1, but neither is the trial number the referee asked for.
+    @staticmethod
+    def answer_trial_1(trial, side, transcript_path):
+        """The left station's OUTCOME for trial 1 with this trial and side in
+        its envelope: the abort it causes and the audit of the transcript."""
         referee_end, station_end = socket.socketpair()
         try:
-            station = RemoteStation(referee_end, "left", Transcript(), "sequential")
+            transcript = Transcript()
+            station = RemoteStation(referee_end, "left", transcript, "sequential")
             station.post_setting(1, 2)
             nonce = json.loads(recv_frame(station_end)["body"])["nonce"]
             body = json.dumps({"value": 1, "blob": "", "nonce": nonce}).encode()
-            station_end.sendall(encode_frame(KIND_OUTCOME, trial, "left", body))
+            station_end.sendall(encode_frame(KIND_OUTCOME, trial, side, body))
             with pytest.raises(ProtocolAbort, match="expected OUTCOME") as caught:
                 station.get_outcome(1)
-            assert (caught.value.trial, caught.value.side) == (1, "left")
         finally:
             referee_end.close()
             station_end.close()
+        transcript.write(transcript_path)
+        return caught.value, audit_transcript(Transcript.read(transcript_path))
+
+    @pytest.mark.parametrize("trial", [1.0, True, "1", [1]])
+    def test_outcome_trial_must_be_an_exact_int(self, trial, tmp_path):
+        # 1.0 == True == 1, but neither is the trial number the referee asked
+        # for; the audit names the frame, whatever the type of its trial.
+        abort, audit = self.answer_trial_1(trial, "left", tmp_path / "wire.jsonl")
+        assert (abort.trial, abort.side) == (1, "left")
+        assert not audit.ok
+        assert audit.failures[0].startswith(f"frame 2: 'OUTCOME' with trial {trial!r} ")
+
+    @pytest.mark.parametrize("side", ["middle", ["left"]])
+    def test_audit_names_an_outcome_from_no_side(self, side, tmp_path):
+        abort, audit = self.answer_trial_1(1, side, tmp_path / "wire.jsonl")
+        assert (abort.trial, abort.side) == (1, "left")
+        assert not audit.ok
+        assert audit.failures[0].startswith(f"frame 2: 'OUTCOME' with trial 1 and side {side!r} ")
 
     def test_view_codec_round_trip_and_bytes(self):
         view = TrialView(3, 1, 0, 2, 1, {"left": b"a", "right": b""})
@@ -934,6 +953,14 @@ class TestWritePattern:
 
 
 class TestStationStart:
+    def test_bad_role_or_endpoint_exits_2_before_any_socket(self, monkeypatch):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("station opened a connection")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        assert station_client("left", "nohost") == 2
+        assert station_client("middle", "127.0.0.1:1") == 2
+
     def test_station_connects_without_the_idna_codec(self):
         # An ASCII host reaches getaddrinfo as bytes, so the station never
         # imports the IDNA codec (about 2 ms of its start-up).

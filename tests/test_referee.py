@@ -9,7 +9,13 @@ import pytest
 
 from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import OPTIMAL_ANGLES, CountMatrix, cell_code, chsh_count_statistic
+from bellbet.core import (
+    OPTIMAL_ANGLES,
+    CountMatrix,
+    cell_code,
+    chsh_count_statistic,
+    setting_indices,
+)
 from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.referee import (
@@ -27,8 +33,11 @@ from bellbet.referee import (
     tally,
     validate_outcome,
 )
+from bellbet.rng import settings_cells
 from bellbet.strategies import (
+    LEFT,
     LOCAL_STRATEGY_NAMES,
+    RIGHT,
     AdaptiveFrequencyTracker,
     Strategy,
     build_strategy,
@@ -384,15 +393,19 @@ class TestOutcomeValidationInEngine:
 class TestNonlocalCheater:
     def test_positive_drift_of_order_n_quarter(self):
         # A both-settings cheater attains E[S_n] = n/4: the statistic detects
-        # nonlocality.
+        # nonlocality. The referee never runs it, so its answers are taken
+        # over the run's own settings here.
         config = make_config(strategy_side("constant"), n=2000, seed=5, critical_value=100)
         cheater = build_strategy("nonlocal-cheater", allow_nonlocal=True)
-        result = RefereeEngine(config, strategy=cheater, allow_nonlocal=True).run()
-        assert result.trace.statistic > 2000 / 8
-        assert result.trace.statistic == pytest.approx(2000 / 4, rel=0.2)
-        assert result.verdict.winner == "quantum-claimant"
+        i, j = setting_indices(settings_cells(config.seed, config.n))
+        x = np.array([cheater.respond_nonlocal(LEFT, a, b) for a, b in zip(i, j)])
+        y = np.array([cheater.respond_nonlocal(RIGHT, a, b) for a, b in zip(i, j)])
+        trace = StatisticTrace.from_columns(cell_code(i, j), x, y)
+        assert trace.statistic > 2000 / 8
+        assert trace.statistic == pytest.approx(2000 / 4, rel=0.2)
+        assert adjudicate(trace, config.design).winner == "quantum-claimant"
 
-    def test_engine_refuses_without_flag(self):
+    def test_engine_refuses_the_cheater(self):
         config = make_config(strategy_side("constant"), n=100, seed=5)
         cheater = build_strategy("nonlocal-cheater", allow_nonlocal=True)
         with pytest.raises(ValueError):
@@ -556,7 +569,8 @@ class TestRunResult:
 
         partial = TrialLog(complete.header)
         for m in range(1, 61):
-            partial.append(complete.log.record(m))
+            record = complete.log.record(m)
+            partial.commit(record.setting.i, record.setting.j, record.x, record.y)
         result = RunResult(log=partial, design=complete.design, abort=None)
         assert result.verdict is None
         assert result.trace.n == 60
@@ -648,7 +662,7 @@ class TestLastRecord:
         engine = RefereeEngine(make_config(side, n=30, seed=21))
         for m in range(1, 31):
             record = engine.run_trial(m)
-            assert engine.log[-1] is record
+            assert engine.log[-1] == record
             assert record == rebuilt_last(engine.log)
 
     def test_last_record_after_abort(self):
