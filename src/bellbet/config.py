@@ -24,7 +24,7 @@ from .quantum import (
     QuantumModel,
     expected_statistic_per_trial,
 )
-from .strategies import NONLOCAL_CHEATER, STRATEGY_REGISTRY, build_strategy
+from .strategies import STRATEGY_REGISTRY, build_strategy
 
 MODES = ("sequential", "cloned-source")
 
@@ -56,15 +56,9 @@ class SideSpec:
                 )
         else:
             # A JSON list or object is unhashable: test the type before the lookup.
-            cls = STRATEGY_REGISTRY.get(self.strategy) if isinstance(self.strategy, str) else None
-            if cls is None:
+            if not isinstance(self.strategy, str) or self.strategy not in STRATEGY_REGISTRY:
                 raise ConfigError(
                     f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGY_REGISTRY)}"
-                )
-            if cls.locality_class == NONLOCAL_CHEATER:
-                raise ConfigError(
-                    "the nonlocal cheater cannot be selected from a config file; "
-                    "it exists only for the nonlocality diagnostic"
                 )
 
     def to_dict(self) -> dict:

@@ -92,7 +92,12 @@ class LogHeader:
         if type(header.version) is not int or header.version != LOG_VERSION:  # 1.0 is no version
             raise LogFormatError(f"log version {header.version!r} is not {LOG_VERSION}")
         integers = (header.seed, header.n, header.critical_value)
-        if any(type(v) is not int for v in integers) or header.n < 0 or doc.get("kind") != "header":
+        if (
+            any(type(v) is not int for v in integers)
+            or header.seed < 0  # unsigned, as in a config
+            or header.n < 0
+            or doc.get("kind") != "header"
+        ):
             raise LogFormatError(f"malformed log header: {doc!r}")
         return header
 

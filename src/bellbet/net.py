@@ -386,14 +386,11 @@ def _handshake(sock: socket.socket, transcript: Transcript) -> str:
     version = body.get("version")
     role = body.get("role")
     if type(version) is not int or version != PROTOCOL_VERSION:  # 2.0 is no version
-        sock.sendall(
-            encode_frame(
-                KIND_ABORT,
-                None,
-                None,
-                json.dumps({"reason": f"protocol version {version} unsupported"}).encode("ascii"),
-            )
-        )
+        reason = json.dumps({"reason": f"protocol version {version} unsupported"})
+        try:
+            sock.sendall(encode_frame(KIND_ABORT, None, None, reason.encode("ascii")))
+        except OSError as exc:  # a client gone already is dropped like any other
+            raise FrameError(f"cannot send to a station: {exc}") from exc
         raise ProtocolAbort(f"station offered protocol version {version}")
     if role not in SIDES:
         raise ProtocolAbort(f"HELLO with unknown role {role!r}")
@@ -459,10 +456,12 @@ def referee_serve(
                 stations[side].send_verdict(report_stub)
             else:
                 stations[side].send_abort(result.abort.reason)
-        if transcript_path is not None:
-            transcript.write(transcript_path)
         return result, transcript
     finally:
+        # Also when the serve aborts before trial 1: its handshake frames
+        # are audited like any others.
+        if transcript_path is not None:
+            transcript.write(transcript_path)
         for sock in connections.values():
             sock.close()
         listener.close()

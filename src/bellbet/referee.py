@@ -49,7 +49,6 @@ from .rng import settings_cells
 from .strategies import (
     LEFT,
     NO_BLOBS,
-    NONLOCAL_CHEATER,
     RIGHT,
     SourceMessage,
     Strategy,
@@ -350,7 +349,8 @@ class RefereeEngine:
     The quantum oracle (side 'quantum') runs inside the referee and
     legitimately sees both settings; locality enforcement does not apply to
     it. Every other participant is a pair of stations, each told only its
-    own setting, so a strategy that needs both settings is refused.
+    own setting: ``station_respond`` has no argument through which a
+    strategy could see the other wing's.
     """
 
     def __init__(
@@ -382,8 +382,6 @@ class RefereeEngine:
         else:
             if strategy is None:
                 strategy = build_strategy(config.side.strategy, config.side.params)
-            elif strategy.locality_class == NONLOCAL_CHEATER:
-                raise ValueError("the referee runs no strategy that sees both settings")
             strategy.prepare(seed=config.seed, n=config.n, angles=config.angles, mode=config.mode)
             self.strategy = strategy
             self._stations = stations or (

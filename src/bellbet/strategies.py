@@ -17,11 +17,11 @@ Monte-Carlo kernels run that rule; a contract test over the registry checks
 it against the engine byte for byte.
 
 Built-in roster: constant, independent-coin, classical-polarizer,
-deterministic-optimal, adaptive-frequency-tracker, plus the two deliberately
-ill-behaved ones used by validation tests: nonlocal-cheater (constructible
-only with ``allow_nonlocal``, for the nonlocality diagnostic; the referee
-never runs it) and range-violator (emits reals in [-sqrt(2*pi),
-sqrt(2*pi)] instead of bits).
+deterministic-optimal, adaptive-frequency-tracker, plus one deliberately
+ill-behaved strategy used by validation tests: range-violator (emits reals
+in [-sqrt(2*pi), sqrt(2*pi)] instead of bits). A participant that needs
+both settings has no place here: ``station_respond``'s signature cannot
+express it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ RIGHT = "right"
 SIDES = (LEFT, RIGHT)
 
 LOCAL = "local"
-NONLOCAL_CHEATER = "nonlocal-cheater"
 RANGE_VIOLATING = "range-violating"
 
 # Outcome-range flaw: the broken model's raw outputs live in this interval.
@@ -439,27 +438,6 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
         return self.choose_assignment(counts)
 
 
-class NonlocalCheaterStrategy(Strategy):
-    """Coordinates on the full joint setting, which no local model can see.
-
-    Coincides in cell (1,2) and anti-coincides elsewhere, attaining the
-    nonlocal maximum E[S_n] = n/4. The referee refuses it and
-    ``station_respond`` always fails; ``respond_nonlocal`` answers with both
-    settings, for the nonlocality diagnostic.
-    """
-
-    name = "nonlocal-cheater"
-    locality_class = NONLOCAL_CHEATER
-
-    def station_respond(self, side, setting_index, message, memory):
-        raise StrategyError("nonlocal-cheater has no local response; it needs both settings")
-
-    def respond_nonlocal(self, side: str, i: int, j: int) -> int:
-        if (i, j) == (1, 2):
-            return 0
-        return 0 if side == LEFT else 1
-
-
 class RangeViolatorStrategy(Strategy):
     """Emits reals in [-sqrt(2*pi), sqrt(2*pi)] instead of bits.
 
@@ -491,7 +469,6 @@ STRATEGY_REGISTRY: dict[str, type[Strategy]] = {
         ClassicalPolarizerStrategy,
         DeterministicOptimalStrategy,
         AdaptiveFrequencyTracker,
-        NonlocalCheaterStrategy,
         RangeViolatorStrategy,
     )
 }
@@ -502,20 +479,9 @@ LOCAL_STRATEGY_NAMES = tuple(
 )
 
 
-def build_strategy(
-    name: str, params: Mapping[str, Any] | None = None, *, allow_nonlocal: bool = False
-) -> Strategy:
-    """Instantiate a registered strategy by name.
-
-    The nonlocal cheater is refused unless ``allow_nonlocal`` is set: by
-    default it must be impossible to even construct a participant the
-    engine cannot run locally.
-    """
+def build_strategy(name: str, params: Mapping[str, Any] | None = None) -> Strategy:
+    """Instantiate a registered strategy by name."""
     cls = STRATEGY_REGISTRY.get(name)
     if cls is None:
         raise StrategyError(f"unknown strategy {name!r}; known: {sorted(STRATEGY_REGISTRY)}")
-    if cls.locality_class == NONLOCAL_CHEATER and not allow_nonlocal:
-        raise StrategyError(
-            "nonlocal-cheater is built only with allow_nonlocal, for the nonlocality diagnostic"
-        )
     return cls(**dict(params or {}))

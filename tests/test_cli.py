@@ -694,16 +694,29 @@ HEADER_INTEGERS = (
 
 
 class TestEditedHeaderDesign:
-    """A header's n and C are any JSON integers; only a design is adjudicated."""
+    """A header's seed, n and C are any JSON integers; only a design is adjudicated."""
 
     @given(
-        st.fixed_dictionaries({}, optional={"n": HEADER_INTEGERS, "critical_value": HEADER_INTEGERS}),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "seed": HEADER_INTEGERS,
+                "n": HEADER_INTEGERS,
+                "critical_value": HEADER_INTEGERS,
+            },
+        ),
         st.sampled_from(["none", "matching", "aborted"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_analyze_ends_with_its_code(self, bet_200, edits, report_kind):
         status, _ = analyze_edited(bet_200, edits, report_kind)
         assert status in (EXIT_OK, EXIT_VALIDATION)
+
+    def test_negative_seed_is_a_malformed_header(self, bet_200):
+        # A config's seed is unsigned, and so is a log header's.
+        assert analyze_edited(bet_200, {"seed": -1}, "none")[0] == EXIT_VALIDATION
+        edited = str(bet_200[0] / "edited.log")
+        assert quiet_main(["validate", "--log", edited])[0] == EXIT_VALIDATION
 
     def test_critical_value_too_large_for_a_float_is_no_design(self, bet_200):
         status, out = analyze_edited(bet_200, {"critical_value": 10**400}, "none")

@@ -2,8 +2,6 @@
 bit-exactly, for every honest strategy in the registry and both quantum
 correlation senses, in every mode."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -87,11 +85,6 @@ class TestBatchHelpers:
             assert (finals[idx], sups[idx]) == (trace.statistic, trace.sup)
 
     def test_unknown_strategy_rejected(self):
-        # Neither ill-behaved strategy has a local whole-run rule. A config
-        # cannot name the cheater, so its side is passed as a bare record.
-        for name in ("range-violator", "nonlocal-cheater"):
-            side = SimpleNamespace(kind="strategy", strategy=name, params={})
-            with pytest.raises(StrategyError):
-                simulate_run(side, OPTIMAL_ANGLES, 10, 1)
-        with pytest.raises(ValueError):
+        # The range violator has no local whole-run rule.
+        with pytest.raises(StrategyError):
             simulate_run(SideSpec(kind="strategy", strategy="range-violator"), OPTIMAL_ANGLES, 10, 1)

@@ -4,6 +4,7 @@ import base64
 import inspect
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -468,6 +469,26 @@ class TestHandshake:
 
     def test_deeply_nested_hello_is_dropped(self):
         assert_hello_dropped(b'{"kind":"HELLO","trial":null,"side":"left","body":"","pad":' + DEEP + b"}")
+
+    def test_client_that_resets_after_a_bad_hello_is_dropped(self):
+        # The stray client offers an older version and resets its connection
+        # before the referee's first accept (the ready callback runs before
+        # it), so the refusal's ABORT cannot be sent.
+        def stray(addr):
+            bad = socket.create_connection(addr, timeout=5.0)
+            hello = json.dumps({"role": "left", "version": PROTOCOL_VERSION - 1}).encode()
+            bad.sendall(encode_frame(KIND_HELLO, None, "left", hello))
+            bad.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            bad.close()
+
+        with pytest.raises(ProtocolAbort, match="stations did not connect in time"):
+            referee_serve(make_config(n=20), trial_timeout=0.5, ready_callback=stray)
+
+    def test_serve_aborted_before_trial_1_writes_its_transcript(self, tmp_path):
+        path = tmp_path / "wire.jsonl"
+        with pytest.raises(ProtocolAbort, match="stations did not connect in time"):
+            referee_serve(make_config(n=20), trial_timeout=0.5, transcript_path=path)
+        assert audit_transcript(Transcript.read(path)).ok
 
 
 FAKE_N = 40

@@ -46,15 +46,6 @@ class TestRegistry:
         with pytest.raises(StrategyError):
             build_strategy("nonlocal-cheater")
 
-    def test_cheater_constructible_when_enforcement_disabled(self):
-        cheater = build_strategy("nonlocal-cheater", allow_nonlocal=True)
-        assert cheater.respond_nonlocal(LEFT, 1, 2) == cheater.respond_nonlocal(RIGHT, 1, 2)
-        assert cheater.respond_nonlocal(LEFT, 1, 1) != cheater.respond_nonlocal(RIGHT, 1, 1)
-        with pytest.raises(StrategyError):
-            cheater.station_respond(LEFT, 1, SourceMessage(b""), StationMemory())
-        with pytest.raises(StrategyError):
-            cheater.respond_columns(np.zeros(4, dtype=np.int64))
-
     def test_local_roster(self):
         assert set(LOCAL_STRATEGY_NAMES) == {
             "constant",
