@@ -93,20 +93,40 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _write_outputs(result, out_path: str | None) -> str:
-    """The run's report as JSON text, written once: to the report file next
-    to the log when there is an ``out_path``, and returned for stdout."""
+def _report_path(out_path) -> Path:
+    path = Path(out_path)
+    return path.with_suffix(path.suffix + ".report.json")
+
+
+def _check_writable(paths) -> None:
+    """Raise OSError unless each of ``paths`` can be written, as its writer
+    will: its directory is made, and the file opened for appending, then
+    removed if this check created it."""
+    for path in map(Path, paths):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        with open(path, "ab"):
+            pass
+        if not existed:
+            path.unlink()
+
+
+def _finish(result, out_path: str | None) -> int:
+    """Print a finished run's report as JSON text, after writing the log and
+    the report next to it when there is an ``out_path``. The exit status is 0
+    or the code of the run's abort kind, or a config error when an output
+    cannot be written."""
     text = json.dumps(build_report(result), indent=2, sort_keys=True)
     if out_path:
         path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        result.log.write(path)
-        path.with_suffix(path.suffix + ".report.json").write_text(text, encoding="utf-8")
-    return text
-
-
-def _run_status(result) -> int:
-    """The exit status of a finished run: 0, or the code of its abort kind."""
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            result.log.write(path)
+            _report_path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a directory, or a file where one must be
+            print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    _print(text)
     if result.abort is None:
         return EXIT_OK
     return EXIT_VALIDATION if result.abort.kind == ABORT_VALIDATION else EXIT_ABORT
@@ -133,8 +153,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     result = simulate_result(config) if _settles_by_kernel(config) else run_experiment(config)
-    _print(_write_outputs(result, args.out or config.output))
-    return _run_status(result)
+    return _finish(result, args.out or config.output)
 
 
 def cmd_design(args) -> int:
@@ -283,6 +302,17 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # A path found unwritable after the bet would lose a bet both stations
+    # were told the verdict of; check every output before listening.
+    out_path = args.out or config.output
+    outputs = [out_path, _report_path(out_path)] if out_path else []
+    if args.transcript:
+        outputs.append(args.transcript)
+    try:
+        _check_writable(outputs)
+    except OSError as exc:
+        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     def announce(addr):
         print(f"listening on {addr[0]}:{addr[1]}", flush=True)
@@ -301,8 +331,7 @@ def cmd_serve(args) -> int:
     except (ProtocolAbort, OSError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    _print(_write_outputs(result, args.out or config.output))
-    return _run_status(result)
+    return _finish(result, out_path)
 
 
 def cmd_station(args) -> int:
@@ -314,62 +343,89 @@ def cmd_station(args) -> int:
     return station_client(args.role, args.endpoint, timeout=args.timeout)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--seed", type=int, help="override experiment seed")
+    p.add_argument("--n", type=int, help="override trial count")
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--strategy", help="override side with this strategy (default params)")
+    p.add_argument("--out", help="trial log output path")
+    p.add_argument("--print-config", action="store_true", help="print the explicit defaults and exit")
+
+
+def _design_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mu", type=float, help="per-trial quantum mean of the statistic")
+    p.add_argument("--angles", help="four radians a1,a2,b1,b2 (pi fractions allowed)")
+    p.add_argument("--target-error", type=float, default=1e-6)
+    p.add_argument("--quantum-target-error", type=float, default=None)
+    p.add_argument("--critical-fraction", type=float, default=0.5)
+
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--log", required=True)
+    p.add_argument("--report", help="report to cross-check (default: <log>.report.json if present)")
+
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--log", required=True)
+
+
+def _serve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--endpoint", default="127.0.0.1:0", help="host:port (port 0 = pick free)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--out", help="trial log output path")
+    p.add_argument("--transcript", help="wire transcript output path")
+    p.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
+
+
+def _station_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--role", required=True, choices=("left", "right"))
+    p.add_argument("--endpoint", required=True)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
+
+
+# Each subcommand: its help line, the function that adds its arguments, and
+# the function that runs it. The order is the order of the usage and help.
+COMMANDS = {
+    "run": ("run an experiment in-process", _run_arguments, cmd_run),
+    "design": ("sample size and critical value for a target error", _design_arguments, cmd_design),
+    "analyze": ("recompute everything from a trial log", _analyze_arguments, cmd_analyze),
+    "validate": ("structural log validation", _validate_arguments, cmd_validate),
+    "serve": ("run the referee over TCP", _serve_arguments, cmd_serve),
+    "station": ("run one station process", _station_arguments, cmd_station),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or, when ``command`` names
+    one, with that subcommand's parser alone: each sub-parser costs a
+    formatter and its arguments, and a process runs one command. Usage, help
+    and errors read the same either way."""
     parser = argparse.ArgumentParser(
         prog="bellbet",
         description="Referee, simulator and guaranteed bounds for wagered sequential CHSH protocols.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment in-process")
-    p_run.add_argument("--config", help="JSON config file")
-    p_run.add_argument("--seed", type=int, help="override experiment seed")
-    p_run.add_argument("--n", type=int, help="override trial count")
-    p_run.add_argument("--mode", choices=MODES)
-    p_run.add_argument("--strategy", help="override side with this strategy (default params)")
-    p_run.add_argument("--out", help="trial log output path")
-    p_run.add_argument("--print-config", action="store_true", help="print the explicit defaults and exit")
-    p_run.set_defaults(func=cmd_run)
-
-    p_design = sub.add_parser("design", help="sample size and critical value for a target error")
-    p_design.add_argument("--mu", type=float, help="per-trial quantum mean of the statistic")
-    p_design.add_argument("--angles", help="four radians a1,a2,b1,b2 (pi fractions allowed)")
-    p_design.add_argument("--target-error", type=float, default=1e-6)
-    p_design.add_argument("--quantum-target-error", type=float, default=None)
-    p_design.add_argument("--critical-fraction", type=float, default=0.5)
-    p_design.set_defaults(func=cmd_design)
-
-    p_analyze = sub.add_parser("analyze", help="recompute everything from a trial log")
-    p_analyze.add_argument("--log", required=True)
-    p_analyze.add_argument("--report", help="report to cross-check (default: <log>.report.json if present)")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_validate = sub.add_parser("validate", help="structural log validation")
-    p_validate.add_argument("--log", required=True)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_serve = sub.add_parser("serve", help="run the referee over TCP")
-    p_serve.add_argument("--config", required=True)
-    p_serve.add_argument("--endpoint", default="127.0.0.1:0", help="host:port (port 0 = pick free)")
-    p_serve.add_argument("--seed", type=int)
-    p_serve.add_argument("--n", type=int)
-    p_serve.add_argument("--mode", choices=MODES)
-    p_serve.add_argument("--out", help="trial log output path")
-    p_serve.add_argument("--transcript", help="wire transcript output path")
-    p_serve.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_station = sub.add_parser("station", help="run one station process")
-    p_station.add_argument("--role", required=True, choices=("left", "right"))
-    p_station.add_argument("--endpoint", required=True)
-    p_station.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
-    p_station.set_defaults(func=cmd_station)
-
+    lone = command in COMMANDS
+    # With a lone sub-parser the metavar keeps every command in the top-level
+    # usage. The full set leaves it unset: a metavar would also stand for
+    # ``command`` in the "required" and "invalid choice" errors.
+    metavar = "{" + ",".join(COMMANDS) + "}" if lone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    names = [command] if lone else list(COMMANDS)
+    for name in names:
+        help_text, add_arguments, func = COMMANDS[name]
+        sub_parser = sub.add_parser(name, help=help_text)
+        add_arguments(sub_parser)
+        sub_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

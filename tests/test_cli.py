@@ -21,6 +21,7 @@ from bellbet.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     eval_angle,
     main,
 )
@@ -132,6 +133,15 @@ class TestRun:
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = write_config(tmp_path, n=0)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("out", ["{dir}", "{file}/x.log"], ids=["directory", "under-a-file"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, out):
+        config = write_config(tmp_path, n=100)
+        out = out.format(dir=tmp_path, file=config)
+        assert main(["run", "--config", str(config), "--out", out]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write outputs: ")
 
     @pytest.mark.parametrize("command", ["run", "serve"])
     def test_trial_count_above_cap_is_config_error(self, tmp_path, capsys, command):
@@ -769,6 +779,35 @@ class TestNetworkCommandErrors:
         assert main(args + ["--endpoint", "ä..b:80"]) == EXIT_CONFIG
         assert "config error: endpoint host is not a valid IDNA name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--transcript", "{dir}"],
+            ["--out", "{dir}"],
+            ["--out", "{file}/x.log"],
+            ["--out", "{dir}/bet.log", "--transcript", "{file}/wire.jsonl"],
+        ],
+        ids=["transcript-directory", "out-directory", "out-under-a-file", "transcript-under-a-file"],
+    )
+    def test_unwritable_output_is_refused_before_listening(
+        self, tmp_path, capsys, monkeypatch, outputs
+    ):
+        import socket
+
+        def no_listener(*args, **kwargs):
+            raise AssertionError("serve listened with an unwritable output")
+
+        monkeypatch.setattr(socket, "create_server", no_listener)
+        config = write_config(
+            tmp_path, side={"kind": "strategy", "strategy": "independent-coin", "params": {}}
+        )
+        argv = ["serve", "--config", str(config)]
+        assert main(argv + [arg.format(dir=tmp_path, file=config) for arg in outputs]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "listening on" not in captured.out
+        assert captured.err.startswith("config error: cannot write outputs: ")
+        assert not (tmp_path / "bet.log").exists()
+
     def test_serve_quantum_side_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--print-config"]) == EXIT_OK
         config = tmp_path / "default.json"
@@ -798,3 +837,68 @@ class TestNetworkCommandErrors:
             encode_frame(KIND_SETTING, 1, "left", b'{"index": 1, "nonce": "ab"}'),
         ]
         assert station_against_fake_referee(name, {}, frames) == EXIT_ABORT
+
+
+# Command lines for each way a parse ends: help, a missing required option,
+# a value outside its choices or not of its type, an unknown flag, an extra
+# positional, and success.
+PARSER_ARGV = [
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["--log", "x.log"],
+    *([command, "-h"] for command in ("run", "design", "analyze", "validate", "serve", "station")),
+    ["analyze"],
+    ["validate"],
+    ["serve"],
+    ["station", "--endpoint", "127.0.0.1:1"],
+    ["run", "--mode", "batch"],
+    ["serve", "--config", "c.json", "--mode", "cloned"],
+    ["station", "--role", "up", "--endpoint", "127.0.0.1:1"],
+    ["run", "--n", "ten"],
+    ["run", "--seed", "1.5"],
+    ["design", "--mu", "x"],
+    ["serve", "--config", "c.json", "--timeout", "soon"],
+    ["run", "--bogus"],
+    ["analyze", "--log", "x.log", "--verbose"],
+    ["analyze", "--log", "x.log", "extra"],
+    ["run", "--print-config", "extra"],
+    ["run", "--n", "10", "--mode", "cloned-source", "--out", "x.log"],
+    ["design", "--angles", "pi/8,3pi/8,-pi/4,0", "--target-error", "1e-3"],
+    ["analyze", "--log", "x.log", "--report", "r.json"],
+    ["validate", "--log", "x.log"],
+    ["serve", "--config", "c.json", "--endpoint", "127.0.0.1:0", "--transcript", "w.jsonl"],
+    ["station", "--role", "right", "--endpoint", "127.0.0.1:1", "--timeout", "2"],
+]
+
+
+def parse_outcome(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace or the exit code,
+    and everything written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+    def test_parser_for_the_command_reads_as_the_full_parser(self, argv):
+        command = argv[0] if argv else None
+        alone = parse_outcome(build_parser(command), argv)
+        assert alone == parse_outcome(build_parser(), argv)
+        assert alone[1] or alone[2] or alone[0].func.__name__ == f"cmd_{command}"
+
+    def test_errors_name_the_command_argument(self):
+        _, _, missing = parse_outcome(build_parser(), [])
+        _, _, unknown = parse_outcome(build_parser(), ["nosuch"])
+        assert missing.endswith("error: the following arguments are required: command\n")
+        assert "error: argument command: invalid choice: 'nosuch'" in unknown
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["bellbet", "run", "--print-config"])
+        assert main() == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["mode"] == "sequential"

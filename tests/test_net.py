@@ -2,6 +2,7 @@
 
 import base64
 import inspect
+import io
 import json
 import socket
 import struct
@@ -9,6 +10,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellbet.config import config_from_dict
 from bellbet.core import OPTIMAL_ANGLES
@@ -28,6 +31,8 @@ from bellbet.net import (
     RemoteStation,
     StationClient,
     Transcript,
+    _handshake,
+    _read_frame,
     audit_transcript,
     decode_view,
     encode_frame,
@@ -348,6 +353,123 @@ class TestFrameBoundaries:
             READERS[reader](right)()
         assert not isinstance(caught.value, FrameError)
         assert caught.value.reason == "station timeout"
+
+
+# Frame payloads a peer could send: JSON of any shape, envelopes whose
+# fields are of any type, raw bytes, JSON nested past the decoder's depth and
+# integers past its digit limit.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+BASE64_TEXT = st.binary(max_size=24).map(lambda raw: base64.b64encode(raw).decode("ascii"))
+ENVELOPES = st.fixed_dictionaries(
+    {"kind": st.sampled_from([KIND_HELLO, KIND_SETTING]) | JSON_VALUES},
+    optional={"body": BASE64_TEXT | JSON_VALUES, "trial": JSON_VALUES, "side": JSON_VALUES},
+)
+PAYLOADS = (
+    (ENVELOPES | JSON_VALUES).map(lambda doc: json.dumps(doc).encode())
+    | st.binary(max_size=40)
+    | st.sampled_from([DEEP, b"1" * 5000, b'{"kind":"HELLO","body":' + b"9" * 5000 + b"}"])
+)
+HELLO_BODIES = st.fixed_dictionaries(
+    {
+        "role": st.sampled_from(["left", "right"]) | JSON_VALUES,
+        "version": st.sampled_from([PROTOCOL_VERSION, float(PROTOCOL_VERSION)]) | JSON_VALUES,
+    }
+) | JSON_VALUES
+
+
+def frame_streams(payloads=PAYLOADS):
+    """The bytes of one frame as a peer might send them: a length prefix,
+    true or arbitrary (at and past MAX_FRAME_BYTES among them), then a
+    payload, cut short or not; or a few bytes of no frame at all."""
+    return framed(payloads) | st.binary(max_size=12)
+
+
+@st.composite
+def framed(draw, payloads):
+    payload = draw(payloads)
+    length = {
+        "true": len(payload),
+        "limit": draw(st.sampled_from([MAX_FRAME_BYTES, MAX_FRAME_BYTES + 1, 2**32 - 1])),
+        "any": draw(st.integers(0, 2**32 - 1)),
+    }[draw(st.sampled_from(["true", "true", "true", "limit", "any"]))]
+    stream = length.to_bytes(4, "big") + payload
+    cut = draw(st.sampled_from([None, None, None, draw(st.integers(0, len(stream)))]))
+    return stream[:cut]
+
+
+def take_from(data: bytes):
+    """A ``take(count)`` over ``data``, failing as a socket at end of stream does."""
+    stream = io.BytesIO(data)
+
+    def take(count):
+        chunk = stream.read(count)
+        if len(chunk) < count:
+            raise FrameError("connection closed mid-frame")
+        return chunk
+
+    return take
+
+
+class BytesSocket:
+    """The two socket calls ``_handshake`` makes, over bytes held in memory."""
+
+    def __init__(self, data: bytes):
+        self._stream = io.BytesIO(data)
+        self.sent = []
+
+    def recv(self, count: int) -> bytes:
+        return self._stream.read(count)
+
+    def sendall(self, data: bytes) -> None:
+        self.sent.append(data)
+
+
+# A frame exactly MAX_FRAME_BYTES long, padded with JSON whitespace.
+LARGEST_FRAME = MAX_FRAME_BYTES.to_bytes(4, "big") + b'{"kind":"X"}'.ljust(MAX_FRAME_BYTES)
+
+
+class TestFrameProperties:
+    """Whatever bytes a peer sends, a frame reader and the handshake end in a
+    frame, a role or a protocol abort, never in another exception."""
+
+    @given(frame_streams())
+    @example(LARGEST_FRAME)
+    @example(LARGEST_FRAME[:-1])
+    @settings(max_examples=150, deadline=None)
+    def test_read_frame_raises_only_frame_errors(self, data):
+        try:
+            doc = _read_frame(take_from(data))
+        except FrameError:
+            return
+        assert "kind" in doc and isinstance(doc["body"], bytes)
+
+    @given(
+        frame_streams(
+            st.builds(
+                lambda kind, body: json.dumps({"kind": kind, "body": body}).encode(),
+                st.sampled_from([KIND_HELLO]) | JSON_VALUES,
+                HELLO_BODIES.map(lambda doc: base64.b64encode(json.dumps(doc).encode()).decode())
+                | BASE64_TEXT
+                | JSON_VALUES,
+            )
+            | PAYLOADS
+        )
+    )
+    @example(encode_frame(KIND_HELLO, None, "left", b'{"role":"left","version":%d}' % PROTOCOL_VERSION))
+    @example(encode_frame(KIND_HELLO, None, "left", b'{"role":["left"],"version":%d}' % PROTOCOL_VERSION))
+    @settings(max_examples=150, deadline=None)
+    def test_handshake_ends_in_a_role_or_a_protocol_abort(self, data):
+        sock = BytesSocket(data)
+        try:
+            role = _handshake(sock, Transcript())
+        except ProtocolAbort:
+            return
+        assert role in ("left", "right")
+        assert sock.sent == []
 
 
 class TestLoopbackEquivalence:
