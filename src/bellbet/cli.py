@@ -32,7 +32,6 @@ from pathlib import Path
 
 from .bounds import design_for, design_protocol
 from .config import (
-    MODES,
     SIDE_QUANTUM,
     ConfigError,
     ExperimentConfig,
@@ -40,7 +39,7 @@ from .config import (
     default_config_dict,
     read_config_dict,
 )
-from .core import AngleConfig, parse_json
+from .core import MODES, AngleConfig, parse_json
 from .logfile import LogFormatError, read_log
 from .montecarlo import simulate_result
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import MAX_TRIALS, ProtocolDesign, midpoint_critical_value
-from .core import AngleConfig, parse_json
+from .core import MODES, AngleConfig, parse_json
 from .quantum import (
     CORRELATION_SENSES,
     EQUAL_POLARIZATION,
@@ -25,8 +25,6 @@ from .quantum import (
     expected_statistic_per_trial,
 )
 from .strategies import STRATEGY_REGISTRY, build_strategy
-
-MODES = ("sequential", "cloned-source")
 
 SIDE_QUANTUM = "quantum"
 SIDE_STRATEGY = "strategy"

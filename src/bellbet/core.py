@@ -28,6 +28,10 @@ NORMALIZATION_TOL = 1e-12
 # (Cirel'son bound in this four-coincidence formulation): (sqrt(2)-1)/4.
 QUANTUM_CEILING = (math.sqrt(2.0) - 1.0) / 4.0
 
+# How settings reach the stations: each trial's full data is broadcast to
+# both (sequential), or each wing learns only its own (cloned-source).
+MODES = ("sequential", "cloned-source")
+
 # What json.loads raises on bad text.
 JSON_ERRORS = (ValueError, RecursionError)
 
@@ -98,7 +102,9 @@ class AngleConfig:
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            # A bool is an int to isinstance, but no angle, as in a config.
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite, got {value!r}")
 
     def left(self, index: int) -> float:

@@ -43,9 +43,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import JSON_ERRORS, SETTINGS_BY_CELL, AngleConfig, TrialRecord, cell_code, parse_json
+from .core import (
+    JSON_ERRORS,
+    MODES,
+    SETTINGS_BY_CELL,
+    AngleConfig,
+    TrialRecord,
+    cell_code,
+    parse_json,
+)
 
 LOG_VERSION = 1
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class LogFormatError(ValueError):
@@ -92,11 +101,15 @@ class LogHeader:
         if type(header.version) is not int or header.version != LOG_VERSION:  # 1.0 is no version
             raise LogFormatError(f"log version {header.version!r} is not {LOG_VERSION}")
         integers = (header.seed, header.n, header.critical_value)
+        digest = header.config_hash  # a sha256 in lowercase hex
         if (
-            any(type(v) is not int for v in integers)
+            doc.keys() != header.to_dict().keys()  # after the version, which names a later layout
+            or doc["kind"] != "header"
+            or header.mode not in (*MODES, "batch")  # the deleted batch mode's logs stay readable
+            or not (type(digest) is str and len(digest) == 64 and _HEX_DIGITS.issuperset(digest))
+            or any(type(v) is not int for v in integers)
             or header.seed < 0  # unsigned, as in a config
             or header.n < 0
-            or doc.get("kind") != "header"
         ):
             raise LogFormatError(f"malformed log header: {doc!r}")
         return header

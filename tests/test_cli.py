@@ -14,6 +14,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from json_texts import JSON_TEXTS
 
 from bellbet.bounds import MAX_TRIALS
 from bellbet.cli import (
@@ -722,9 +723,33 @@ class TestEditedHeaderDesign:
         status, _ = analyze_edited(bet_200, edits, report_kind)
         assert status in (EXIT_OK, EXIT_VALIDATION)
 
-    def test_negative_seed_is_a_malformed_header(self, bet_200):
-        # A config's seed is unsigned, and so is a log header's.
-        assert analyze_edited(bet_200, {"seed": -1}, "none")[0] == EXIT_VALIDATION
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"seed": -1},  # a config's seed is unsigned, and so is a log header's
+            {"stopping": "first-crossing"},  # no key but the v1 header's
+            {"mode": [1]},
+            {"mode": "parallel"},
+            {"config_hash": 5},
+            {"config_hash": [1, 2]},
+            {"config_hash": "AB" * 32},
+            {"config_hash": "ab" * 31},
+            {"angles": [True, False, 0.0, 0.0]},
+        ],
+        ids=[
+            "negative-seed",
+            "unknown-key",
+            "list-mode",
+            "unknown-mode",
+            "int-hash",
+            "list-hash",
+            "uppercase-hash",
+            "short-hash",
+            "bool-angles",
+        ],
+    )
+    def test_malformed_header_fails_analyze_and_validate(self, bet_200, edits):
+        assert analyze_edited(bet_200, edits, "none")[0] == EXIT_VALIDATION
         edited = str(bet_200[0] / "edited.log")
         assert quiet_main(["validate", "--log", edited])[0] == EXIT_VALIDATION
 
@@ -743,6 +768,49 @@ class TestEditedHeaderDesign:
         assert status == EXIT_VALIDATION
         failure = json.loads(out)["replay_verify"]["failure"]
         assert failure == "report design is not a valid protocol design"
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value in nested JSON objects, outermost first."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from json_paths(value, prefix + (key,))
+
+
+class TestEditedReport:
+    """``analyze --report`` ends with its exit code on any JSON document."""
+
+    @given(st.data(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_analyze_ends_with_its_code(self, bet_200, data, edits, whole):
+        # The bet's own report with up to three values, nested ones too,
+        # replaced or removed, or a whole document in its place.
+        tmp, _, _, report = bet_200
+        if whole:
+            text = data.draw(JSON_TEXTS)
+        else:
+            report = json.loads(json.dumps(report))
+            texts = {}
+            for k in range(edits):
+                *outer, key = data.draw(st.sampled_from(list(json_paths(report))))
+                doc = report
+                for name in outer:
+                    doc = doc[name]
+                if data.draw(st.booleans()):
+                    del doc[key]
+                else:
+                    doc[key] = f"@edit{k}@"
+                    texts[f'"@edit{k}@"'] = data.draw(JSON_TEXTS)
+                if not report:
+                    break
+            text = json.dumps(report)
+            for placeholder, value in texts.items():
+                text = text.replace(placeholder, value)
+        path = tmp / "edited-report.json"
+        path.write_text(text)
+        status, _ = quiet_main(["analyze", "--log", str(tmp / "bet.log"), "--report", str(path)])
+        assert status in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION)
 
 
 class TestNetworkCommandErrors:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from json_texts import JSON_TEXTS
 
 from bellbet import logfile
 from bellbet.logfile import (
@@ -294,6 +297,12 @@ class TestFileErrors:
             ("seed", True),
             ("angles", [0, 0]),
             ("angles", [10**400, 0, 0, 0]),
+            ("angles", [0.1, True, 0.3, 0.4]),
+            ("mode", [1]),
+            ("mode", "batch mode"),
+            ("config_hash", 5),
+            ("config_hash", ["ab" * 32]),
+            ("stopping", "first-crossing"),
         ],
     )
     def test_malformed_header(self, tmp_path, field, value):
@@ -368,6 +377,14 @@ def serialized(n, trials):
     return "".join(lines).encode()
 
 
+def render_line(line):
+    """A log line from a key -> JSON text map, keys sorted and no spaces, as
+    the writer lays it out; a line already cut short as it is."""
+    if isinstance(line, str):
+        return line
+    return "{" + ",".join(f"{json.dumps(key)}:{text}" for key, text in sorted(line.items())) + "}"
+
+
 # Counts at each change of m's width, up to six digits.
 BOUNDARY_COUNTS = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10_000, 10_001, 99_999, 100_000, 100_001]
 
@@ -403,6 +420,17 @@ def per_line_calls(monkeypatch):
 EDIT_BYTES = st.one_of(st.sampled_from(list(b'0123\n\r ,:{}"ijmxy.e-')), st.integers(0, 255))
 
 
+# One edit of a log's lines, half of them in the header: a value set or a
+# key deleted (a header key, a record key or another), or a line replaced by
+# any JSON text, cut short, repeated or dropped.
+LINE_EDITS = st.tuples(
+    st.sampled_from(["set", "delete", "replace", "truncate", "duplicate", "drop"]),
+    st.just(0) | st.integers(0, 10**6),
+    st.sampled_from([*make_header().to_dict(), *"ijmxy", "extra"]),
+    JSON_TEXTS,
+)
+
+
 class TestReadLog:
     """``read_log`` gives what the per-line path gives, on any file."""
 
@@ -431,6 +459,42 @@ class TestReadLog:
         path = tmp_path_factory.getbasetemp() / "property.log"
         path.write_bytes(data)
         assert one_pass_read(path) == per_line_read(path)
+
+    @given(st.lists(LINE_EDITS, min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_only_log_format_error_escapes(self, tmp_path_factory, edits):
+        # A 12-trial log, so m has two widths, with up to three edits; each
+        # line a key -> JSON text map until it is cut short. Lines left
+        # whole stay canonical, so both paths are reached.
+        data = serialized(12, [(1, 2, 1, 0), (2, 2, 0, 1), (2, 1, 1, 1)] * 4).decode()
+        lines = [
+            {key: json.dumps(value, separators=(",", ":")) for key, value in json.loads(line).items()}
+            for line in data.splitlines()
+        ]
+        for edit, where, key, text in edits:
+            if not lines:
+                break
+            k = where % len(lines)
+            if edit == "set" and isinstance(lines[k], dict):
+                lines[k] = {**lines[k], key: text}
+            elif edit == "delete" and isinstance(lines[k], dict):
+                lines[k] = {name: value for name, value in lines[k].items() if name != key}
+            elif edit == "replace":
+                lines[k] = text
+            elif edit == "truncate":
+                line = render_line(lines[k])
+                lines[k] = line[: where % (len(line) + 1)]
+            elif edit == "duplicate":
+                lines.insert(k, lines[k])
+            elif edit == "drop":
+                del lines[k]
+        path = tmp_path_factory.getbasetemp() / "edited.log"
+        path.write_text("".join(render_line(line) + "\n" for line in lines))
+        try:
+            header, log, validation = read_log(path)
+        except LogFormatError:
+            return
+        assert log is None or len(log) == validation.last_valid
 
     @pytest.mark.parametrize("kept", [1200, 1000, 9, 0])
     def test_canonical_log_takes_one_pass(self, tmp_path, per_line_calls, kept):
@@ -552,3 +616,22 @@ class TestReadLog:
 def read_raw_records_from(log):
     lines = log.to_bytes().decode().splitlines()
     return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("bellbet.logfile", ["bellbet", "bellbet.core", "bellbet.logfile"]),
+        ("bellbet.rng", ["bellbet", "bellbet.rng"]),
+    ],
+)
+def test_importing_a_module_loads_only_its_own_imports(module, loaded):
+    # The package root imports nothing, so a log reader or the settings
+    # stream loads no referee, network or simulator module.
+    code = (
+        f"import json, sys, {module}; "
+        "print(json.dumps(sorted(name for name in sys.modules if name.split('.')[0] == 'bellbet')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == loaded
