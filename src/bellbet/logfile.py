@@ -17,8 +17,9 @@ verification relies on that.
 
 Writer and reader share one layout, fixed by the trial count alone: after
 the header line, one block per width of m, each a run of equal-length rows
-(``_record_rows``). The writer fills one preallocated byte buffer through
-it. ``read_log`` is the one reader. A file is canonical when it is
+(``_record_rows``). The writer fills one byte buffer through it, each
+block one digit group of m at a time (``_serialize``), and hands the buffer
+to the file. ``read_log`` is the one reader. A file is canonical when it is
 byte-equal to the serialization of the log it holds: the writer's output,
 or any prefix of it cut after a record line (an aborted run's log). Such a
 file is read in one vectorized pass: the header line with ``json``; the
@@ -26,9 +27,11 @@ count from the length of the rest, the one count of at most n whose record
 lines fill it exactly, so there is no scan for newlines; then i, j, x and y
 of every record through the same block views, mapped into their allowed
 values. The result is accepted only if it serializes back to the file's
-exact bytes. That equality proves what the per-record validator checks
-(field set, integer types, bit and setting ranges, m = 1..count, count <=
-n), so the fast path adds no rule of its own. Every other file, whether
+exact bytes: the serialization buffer and the file's bytes are compared in
+one memcmp, and neither is copied. That equality proves what the
+per-record validator checks (field set, integer types, bit and setting
+ranges, m = 1..count, count <= n), so the fast path adds no rule of its
+own. Every other file, whether
 valid JSON laid out differently or corrupt, is read line by line
 (``read_raw_log``, ``validate_raw_records``, ``TrialLog.from_raw``), so each
 message and ``last_valid`` comes from that path alone.
@@ -37,6 +40,7 @@ message and ``last_valid`` comes from that path alone.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
@@ -54,11 +58,23 @@ from .core import (
 )
 
 LOG_VERSION = 1
+_HEADER_KEYS = ("kind", "version", "config_hash", "seed", "mode", "angles", "n", "critical_value")
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class LogFormatError(ValueError):
     """The log file cannot be parsed at all (I/O-level corruption)."""
+
+
+def _shown(value) -> str:
+    """``value``'s repr cut to about 80 characters, however long or deeply
+    nested it is."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _malformed(rule: str) -> LogFormatError:
+    return LogFormatError(f"malformed log header: {rule}")
 
 
 @dataclass(frozen=True)
@@ -85,45 +101,65 @@ class LogHeader:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LogHeader":
+        """The header a log's first line holds. One of another version is
+        refused as such; any other bad one with the first rule it breaks,
+        which names the field: ``malformed log header: <rule>``."""
+        if not isinstance(doc, dict):
+            raise _malformed(f"{_shown(doc)} is not a JSON object")
+        if "version" in doc and (type(doc["version"]) is not int or doc["version"] != LOG_VERSION):
+            # 1.0 is no version. A later one names a later layout, so its
+            # keys are not checked.
+            raise LogFormatError(f"log version {_shown(doc['version'])} is not {LOG_VERSION}")
+        for key in _HEADER_KEYS:
+            if key not in doc:
+                raise _malformed(f"missing key {_shown(key)}")
+        for key in doc:
+            if key not in _HEADER_KEYS:
+                raise _malformed(f"unknown key {_shown(key)}")
+        if doc["kind"] != "header":
+            raise _malformed(f"kind {_shown(doc['kind'])} is not 'header'")
+        if doc["mode"] not in (*MODES, "batch"):  # the deleted batch mode's logs stay readable
+            raise _malformed(f"mode {_shown(doc['mode'])} is not {', '.join(MODES)} or batch")
+        digest = doc["config_hash"]
+        if not (type(digest) is str and len(digest) == 64 and _HEX_DIGITS.issuperset(digest)):
+            raise _malformed(f"config_hash {_shown(digest)} is not a sha256 in lowercase hex")
+        for key in ("seed", "n", "critical_value"):
+            if type(doc[key]) is not int:
+                raise _malformed(f"{key} {_shown(doc[key])} is not an integer")
+        for key in ("seed", "n"):  # a seed is unsigned, as in a config
+            if doc[key] < 0:
+                raise _malformed(f"{key} {_shown(doc[key])} is negative")
+        angles = doc["angles"]
         try:
-            header = cls(
-                config_hash=doc["config_hash"],
-                seed=doc["seed"],
-                mode=doc["mode"],
-                angles=tuple(doc["angles"]),
-                n=doc["n"],
-                critical_value=doc["critical_value"],
-                version=doc["version"],
-            )
-            AngleConfig(*header.angles)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise LogFormatError(f"malformed log header: {doc!r}") from exc
-        if type(header.version) is not int or header.version != LOG_VERSION:  # 1.0 is no version
-            raise LogFormatError(f"log version {header.version!r} is not {LOG_VERSION}")
-        integers = (header.seed, header.n, header.critical_value)
-        digest = header.config_hash  # a sha256 in lowercase hex
-        if (
-            doc.keys() != header.to_dict().keys()  # after the version, which names a later layout
-            or doc["kind"] != "header"
-            or header.mode not in (*MODES, "batch")  # the deleted batch mode's logs stay readable
-            or not (type(digest) is str and len(digest) == 64 and _HEX_DIGITS.issuperset(digest))
-            or any(type(v) is not int for v in integers)
-            or header.seed < 0  # unsigned, as in a config
-            or header.n < 0
-        ):
-            raise LogFormatError(f"malformed log header: {doc!r}")
-        return header
+            # Numbers first, so AngleConfig's message never formats a value
+            # of any size or depth.
+            if type(angles) is not list or not all(type(a) in (int, float) for a in angles):
+                raise TypeError
+            AngleConfig(*angles)
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: past a float
+            raise _malformed(f"angles {_shown(angles)} are not four finite numbers") from exc
+        return cls(
+            config_hash=digest,
+            seed=doc["seed"],
+            mode=doc["mode"],
+            angles=tuple(angles),
+            n=doc["n"],
+            critical_value=doc["critical_value"],
+        )
 
     @property
     def angle_config(self) -> AngleConfig:
         return AngleConfig(*self.angles)
 
 
-_RECORD_LINE = '{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}'
-# Byte offsets in a record line: i and j from the line's start, where the
-# digits of m start, and x and y back from the line's newline.
-_I_AT, _J_AT, _M_AT = 5, 11, 17
-_X_BEFORE_NL, _Y_BEFORE_NL = 8, 2
+_RECORD_LINE = b'{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}\n'
+# Byte offsets in a record line: of i, j, x and y, the first two from the
+# line's start and the last two back from its end (its newline is at -1),
+# and where the digits of m start. ``_HIGH`` holds the byte of each field's
+# higher value: "2" for a setting, "1" for a bit.
+_FIELDS_AT = np.array([5, 11, -9, -3])
+_M_AT = 17
+_HIGH = np.frombuffer(b"2211", dtype=np.uint8)
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
@@ -132,7 +168,7 @@ def _blocks(count: int) -> Iterator[tuple[int, int, bytes]]:
     lo..hi-1 that print m with it and their common line, with m = lo."""
     lo = 1
     while lo <= count:
-        yield lo, min(10 * lo, count + 1), (_RECORD_LINE % (0, 0, lo, 0, 0) + "\n").encode("ascii")
+        yield lo, min(10 * lo, count + 1), _RECORD_LINE % (0, 0, lo, 0, 0)
         lo *= 10
 
 
@@ -224,7 +260,7 @@ class TrialLog(Sequence):
     # --- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        return _serialize(self).tobytes()
+        return bytes(_serialize(self))
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
@@ -271,38 +307,42 @@ class TrialLog(Sequence):
         return log
 
 
-def _serialize(log: TrialLog) -> np.ndarray:
-    """The log's file bytes as one uint8 array: the header line, then
-    ``_RECORD_LINE % (i, j, m, x, y)`` and a newline for m = 1..len(log),
-    laid out by ``_record_rows``. Each value is one digit, as the columns of
-    a log only hold settings and bits."""
+def _serialize(log: TrialLog) -> bytearray:
+    """The log's file bytes: the header line, then
+    ``_RECORD_LINE % (i, j, m, x, y)`` for m = 1..len(log),
+    laid out by ``_record_rows`` and filled through a uint8 view. Each value
+    is one digit, as the columns of a log only hold settings and bits."""
     head = json.dumps(log.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     head = head.encode("ascii")
-    i, j, x, y = log.columns()
+    columns = log.columns()
     count = len(log)
-    out = np.empty(len(head) + _body_size(count), dtype=np.uint8)
-    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    for trials, rows, line in _record_rows(out[len(head) :], count):
-        # The line into every row, as doubling copies of the rows already
-        # written: a few contiguous copies in place of one broadcast per row.
+    out = bytearray(len(head) + _body_size(count))
+    out[: len(head)] = head
+    body = np.frombuffer(out, dtype=np.uint8)[len(head) :]
+    for trials, rows, line in _record_rows(body, count):
+        # Row t prints m = lo + t with lo a power of ten. Once the first
+        # 10^p rows are done, the next groups of 10^p rows, up to nine, are
+        # one broadcast copy of them and differ in the digit for 10^p alone,
+        # written once per group; from m's last digit to its first, so only
+        # the last level can end inside a group.
         rows[0] = np.frombuffer(line, dtype=np.uint8)
+        at = _M_AT + len(str(trials.start + 1))
         done = 1
         while done < len(rows):
-            step = min(done, len(rows) - done)
-            rows[done : done + step] = rows[:step]
-            done += step
-        rows[:, _I_AT] += i[trials]
-        rows[:, _J_AT] += j[trials]
-        rows[:, -1 - _X_BEFORE_NL] += x[trials]
-        rows[:, -1 - _Y_BEFORE_NL] += y[trials]
-        # Row t prints m = lo + t with lo a power of ten, so the digit for
-        # 10^p runs through 0-9 in runs of 10^p, the leading one through 1-9.
-        width = len(str(trials.start + 1))
-        for k in range(width):
-            run = 10 ** (width - 1 - k)
-            digits = _DIGITS[1:] if k == 0 else _DIGITS
-            cycle = np.repeat(digits[: -(-len(rows) // run)], run)
-            rows[:, _M_AT + k] = np.tile(cycle, -(-len(rows) // len(cycle)))[: len(rows)]
+            at -= 1
+            stop = min(10 * done, len(rows))
+            groups, part = divmod(stop - done, done)
+            # Group g's digit is row 0's plus g: 0 + g, or a leading 1 + g.
+            digits = _DIGITS[2:] if at == _M_AT else _DIGITS[1:]
+            copies = rows[done : done + groups * done].reshape(groups, done, len(line))
+            copies[:] = rows[:done]
+            copies[:, :, at] = digits[:groups, None]
+            if part:
+                rows[stop - part : stop] = rows[:part]
+                rows[stop - part : stop, at] = digits[groups]
+            done = stop
+        for offset, column in zip(_FIELDS_AT, columns):
+            rows[:, offset] += column[trials]
     return out
 
 
@@ -349,8 +389,9 @@ def _canonical_log(data: bytes) -> TrialLog | None:
     the rest of ``data`` exactly; each record's i, j, x and y are then read
     through ``_record_rows`` and mapped into their allowed values (a byte
     other than "2" reads as 1 for a setting, one other than "1" as 0 for a
-    bit), so the columns hold a valid log whatever the file says; byte
-    equality then decides.
+    bit), so the columns hold a valid log whatever the file says. Then the
+    writer's own output decides: ``_serialize``'s buffer must equal ``data``,
+    one memcmp with no copy, so the reader adds no rule of its own.
     """
     end = data.find(b"\n")
     if end < 0:
@@ -363,15 +404,12 @@ def _canonical_log(data: bytes) -> TrialLog | None:
     if count is None:
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
-    columns = i, j, x, y = np.empty((4, count), dtype=np.uint8)
+    columns = np.empty((4, count), dtype=np.uint8)
     for trials, rows, _ in _record_rows(body, count):
-        i[trials] = rows[:, _I_AT] == ord("2")
-        j[trials] = rows[:, _J_AT] == ord("2")
-        x[trials] = rows[:, -1 - _X_BEFORE_NL] == ord("1")
-        y[trials] = rows[:, -1 - _Y_BEFORE_NL] == ord("1")
+        columns[:, trials] = (rows[:, _FIELDS_AT] == _HIGH).T
     columns[:2] += 1
     log = TrialLog._holding(header, *columns)
-    return log if log.to_bytes() == data else None
+    return log if _serialize(log) == data else None
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,19 @@ class TestRoundTrip:
         log = TrialLog.from_columns(make_header(n=n), *columns)
         assert log.to_bytes() == serialized(n, zip(*(col.tolist() for col in columns)))
 
+    @pytest.mark.parametrize("partial", [False, True], ids=["complete", "partial"])
+    @pytest.mark.parametrize("count", [7, 17, 123, 1_234, 12_345, 23_456])
+    def test_bytes_match_canonical_json_inside_a_digit_group(self, count, partial):
+        # Counts whose last width block ends inside a group of 10^p rows at
+        # each level p, unlike BOUNDARY_COUNTS, which end one at a width's
+        # edge. A partial log's header names ten times more trials.
+        n = 10 * count + 1 if partial else count
+        columns = [col.tolist() for col in random_columns(np.random.default_rng(count), count)]
+        log = TrialLog(make_header(n=n))
+        for trial in zip(*columns):
+            log.commit(*trial)
+        assert log.to_bytes() == serialized(n, zip(*columns))
+
     def test_load_gives_back_columns(self, tmp_path):
         log = small_log()
         path = tmp_path / "trial.log"
@@ -289,29 +302,66 @@ class TestFileErrors:
             read_raw_log(path)
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, rule",
         [
-            ("n", "4"),
-            ("n", None),
-            ("n", -1),
-            ("seed", True),
-            ("angles", [0, 0]),
-            ("angles", [10**400, 0, 0, 0]),
-            ("angles", [0.1, True, 0.3, 0.4]),
-            ("mode", [1]),
-            ("mode", "batch mode"),
-            ("config_hash", 5),
-            ("config_hash", ["ab" * 32]),
-            ("stopping", "first-crossing"),
+            ("n", "4", "n '4' is not an integer"),
+            ("n", None, "n None is not an integer"),
+            ("n", -1, "n -1 is negative"),
+            ("seed", True, "seed True is not an integer"),
+            ("angles", [0, 0], "angles [0, 0] are not four finite numbers"),
+            ("angles", [10**400, 0, 0, 0], "angles [100000000000000000...0000000000000000000, 0, 0, 0] are"),
+            ("angles", [0.1, True, 0.3, 0.4], "angles [0.1, True, 0.3, 0.4] are not four finite numbers"),
+            ("mode", [1], "mode [1] is not sequential, cloned-source or batch"),
+            ("mode", "batch mode", "mode 'batch mode' is not sequential, cloned-source or batch"),
+            ("config_hash", 5, "config_hash 5 is not a sha256 in lowercase hex"),
+            ("config_hash", ["ab" * 32], "config_hash ['abababababab...babababababab'] is not a sha256"),
+            ("stopping", "first-crossing", "unknown key 'stopping'"),
+            ("kind", "trial", "kind 'trial' is not 'header'"),
         ],
     )
-    def test_malformed_header(self, tmp_path, field, value):
+    def test_malformed_header(self, tmp_path, field, value, rule):
+        # The first rule the header breaks, named by its field.
         doc = make_header().to_dict()
         doc[field] = value
         path = tmp_path / "bad-header.log"
         path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(LogFormatError, match="malformed log header"):
+        with pytest.raises(LogFormatError) as caught:
             read_raw_log(path)
+        assert str(caught.value).startswith(f"malformed log header: {rule}")
+
+    @pytest.mark.parametrize(
+        "header, rule",
+        [
+            ([1, 2], "[1, 2] is not a JSON object"),
+            ({key: 1 for key in ("kind", "version")}, "missing key 'config_hash'"),
+        ],
+    )
+    def test_header_that_is_no_v1_header(self, tmp_path, header, rule):
+        path = tmp_path / "bad-header.log"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(LogFormatError) as caught:
+            read_raw_log(path)
+        assert str(caught.value) == f"malformed log header: {rule}"
+
+    @pytest.mark.parametrize(
+        "field, rule", [("stopping", "unknown key 'stopping'"), ("mode", "mode [[[[[[[...]]]]]]] is not")]
+    )
+    def test_deeply_nested_header_value_gives_a_short_message(self, tmp_path, field, rule):
+        # A list nested 980 deep: deep enough for a repr to take most of the
+        # stack, shallow enough for the decoder, whose stack is the CLI's.
+        doc = make_header().to_dict()
+        doc[field] = "DEEP"
+        path = tmp_path / "deep-header.log"
+        path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 980 + "]" * 980) + "\n")
+        run = subprocess.run(
+            [sys.executable, "-m", "bellbet", "validate", "--log", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 4, run.stderr
+        assert run.stdout.startswith(f"FAIL: malformed log header: {rule}")
+        assert len(run.stdout) < 200
 
     @pytest.mark.parametrize(
         "line, message", [(1, "unparseable header line"), (6, ":6: unparseable record")]
@@ -495,6 +545,40 @@ class TestReadLog:
         except LogFormatError:
             return
         assert log is None or len(log) == validation.last_valid
+
+    @pytest.mark.parametrize("count", [105, 57], ids=["complete", "cut"])
+    def test_one_pass_read_of_every_one_byte_edit(self, count):
+        # A 105-trial design, complete or cut to 57 trials, so m has three
+        # widths or two. Each byte after the header set to each of
+        # "0123 \n": the one-pass read gives a log exactly when the edit
+        # swaps a setting between 1 and 2, or a bit between 0 and 1, and
+        # that log differs from the original in that one entry.
+        columns = [col.tolist() for col in random_columns(np.random.default_rng(105), count)]
+        data = serialized(105, zip(*columns))
+        start = data.index(b"\n") + 1
+        swaps = {}  # byte position -> (column, trial index, the other value)
+        at = start
+        for index, line in enumerate(data[start:].decode().splitlines(keepends=True)):
+            doc = json.loads(line)
+            for column, name in enumerate("ijxy"):
+                other = 3 - doc[name] if name in "ij" else 1 - doc[name]
+                swaps[at + line.index(f'"{name}":') + 4] = column, index, other
+            at += len(line)
+        assert len(swaps) == 4 * count
+        for pos in range(start, len(data)):
+            for byte in b"0123 \n":
+                if byte == data[pos]:
+                    continue
+                log = logfile._canonical_log(data[:pos] + bytes([byte]) + data[pos + 1 :])
+                swap = swaps.get(pos)
+                if swap is None or byte != ord(str(swap[2])):
+                    assert log is None, (pos, chr(byte))
+                    continue
+                column, index, other = swap
+                expected = [list(col) for col in columns]
+                expected[column][index] = other
+                assert log is not None, (pos, chr(byte))
+                assert log.header == make_header(n=105) and log_columns(log) == expected
 
     @pytest.mark.parametrize("kept", [1200, 1000, 9, 0])
     def test_canonical_log_takes_one_pass(self, tmp_path, per_line_calls, kept):
