@@ -39,7 +39,7 @@ from .config import (
     default_config_dict,
     read_config_dict,
 )
-from .core import MODES, AngleConfig, parse_json
+from .core import MODES, AngleConfig, parse_json, replace_file
 from .logfile import LogFormatError, read_log
 from .montecarlo import simulate_result
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
@@ -98,9 +98,10 @@ def _report_path(out_path) -> Path:
 
 
 def _check_writable(paths) -> None:
-    """Raise OSError unless each of ``paths`` can be written, as its writer
-    will: its directory is made, and the file opened for appending, then
-    removed if this check created it."""
+    """Raise OSError unless each of ``paths`` can be written: its directory
+    is made, and the file opened for appending, then removed if this check
+    created it. A path that passes can be opened in place, so ``replace_file``
+    writes it too."""
     for path in map(Path, paths):
         path.parent.mkdir(parents=True, exist_ok=True)
         existed = path.exists()
@@ -121,7 +122,7 @@ def _finish(result, out_path: str | None) -> int:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             result.log.write(path)
-            _report_path(path).write_text(text, encoding="utf-8")
+            replace_file(_report_path(path), text.encode("utf-8"))
         except OSError as exc:  # a directory, or a file where one must be
             print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import MAX_TRIALS, ProtocolDesign, midpoint_critical_value
-from .core import MODES, AngleConfig, parse_json
+from .core import MODES, AngleConfig, clipped, parse_json, shown
 from .quantum import (
     CORRELATION_SENSES,
     EQUAL_POLARIZATION,
@@ -45,18 +45,18 @@ class SideSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in (SIDE_QUANTUM, SIDE_STRATEGY):
-            raise ConfigError(f"side.kind must be 'quantum' or 'strategy', got {self.kind!r}")
+            raise ConfigError(f"side.kind must be 'quantum' or 'strategy', got {shown(self.kind)}")
         if self.kind == SIDE_QUANTUM:
             if self.correlation_sense not in CORRELATION_SENSES:
                 raise ConfigError(
                     f"side.correlation_sense must be one of {CORRELATION_SENSES}, "
-                    f"got {self.correlation_sense!r}"
+                    f"got {shown(self.correlation_sense)}"
                 )
         else:
             # A JSON list or object is unhashable: test the type before the lookup.
             if not isinstance(self.strategy, str) or self.strategy not in STRATEGY_REGISTRY:
                 raise ConfigError(
-                    f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGY_REGISTRY)}"
+                    f"unknown strategy {shown(self.strategy)}; known: {sorted(STRATEGY_REGISTRY)}"
                 )
 
     def to_dict(self) -> dict:
@@ -67,7 +67,7 @@ class SideSpec:
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SideSpec":
         if not isinstance(doc, Mapping):
-            raise ConfigError(f"side must be an object, got {doc!r}")
+            raise ConfigError(f"side must be an object, got {shown(doc)}")
         kind = doc.get("kind")
         if kind == SIDE_QUANTUM:
             allowed = {"kind", "correlation_sense"}
@@ -75,12 +75,12 @@ class SideSpec:
             allowed = {"kind", "strategy", "params"}
         unknown = set(doc) - allowed
         if unknown:
-            raise ConfigError(f"unknown side fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown side fields: {shown(sorted(unknown))}")
         if kind == SIDE_QUANTUM:
             return cls(kind=kind, correlation_sense=doc.get("correlation_sense", EQUAL_POLARIZATION))
         params = doc.get("params", {})
         if not isinstance(params, Mapping):
-            raise ConfigError(f"side.params must be an object, got {params!r}")
+            raise ConfigError(f"side.params must be an object, got {shown(params)}")
         return cls(kind=kind or "", strategy=doc.get("strategy", ""), params=dict(params))
 
 
@@ -92,11 +92,17 @@ def mean_per_trial(side: SideSpec, angles: AngleConfig) -> float:
     return expected_statistic_per_trial(QuantumModel(angles, sense))
 
 
+def _reason(exc: Exception) -> str:
+    """The message of an error raised on a config value, cut to 160
+    characters: it may quote the value."""
+    return clipped(str(exc), 160)
+
+
 def _trial_count(n) -> int:
     """``n`` if it is an exact int in 1..MAX_TRIALS; ``type(n) is int`` also
     refuses bools, which ``isinstance(n, int)`` would let through."""
     if type(n) is not int or not 1 <= n <= MAX_TRIALS:
-        raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {n!r}")
+        raise ConfigError(f"n must be an integer in 1..{MAX_TRIALS}, got {shown(n)}")
     return n
 
 
@@ -106,13 +112,13 @@ def _as_float(value, what: str) -> float:
     value with no float, such as an integer too large for one
     (``OverflowError``)."""
     if isinstance(value, (str, bool)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{what} is an integer too large for a float") from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+        raise ConfigError(f"{what} must be a number, got {shown(value)}") from exc
 
 
 @dataclass(frozen=True)
@@ -133,11 +139,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {shown(self.mode)}")
         if type(self.seed) is not int or self.seed < 0:  # a bool is not a seed
-            raise ConfigError(f"seed must be an unsigned integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be an unsigned integer, got {shown(self.seed)}")
         if not isinstance(self.target_error, float) or not 0.0 < self.target_error < 1.0:
-            raise ConfigError(f"target_error must be in (0, 1), got {self.target_error!r}")
+            raise ConfigError(f"target_error must be in (0, 1), got {shown(self.target_error)}")
         mu = mean_per_trial(self.side, self.angles)
         if self.critical_value == "auto":
             # checked before the midpoint rule multiplies it
@@ -147,8 +153,8 @@ class ExperimentConfig:
             design = ProtocolDesign(self.n, self.critical_value, mu)
         except ValueError as exc:
             raise ConfigError(
-                f"no protocol design for n={self.n!r}, "
-                f"critical_value={self.critical_value!r}: {exc}"
+                f"no protocol design for n={shown(self.n)}, "
+                f"critical_value={shown(self.critical_value)}: {_reason(exc)}"
             ) from None
         object.__setattr__(self, "design", design)
 
@@ -199,30 +205,32 @@ def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"config must be an object, got {type(doc).__name__}")
     unknown = set(doc) - _TOP_LEVEL_FIELDS
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {shown(sorted(unknown))}")
     for required in ("angles", "side", "n", "seed"):
         if required not in doc:
             raise ConfigError(f"missing required config field {required!r}")
 
     angles_doc = doc["angles"]
     if not isinstance(angles_doc, (list, tuple)) or len(angles_doc) != 4:
-        raise ConfigError(f"angles must be a list of four radians, got {angles_doc!r}")
+        raise ConfigError(f"angles must be a list of four radians, got {shown(angles_doc)}")
     try:
         angles = AngleConfig(*(_as_float(a, "an angle") for a in angles_doc))
     except ValueError as exc:
-        raise ConfigError(f"bad angles {angles_doc!r}: {exc}") from exc
+        raise ConfigError(f"bad angles {shown(angles_doc)}: {_reason(exc)}") from exc
 
     side = SideSpec.from_dict(doc["side"])
     if side.kind == SIDE_STRATEGY:
         try:
             build_strategy(side.strategy, side.params)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad params for strategy {side.strategy!r}: {exc}") from exc
+            raise ConfigError(
+                f"bad params for strategy {shown(side.strategy)}: {_reason(exc)}"
+            ) from exc
 
     target_error = _as_float(doc.get("target_error", 1e-6), "target_error")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output must be a path string, got {output!r}")
+        raise ConfigError(f"output must be a path string, got {shown(output)}")
 
     return ExperimentConfig(
         angles=angles,

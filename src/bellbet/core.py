@@ -1,10 +1,13 @@
-"""Domain types and pure mathematics of the CHSH coincidence statistic, and
-the one JSON decoder of configs, reports, logs and wire frames.
+"""Domain types and pure mathematics of the CHSH coincidence statistic, the
+one JSON decoder of configs, reports, logs and wire frames, and the one
+writer of output files.
 
-Everything here is deterministic and side-effect free: angle configurations,
-settings and their cell codes, trial records, coincidence counts, joint bit
-distributions, the deterministic CHSH implication, the cos^2 coincidence law,
-the cell weights of the statistic N12 - N11 - N21 - N22, and ``parse_json``.
+Everything here but ``replace_file`` is deterministic and side-effect free:
+angle configurations, settings and their cell codes, trial records,
+coincidence counts, joint bit distributions, the deterministic CHSH
+implication, the cos^2 coincidence law, the cell weights of the statistic
+N12 - N11 - N21 - N22, ``parse_json``, and ``shown``, how an error message
+quotes a value from outside.
 
 Conventions:
   * photon convention throughout: analyzer orientations live modulo pi;
@@ -16,6 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import reprlib
+import stat
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,6 +51,44 @@ def parse_json(text, error: type[Exception], what: str, *args):
         return json.loads(text if isinstance(text, str) else str(text, "utf-8"))
     except JSON_ERRORS as exc:
         raise error(f"{what % args}: {exc}") from exc
+
+
+def clipped(text: str, limit: int = 80) -> str:
+    """``text``, or its first ``limit`` - 3 characters and "..." when it is
+    longer than ``limit``."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def shown(value) -> str:
+    """``value``'s repr cut to about 80 characters, however long or deeply
+    nested it is."""
+    return clipped(reprlib.repr(value))
+
+
+def replace_file(path, data) -> None:
+    """Write ``data`` to a new file at ``path``: the regular file there, if
+    any, is unlinked first, so another hard link to it keeps its old bytes
+    and the new file's mode comes from the umask. Any other path (no file
+    yet, a symlink, which is written through and stays a link, a device, a
+    directory, a path under a file) and a file that this process may not
+    write or cannot unlink are opened for writing in place, as before, so
+    they raise the ``OSError`` that opening them always raised.
+
+    A write killed midway leaves a prefix of the new bytes, never new bytes
+    over an old tail."""
+    # On ext4, truncating a file whose blocks are allocated costs time, and
+    # the auto_da_alloc rule starts writeback when a file truncated to zero
+    # is closed, so each rewrite of an output would wait on the last one's.
+    # A new inode has neither cost. Writing a temporary file and renaming it
+    # over the path measured no faster: ext4 flushes on a rename over a file
+    # too.
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:
+        pass
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def cell_code(i, j):

@@ -40,7 +40,6 @@ message and ``last_valid`` comes from that path alone.
 from __future__ import annotations
 
 import json
-import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
@@ -55,6 +54,8 @@ from .core import (
     TrialRecord,
     cell_code,
     parse_json,
+    replace_file,
+    shown,
 )
 
 LOG_VERSION = 1
@@ -64,13 +65,6 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 
 class LogFormatError(ValueError):
     """The log file cannot be parsed at all (I/O-level corruption)."""
-
-
-def _shown(value) -> str:
-    """``value``'s repr cut to about 80 characters, however long or deeply
-    nested it is."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _malformed(rule: str) -> LogFormatError:
@@ -105,30 +99,30 @@ class LogHeader:
         refused as such; any other bad one with the first rule it breaks,
         which names the field: ``malformed log header: <rule>``."""
         if not isinstance(doc, dict):
-            raise _malformed(f"{_shown(doc)} is not a JSON object")
+            raise _malformed(f"{shown(doc)} is not a JSON object")
         if "version" in doc and (type(doc["version"]) is not int or doc["version"] != LOG_VERSION):
             # 1.0 is no version. A later one names a later layout, so its
             # keys are not checked.
-            raise LogFormatError(f"log version {_shown(doc['version'])} is not {LOG_VERSION}")
+            raise LogFormatError(f"log version {shown(doc['version'])} is not {LOG_VERSION}")
         for key in _HEADER_KEYS:
             if key not in doc:
-                raise _malformed(f"missing key {_shown(key)}")
+                raise _malformed(f"missing key {shown(key)}")
         for key in doc:
             if key not in _HEADER_KEYS:
-                raise _malformed(f"unknown key {_shown(key)}")
+                raise _malformed(f"unknown key {shown(key)}")
         if doc["kind"] != "header":
-            raise _malformed(f"kind {_shown(doc['kind'])} is not 'header'")
+            raise _malformed(f"kind {shown(doc['kind'])} is not 'header'")
         if doc["mode"] not in (*MODES, "batch"):  # the deleted batch mode's logs stay readable
-            raise _malformed(f"mode {_shown(doc['mode'])} is not {', '.join(MODES)} or batch")
+            raise _malformed(f"mode {shown(doc['mode'])} is not {', '.join(MODES)} or batch")
         digest = doc["config_hash"]
         if not (type(digest) is str and len(digest) == 64 and _HEX_DIGITS.issuperset(digest)):
-            raise _malformed(f"config_hash {_shown(digest)} is not a sha256 in lowercase hex")
+            raise _malformed(f"config_hash {shown(digest)} is not a sha256 in lowercase hex")
         for key in ("seed", "n", "critical_value"):
             if type(doc[key]) is not int:
-                raise _malformed(f"{key} {_shown(doc[key])} is not an integer")
+                raise _malformed(f"{key} {shown(doc[key])} is not an integer")
         for key in ("seed", "n"):  # a seed is unsigned, as in a config
             if doc[key] < 0:
-                raise _malformed(f"{key} {_shown(doc[key])} is negative")
+                raise _malformed(f"{key} {shown(doc[key])} is negative")
         angles = doc["angles"]
         try:
             # Numbers first, so AngleConfig's message never formats a value
@@ -137,7 +131,7 @@ class LogHeader:
                 raise TypeError
             AngleConfig(*angles)
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: past a float
-            raise _malformed(f"angles {_shown(angles)} are not four finite numbers") from exc
+            raise _malformed(f"angles {shown(angles)} are not four finite numbers") from exc
         return cls(
             config_hash=digest,
             seed=doc["seed"],
@@ -263,8 +257,7 @@ class TrialLog(Sequence):
         return bytes(_serialize(self))
 
     def write(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_serialize(self))
+        replace_file(path, _serialize(self))
 
     @classmethod
     def from_raw(cls, header: LogHeader, raw_records: list[dict]) -> "TrialLog":

@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass
 
 from .config import ConfigError, ExperimentConfig, SIDE_STRATEGY, config_from_dict
-from .core import parse_json
+from .core import parse_json, replace_file
 from .referee import LocalStation, ProtocolAbort, RefereeEngine, RunResult
 from .strategies import (
     LEFT,
@@ -268,9 +268,8 @@ class Transcript:
         )
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        lines = (json.dumps(entry, sort_keys=True) + "\n" for entry in self.entries)
+        replace_file(path, "".join(lines).encode("ascii"))
 
     @staticmethod
     def read(path) -> list[dict]:

@@ -210,6 +210,49 @@ def nested(value, depth):
     return value
 
 
+def strategy_side(strategy="constant", params=None):
+    return {"kind": "strategy", "strategy": strategy, "params": {} if params is None else params}
+
+
+# Each place a config value reaches an error message, as a doc holding v there.
+QUOTED_FIELDS = {
+    "angles": lambda v: base_doc(angles=v),
+    "an-angle": lambda v: base_doc(angles=[v, 0.0, 0.0, 0.0]),
+    "output": lambda v: base_doc(output=v),
+    "side": lambda v: base_doc(side=v),
+    "kind": lambda v: base_doc(side={"kind": v}),
+    "correlation_sense": lambda v: base_doc(side={"kind": "quantum", "correlation_sense": v}),
+    "strategy": lambda v: base_doc(side=strategy_side(v)),
+    "params": lambda v: base_doc(side=strategy_side(params=v)),
+    "a-param": lambda v: base_doc(side=strategy_side(params={"bit": v})),
+    "a-param-name": lambda v: base_doc(side=strategy_side(params={str(v): 1})),
+    "n": lambda v: base_doc(n=v),
+    "n-auto": lambda v: base_doc(n=v, critical_value="auto"),
+    "critical_value": lambda v: base_doc(critical_value=v),
+    "mode": lambda v: base_doc(mode=v),
+    "seed": lambda v: base_doc(seed=v),
+    "target_error": lambda v: base_doc(target_error=v),
+    "a-field-name": lambda v: base_doc(**{str(v): 1}),
+    "a-side-field-name": lambda v: base_doc(side={"kind": "quantum", str(v): 1}),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param(field, value, id=f"{field}-{kind}")
+        for field in QUOTED_FIELDS
+        for kind, value in [("100000-chars", "x" * 100_000), ("900-deep-list", nested(0, 900))]
+        # Any string is a valid output path.
+        if not (field == "output" and isinstance(value, str))
+    ],
+)
+def test_error_message_quotes_a_bounded_value(field, value):
+    with pytest.raises(ConfigError) as caught:
+        config_from_dict(QUOTED_FIELDS[field](value))
+    assert len(str(caught.value).encode()) < 300
+
+
 # What a JSON document can hold, biased towards the values the parser tests
 # for: integers past float range (up to the decoder's 4 300-digit limit),
 # non-finite floats, the schema's own words in the wrong places, lists and

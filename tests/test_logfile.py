@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_texts import JSON_TEXTS
 
-from bellbet import logfile
+from bellbet import cli, logfile
 from bellbet.logfile import (
     LogFormatError,
     LogHeader,
@@ -387,6 +389,73 @@ class TestFileErrors:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(LogFormatError):
             load_log(path)
+
+
+def full_log(n, seed=0):
+    return TrialLog.from_columns(make_header(n=n), *random_columns(np.random.default_rng(seed), n))
+
+
+class TestReplaceFile:
+    """Every output is written by ``replace_file``: a new file at the path."""
+
+    def test_rewrite_makes_a_new_file(self, tmp_path):
+        path = tmp_path / "trial.log"
+        full_log(20, seed=1).write(path)
+        with open(path, "rb") as old:
+            # The open file keeps the old inode alive, so its number cannot
+            # be reused by the new file.
+            full_log(20, seed=2).write(path)
+            assert os.fstat(old.fileno()).st_ino != path.stat().st_ino
+            assert old.read() == full_log(20, seed=1).to_bytes()
+        assert path.read_bytes() == full_log(20, seed=2).to_bytes()
+
+    def test_shorter_log_over_a_longer_one(self, tmp_path):
+        path = tmp_path / "trial.log"
+        full_log(2000).write(path)
+        full_log(1000).write(path)
+        assert path.read_bytes() == full_log(1000).to_bytes()
+        assert read_log(path)[2].last_valid == 1000
+
+    def test_symlinked_out_stays_a_link(self, tmp_path, capsys):
+        fresh, target, link = tmp_path / "fresh.log", tmp_path / "target.log", tmp_path / "link.log"
+        link.symlink_to(target)
+        for n in ("2000", "1000"):
+            assert cli.main(["run", "--n", n, "--out", str(link)]) == cli.EXIT_OK
+        assert cli.main(["run", "--n", "1000", "--out", str(fresh)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_hard_link_keeps_the_old_bytes(self, tmp_path):
+        path, other = tmp_path / "trial.log", tmp_path / "other.log"
+        full_log(30, seed=1).write(path)
+        os.link(path, other)
+        full_log(20, seed=2).write(path)
+        assert other.read_bytes() == full_log(30, seed=1).to_bytes()
+        assert path.read_bytes() == full_log(20, seed=2).to_bytes()
+
+    def test_fifo_is_written_not_replaced(self, tmp_path):
+        # As for a device such as /dev/null: only a regular file is unlinked.
+        path = tmp_path / "trial.fifo"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            small_log().write(path)
+            assert stat.S_ISFIFO(path.stat().st_mode)
+            assert os.read(reader, 1 << 16) == small_log().to_bytes()
+        finally:
+            os.close(reader)
+
+    def test_file_this_process_may_not_write_is_opened_in_place(self, tmp_path, monkeypatch):
+        # Unlinking it would get round its mode; opening it raises as it
+        # always did. Here os.access is stubbed, so the open succeeds.
+        path = tmp_path / "trial.log"
+        full_log(30).write(path)
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        with open(path, "rb") as old:
+            full_log(20).write(path)
+            assert os.fstat(old.fileno()).st_ino == path.stat().st_ino
+        assert path.read_bytes() == full_log(20).to_bytes()
 
 
 def random_columns(rng, n):

@@ -513,6 +513,15 @@ class TestLoopbackEquivalence:
         assert audit_transcript(entries).ok
         assert entries[0]["seq"] == 1
 
+    def test_transcript_write_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "wire.jsonl"
+        path.write_text('{"seq": 0}\n' * 1000, encoding="ascii")
+        transcript = Transcript()
+        transcript.add("send", "HELLO", None, "left")
+        transcript.add("recv", "OUTCOME", 1, "right")
+        transcript.write(path)
+        assert Transcript.read(path) == transcript.entries
+
     def test_network_log_analyzes_identically(self, tmp_path, capsys):
         # cmd_analyze output for the networked log equals the in-process one.
         from bellbet.cli import main
