@@ -39,7 +39,7 @@ from .config import (
     default_config_dict,
     read_config_dict,
 )
-from .core import MODES, AngleConfig, parse_json, replace_file
+from .core import MODES, AngleConfig, parse_json, replace_file, shown
 from .logfile import LogFormatError, read_log
 from .montecarlo import simulate_result
 from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
@@ -111,6 +111,15 @@ def _check_writable(paths) -> None:
             path.unlink()
 
 
+def _cannot_write(exc: OSError) -> int:
+    """Say that an output cannot be written and return the config error's
+    exit code. The path is quoted cut short, as a config may name one of
+    any length."""
+    where = "" if exc.filename is None else f": {shown(str(exc.filename))}"
+    print(f"config error: cannot write outputs: {exc.strerror or exc}{where}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _finish(result, out_path: str | None) -> int:
     """Print a finished run's report as JSON text, after writing the log and
     the report next to it when there is an ``out_path``. The exit status is 0
@@ -124,8 +133,7 @@ def _finish(result, out_path: str | None) -> int:
             result.log.write(path)
             replace_file(_report_path(path), text.encode("utf-8"))
         except OSError as exc:  # a directory, or a file where one must be
-            print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _cannot_write(exc)
     _print(text)
     if result.abort is None:
         return EXIT_OK
@@ -311,8 +319,7 @@ def cmd_serve(args) -> int:
     try:
         _check_writable(outputs)
     except OSError as exc:
-        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _cannot_write(exc)
 
     def announce(addr):
         print(f"listening on {addr[0]}:{addr[1]}", flush=True)

@@ -275,11 +275,15 @@ class CountMatrix:
     @classmethod
     def from_columns(cls, cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> "CountMatrix":
         """Count from per-trial columns: cell codes 0..3 (uint8 or wider)
-        and both outcome bits. One pass counts the eight (cell, coincided)
-        pairs, coded 2 * cell + coincided."""
-        pairs = np.bincount(2 * cells + (x == y), minlength=8)
-        coincidences = pairs[1::2]
-        return cls(tuple((pairs[0::2] + coincidences).tolist()), tuple(coincidences.tolist()))
+        and both outcome bits. Each cell's trials and coincidences are
+        counted on bool masks, so no column is widened to an index type."""
+        coincided = x == y
+        trials, coincidences = [], []
+        for cell in range(4):
+            in_cell = cells == cell
+            trials.append(int(np.count_nonzero(in_cell)))
+            coincidences.append(int(np.count_nonzero(in_cell & coincided)))
+        return cls(tuple(trials), tuple(coincidences))
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         """The counts document of reports and analyses: per-cell trials and

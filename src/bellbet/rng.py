@@ -59,14 +59,13 @@ def settings_cells(seed: int, n: int) -> np.ndarray:
     Code = 2*(i-1) + (j-1): the top two bits of each 32-bit half of a raw
     word w, low half first, ``(w >> 30) & 3`` then ``w >> 62``, as NumPy's
     ``integers(0, 4, size=n)``. Each length is a prefix of every longer one.
+    The words are read as little-endian uint32 pairs, so one shift of that
+    view gives the codes in trial order, low half first on every host.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     words = _draw(seed, ROLE_SETTINGS, (n + 1) // 2, words=True)
-    cells = np.empty(2 * len(words), dtype=np.uint8)
-    cells[0::2] = (words >> 30) & 3
-    cells[1::2] = words >> 62
-    return cells[:n]
+    return (words.astype("<u8", copy=False).view("<u4")[:n] >> 30).astype(np.uint8)
 
 
 class TrialUniforms:

@@ -161,16 +161,22 @@ def angular_distance(a, b):
     """Distance between orientations modulo pi, in [0, pi/2].
 
     Floats stay Python floats and arrays stay arrays, and both take the same
-    IEEE steps (the remainder of d = |a - b| by pi, then the smaller of d
-    and pi - d), so scalar and array callers agree bit for bit. Arrays use
-    ``np.fmod`` rather than ``%``: both are the exact fmod of d, and they
-    differ only in a sign fix for a negative remainder, which d >= 0 never
-    gives, so ``%`` would pay for a floor division it throws away.
+    IEEE values (the remainder of d = |a - b| by pi, then the smaller of d
+    and pi - d), so scalar and array callers agree bit for bit. The
+    remainder is exact either way: Python's ``%`` is fmod with a sign fix
+    that d >= 0 never needs. An array whose every d is below 2 pi takes it
+    in place as d - pi where d >= pi: Sterbenz's lemma makes x - y exact for
+    y/2 <= x <= 2y, so for pi <= d < 2 pi the difference is exact and is
+    fmod's value, without fmod's cost. An array with a d of 2 pi or more, or
+    a NaN, falls back to ``np.fmod``.
     """
     d = abs(a - b)
     if isinstance(d, np.ndarray):
-        d = np.fmod(d, math.pi)
-        return np.minimum(d, math.pi - d)
+        if d.max(initial=0.0) < math.tau:
+            np.subtract(d, math.pi, out=d, where=d >= math.pi)
+        else:
+            np.fmod(d, math.pi, out=d)
+        return np.minimum(d, math.pi - d, out=d)
     d %= math.pi
     return min(d, math.pi - d)
 

@@ -1,7 +1,7 @@
 """Let the ``python -m bellbet`` processes the network tests spawn import the
 package from this source tree when it is not installed (``pythonpath`` in
 pyproject.toml only reaches the test process itself), and give the tests a
-spy on the seeded streams."""
+spy on the seeded streams and one on ``np.fmod``."""
 
 import os
 from pathlib import Path
@@ -25,4 +25,20 @@ def draws(monkeypatch):
         return real(seed, role, *args, **kwargs)
 
     monkeypatch.setattr(rng, "_draw", spy)
+    return calls
+
+
+@pytest.fixture
+def fmod_calls(monkeypatch):
+    """The arguments of every ``np.fmod`` call, in order."""
+    import numpy as np
+
+    calls = []
+    real = np.fmod
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fmod", spy)
     return calls

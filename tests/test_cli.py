@@ -145,6 +145,28 @@ class TestRun:
         assert captured.err.startswith("config error: cannot write outputs: ")
 
     @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_unwritable_long_output_path_is_quoted_short(self, tmp_path, capsys, monkeypatch, command):
+        # A 100 000-character "output" is a valid path string but no file
+        # name: the message quotes it cut short, and serve never listens.
+        import socket
+
+        def no_listener(*args, **kwargs):
+            raise AssertionError("serve listened with an unwritable output")
+
+        monkeypatch.setattr(socket, "create_server", no_listener)
+        config = write_config(
+            tmp_path,
+            n=100,
+            side={"kind": "strategy", "strategy": "independent-coin", "params": {}},
+            output=str(tmp_path / ("x" * 100_000)),
+        )
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write outputs: File name too long: '")
+        assert len(captured.err.encode()) < 300
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
     def test_trial_count_above_cap_is_config_error(self, tmp_path, capsys, command):
         # Refused while parsing, before any per-trial buffer is allocated.
         config = write_config(

@@ -1,6 +1,7 @@
 """Config schema: strict parsing, auto critical value, canonical hashing."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -338,6 +339,13 @@ class TestHashing:
     def test_round_trip_through_dict(self):
         config = config_from_dict(base_doc())
         assert config_from_dict(config.to_dict()) == config
+
+    def test_hash_is_sha256_of_canonical_json(self):
+        config = config_from_dict(base_doc())
+        digest = config.config_hash()
+        assert digest == hashlib.sha256(config.canonical_json().encode("ascii")).hexdigest()
+        moved = dataclasses.replace(config, seed=8)
+        assert moved.config_hash() == config_from_dict(base_doc(seed=8)).config_hash() != digest
 
 
 class TestQuantumExpectedStatistic:

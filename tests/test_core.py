@@ -237,6 +237,19 @@ class TestCountStatistic:
         trials = [(i + 1, j + 1, x, y) for i, j, x, y in rng.integers(0, 2, size=(count, 4)).tolist()]
         self._assert_columns_match_records(self._log(trials))
 
+    @pytest.mark.parametrize("count", [0, 1, 2000])
+    def test_from_columns_matches_a_python_loop(self, count):
+        rng = np.random.default_rng(count)
+        cells = rng.integers(0, 4, count).astype(np.uint8)
+        x, y = rng.integers(0, 2, (2, count)).astype(np.uint8)
+        trials, coincidences = [0] * 4, [0] * 4
+        for cell, xm, ym in zip(cells.tolist(), x.tolist(), y.tolist()):
+            trials[cell] += 1
+            coincidences[cell] += xm == ym
+        counts = CountMatrix.from_columns(cells, x, y)
+        assert (counts.trials, counts.coincidences) == (tuple(trials), tuple(coincidences))
+        assert all(type(c) is int for c in counts.trials + counts.coincidences)
+
     @pytest.mark.parametrize("cell", range(4))
     def test_from_columns_one_cell(self, cell):
         i, j = setting_indices(cell)

@@ -2,11 +2,13 @@
 bit-exactly, for every honest strategy in the registry and both quantum
 correlation senses, in every mode."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES
+from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig
 from bellbet.montecarlo import simulate_many, simulate_result, simulate_run
 from bellbet.quantum import CORRELATION_SENSES
 from bellbet.referee import StatisticTrace, build_report, run_experiment
@@ -20,6 +22,9 @@ SIDES = [
     {"kind": "strategy", "strategy": "constant", "params": {"bit": 0}},
 ]
 SEEDS = (1, 2, 3)
+# Multiples of pi added to OPTIMAL_ANGLES (a1, a2, b1, b2): the left wing's
+# analyzers lie past 2 pi from some theta in [0, pi), the right wing's never.
+SHIFTS = (3, -2, 0, -1)
 
 
 def side_id(side):
@@ -61,6 +66,21 @@ class TestEngineEquality:
     def test_other_modes_match(self, side, mode):
         for seed in SEEDS:
             assert_kernel_matches_engine(make_config(side, seed=seed, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
+    def test_polarizer_at_angles_shifted_by_multiples_of_pi(self, mode, fmod_calls):
+        # Each optimal angle moved by a different multiple of pi: the left
+        # wing's |theta - a| reach past 2 pi, so the kernel's distance takes
+        # its fmod fallback there and the d - pi rule on the right wing,
+        # while the engine's stations take the scalar path.
+        angles = AngleConfig(
+            *(a + k * math.pi for a, k in zip(OPTIMAL_ANGLES.as_tuple(), SHIFTS))
+        )
+        side = {"kind": "strategy", "strategy": "classical-polarizer", "params": {}}
+        for seed in SEEDS:
+            fmod_calls.clear()
+            assert_kernel_matches_engine(make_config(side, seed=seed, mode=mode, angles=angles))
+            assert len(fmod_calls) == 1  # the left wing's, in the kernel
 
     def test_pi_third_angles_quantum(self):
         config = make_config(

@@ -210,12 +210,20 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-# Orientations with |a - b| up to 1e9, exact multiples of pi and the pi/4
-# thresholds on either side of 0, so differences of both signs occur.
+def near(value):
+    """``value`` and the floats one ulp either side of it."""
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+# Orientations with |a - b| up to 1e9, exact multiples of pi, the pi/4
+# thresholds on either side of 0, and pi and 2 pi each with its neighbours,
+# so differences of both signs occur and, against 0, differences at the
+# edges of the array path's d - pi rule.
+EDGES = [*near(math.pi), *near(math.tau)]
 ORIENTATION = st.one_of(
     st.floats(-5e8, 5e8, allow_nan=False, allow_infinity=False),
     st.integers(-1000, 1000).map(lambda k: k * math.pi),
-    st.sampled_from([0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 5e8, -5e8]),
+    st.sampled_from([0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 5e8, -5e8, *EDGES]),
 )
 
 
@@ -236,6 +244,36 @@ class TestAngularDistance:
         for b in (0.0, math.pi, -3 * math.pi):
             array = angular_distance(a, np.full_like(a, b))
             assert bits(array) == bits(angular_distance(p, b) for p in a.tolist())
+
+    def test_below_two_pi_subtracts_pi_exactly(self, fmod_calls):
+        # Every difference of 0, pi and 2 pi (each with its neighbours)
+        # below 2 pi: the d - pi rule, no fmod, and the scalar's bits.
+        pairs = [(a, b) for a in [0.0, *EDGES] for b in [0.0, *EDGES] if abs(a - b) < math.tau]
+        assert max(abs(a - b) for a, b in pairs) == math.nextafter(math.tau, 0.0)
+        a, b = np.array(pairs).T
+        array = angular_distance(a, b)
+        assert fmod_calls == []
+        assert bits(array) == bits(angular_distance(p, q) for p, q in pairs)
+
+    def test_two_pi_and_above_fall_back_to_fmod(self, fmod_calls):
+        # One d at or above 2 pi sends the whole array to fmod, which must
+        # agree with the scalar on the differences below 2 pi too.
+        below = [0.0, *near(math.pi), math.nextafter(math.tau, 0.0)]
+        for far in near(math.tau)[1:] + [1e9]:
+            a = np.array([*below, far])
+            array = angular_distance(a, 0.0)
+            assert len(fmod_calls) == 1
+            assert bits(array) == bits(angular_distance(p, 0.0) for p in a.tolist())
+            fmod_calls.clear()
+
+    def test_inputs_unchanged(self):
+        # Through the d - pi rule, then through fmod.
+        for a in (np.array([0.0, *near(math.pi)]), np.array([0.0, 1e9])):
+            b = a[::-1].copy()
+            before = bits(a), bits(b)
+            for pair in ((a, b), (a, 0.5), (0.5, b)):
+                angular_distance(*pair)
+            assert (bits(a), bits(b)) == before
 
     def test_polarizer_passes_at_the_threshold(self):
         quarter = math.pi / 4
