@@ -42,7 +42,13 @@ from .config import (
 from .core import MODES, AngleConfig, parse_json, replace_file, shown
 from .logfile import LogFormatError, read_log
 from .montecarlo import simulate_result
-from .net import DEFAULT_TRIAL_TIMEOUT, parse_endpoint, referee_serve, station_client
+from .net import (
+    DEFAULT_TRIAL_TIMEOUT,
+    MAX_TRIAL_TIMEOUT,
+    parse_endpoint,
+    referee_serve,
+    station_client,
+)
 from .quantum import QuantumModel, expected_statistic_per_trial
 from .referee import (
     ABORT_VALIDATION,
@@ -92,9 +98,10 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _report_path(out_path) -> Path:
-    path = Path(out_path)
-    return path.with_suffix(path.suffix + ".report.json")
+def _report_path(log_path) -> Path:
+    """The report's path: the log's path with ".report.json" appended, which
+    any path takes, even one with no file name, such as "."."""
+    return Path(f"{Path(log_path)}.report.json")
 
 
 def _check_writable(paths) -> None:
@@ -227,7 +234,7 @@ def _analyze_log(log_path: str, report_path: str | None) -> tuple[dict, int]:
             + "; ".join(validation.corrupt[:4])
         )
 
-    default_report = Path(str(log_path) + ".report.json")
+    default_report = _report_path(log_path)
     if not report_path and default_report.exists():
         report_path = default_report
     report = _read_report(report_path) if report_path else None
@@ -377,6 +384,21 @@ def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--log", required=True)
 
 
+def _timeout(text: str) -> float:
+    """A socket timeout in seconds: a number above 0 and at most
+    ``MAX_TRIAL_TIMEOUT``, so never one that makes the socket non-blocking,
+    overflows it or wraps around."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds <= MAX_TRIAL_TIMEOUT:  # nan fails too
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds above 0 and at most {MAX_TRIAL_TIMEOUT}, got {text!r}"
+        )
+    return seconds
+
+
 def _serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--endpoint", default="127.0.0.1:0", help="host:port (port 0 = pick free)")
@@ -385,13 +407,13 @@ def _serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--out", help="trial log output path")
     p.add_argument("--transcript", help="wire transcript output path")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
+    p.add_argument("--timeout", type=_timeout, default=DEFAULT_TRIAL_TIMEOUT)
 
 
 def _station_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--role", required=True, choices=("left", "right"))
     p.add_argument("--endpoint", required=True)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
+    p.add_argument("--timeout", type=_timeout, default=DEFAULT_TRIAL_TIMEOUT)
 
 
 # Each subcommand: its help line, the function that adds its arguments, and

@@ -60,6 +60,9 @@ from .strategies import (
 
 PROTOCOL_VERSION = 2
 DEFAULT_TRIAL_TIMEOUT = 30.0
+# The longest timeout a socket keeps: poll() takes it as a C int of
+# milliseconds, so a longer one wraps around (4294967.297 s waits 1 ms).
+MAX_TRIAL_TIMEOUT = (2**31 - 1) / 1000
 
 KIND_HELLO = "HELLO"
 KIND_CONFIG = "CONFIG"

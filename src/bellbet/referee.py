@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .core import (
     CELL_WEIGHTS,
     SETTINGS_BY_CELL,
     CountMatrix,
-    TrialRecord,
     cell_code,
     chsh_count_statistic,
     setting_indices,
@@ -83,21 +81,24 @@ class ProtocolAbort(Exception):
         super().__init__(reason)
 
 
-def validate_outcome(value) -> int:
+def validate_outcome(value, side: str | None = None, trial: int | None = None) -> int:
     """Pass iff the raw value is exactly the bit 0 or 1.
 
     Integer types (including numpy integers and bools) carrying 0 or 1 pass;
     every real number fails, including values inside plausible-looking
-    ranges and values that merely round to a bit.
+    ranges and values that merely round to a bit. The error names ``side``
+    and ``trial``.
     """
     if isinstance(value, (bool, np.bool_, int, np.integer)):
         v = int(value)
         if v in (0, 1):
             return v
-    raise OutcomeValidationError(value)
+    raise OutcomeValidationError(value, side=side, trial=trial)
 
 
 _CELL_WEIGHTS = np.array(CELL_WEIGHTS, dtype=np.int8)
+# The (i, j) setting indices of cell codes 0..3.
+_INDICES_BY_CELL = tuple(map(setting_indices, range(4)))
 
 
 @dataclass(frozen=True)
@@ -307,19 +308,15 @@ class LocalStation:
         self.side = side
         self.memory = strategy.initial_memory(side)
         self._message = SourceMessage(b"")
-        self._setting_trial = 0  # the trial whose setting was posted last
         self._setting_index = 0
 
     def deliver_lambda(self, m: int, message: SourceMessage) -> None:
         self._message = message
 
     def post_setting(self, m: int, index: int) -> None:
-        self._setting_trial = m
         self._setting_index = index
 
     def get_outcome(self, m: int):
-        if self._setting_trial != m:
-            raise ProtocolAbort(f"no setting posted for trial {m}", trial=m, side=self.side)
         return self.strategy.station_respond(
             self.side, self._setting_index, self._message, self.memory
         )
@@ -329,14 +326,6 @@ class LocalStation:
 
     def deliver_broadcast(self, m: int, view: TrialView) -> None:
         self.memory = self.strategy.update_memory(self.side, self.memory, view)
-
-
-def _validated(value, side: str, m: int) -> int:
-    """``validate_outcome``, naming the side and trial when it refuses."""
-    try:
-        return validate_outcome(value)
-    except OutcomeValidationError:
-        raise OutcomeValidationError(value, side=side, trial=m) from None
 
 
 class RefereeEngine:
@@ -390,99 +379,20 @@ class RefereeEngine:
             )
 
         self.log = TrialLog(log_header(config))
-        self._step = self._trial_step()
-
-    # --- event trace -----------------------------------------------------
-
-    def _event(self, kind: str, m: int) -> None:
-        """Record one event; callers call it only when ``record_events`` is on."""
-        self._events.append((len(self._events) + 1, kind, m))
-
-    # --- per-trial protocol ----------------------------------------------
-
-    def _trial_step(self):
-        """The per-trial protocol as one function of m, with everything it
-        touches bound once. Trial m:
-
-          1. the source's message to both stations (strategy sides only);
-          2. the joint setting, each station told only its own index; both
-             are posted before either outcome is awaited, which a remote
-             station relies on;
-          3. both outcomes, each validated as exactly a bit (an exact int 0
-             or 1 passes at once, anything else takes ``validate_outcome``),
-             then the trial committed to the log;
-          4. the broadcast: the whole trial and both blobs in sequential
-             mode, each wing's own setting and outcome otherwise.
-        """
-        log, n, cells = self.log, self.n, self._cells
-        commit = log.commit
-        event = self._event if self._events is not None else None
-        sequential = self.mode == "sequential"
-        sample = self._oracle.sample_trial if self._oracle is not None else None
-        stations = self._stations
-        new_tuple = tuple.__new__
-        indices_by_cell = tuple(map(setting_indices, range(4)))
-        if stations is not None:
-            left, right = stations
-            source_emit = self.strategy.source_emit
-            history: Sequence[TrialRecord] = log if sequential else ()
-
-        def step(m: int) -> None:
-            if m != len(log) + 1:
-                raise ProtocolAbort(f"trial {m} requested but {len(log)} trials committed")
-            if m > n:
-                raise ProtocolAbort(f"settings exhausted after {n} trials")
-            if stations is not None:
-                message = source_emit(m, history)
-                if event is not None:
-                    event("lambda", m)
-                left.deliver_lambda(m, message)
-                right.deliver_lambda(m, message)
-            if event is not None:
-                event("settings", m)
-            cell = cells.item(m - 1)
-            i, j = indices_by_cell[cell]
-            if stations is not None:
-                left.post_setting(m, i)
-                right.post_setting(m, j)
-                x, y = left.get_outcome(m), right.get_outcome(m)
-            else:
-                x, y = sample(m, SETTINGS_BY_CELL[cell])
-            if type(x) is not int or not 0 <= x <= 1:
-                x = _validated(x, LEFT, m)
-            if type(y) is not int or not 0 <= y <= 1:
-                y = _validated(y, RIGHT, m)
-            commit(i, j, x, y)
-            if event is not None:
-                event("outcome", m)
-            if stations is None:
-                return
-            # Each view is built as the plain tuple of its fields, in field
-            # order, which skips the named tuple's Python-level __new__.
-            if sequential:
-                blobs = {LEFT: left.collect_blob(m), RIGHT: right.collect_blob(m)}
-                left.deliver_broadcast(m, new_tuple(TrialView, (m, i, x, j, y, blobs)))
-                right.deliver_broadcast(m, new_tuple(TrialView, (m, j, y, i, x, blobs)))
-            else:
-                left.deliver_broadcast(m, new_tuple(TrialView, (m, i, x, None, None, NO_BLOBS)))
-                right.deliver_broadcast(m, new_tuple(TrialView, (m, j, y, None, None, NO_BLOBS)))
-            if event is not None:
-                event("broadcast", m)
-
-        return step
-
-    def run_trial(self, m: int) -> TrialRecord:
-        """Execute trial m and return its committed record. Trial m-1 must
-        already be committed."""
-        self._step(m)
-        return self.log.record(m)
+        self._ran = False
 
     def run(self) -> RunResult:
+        """Run trials 1..n, once per engine; a non-bit outcome or a protocol
+        abort ends the run, and its log keeps the trials committed before it."""
+        if self._ran:
+            raise RuntimeError("an engine runs its experiment once")
+        self._ran = True
         abort: AbortReport | None = None
         try:
-            step = self._step
-            for m in range(1, self.n + 1):
-                step(m)
+            if self._oracle is not None:
+                self._run_oracle()
+            else:
+                self._run_stations()
         except OutcomeValidationError as exc:
             abort = AbortReport(
                 kind=ABORT_VALIDATION,
@@ -499,6 +409,71 @@ class RefereeEngine:
                 side=exc.side,
             )
         return RunResult(log=self.log, design=self.config.design, abort=abort, events=self._events)
+
+    def _run_oracle(self) -> None:
+        """Each trial's joint setting goes to the oracle, whose outcomes are
+        ints of bools and so need no bit check, then the trial is committed."""
+        cells, commit, events = self._cells, self.log.commit, self._events
+        sample = self._oracle.sample_trial
+        for m in range(1, self.n + 1):
+            if events is not None:
+                events.append((len(events) + 1, "settings", m))
+            cell = cells.item(m - 1)
+            i, j = _INDICES_BY_CELL[cell]
+            x, y = sample(m, SETTINGS_BY_CELL[cell])
+            commit(i, j, x, y)
+            if events is not None:
+                events.append((len(events) + 1, "outcome", m))
+
+    def _run_stations(self) -> None:
+        """Trial m, with everything it touches bound once:
+
+          1. the source's message to both stations;
+          2. the joint setting, each station told only its own index; both
+             are posted before either outcome is awaited, which a remote
+             station relies on;
+          3. both outcomes, each validated as exactly a bit (an exact int 0
+             or 1 passes at once, anything else takes ``validate_outcome``),
+             then the trial committed to the log;
+          4. the broadcast: the whole trial and both blobs in sequential
+             mode, each wing's own setting and outcome otherwise.
+        """
+        log, cells, events = self.log, self._cells, self._events
+        commit, source_emit = log.commit, self.strategy.source_emit
+        left, right = self._stations
+        sequential = self.mode == "sequential"
+        history = log if sequential else ()
+        new_tuple = tuple.__new__
+        for m in range(1, self.n + 1):
+            message = source_emit(m, history)
+            if events is not None:
+                events.append((len(events) + 1, "lambda", m))
+            left.deliver_lambda(m, message)
+            right.deliver_lambda(m, message)
+            if events is not None:
+                events.append((len(events) + 1, "settings", m))
+            i, j = _INDICES_BY_CELL[cells.item(m - 1)]
+            left.post_setting(m, i)
+            right.post_setting(m, j)
+            x, y = left.get_outcome(m), right.get_outcome(m)
+            if type(x) is not int or not 0 <= x <= 1:
+                x = validate_outcome(x, LEFT, m)
+            if type(y) is not int or not 0 <= y <= 1:
+                y = validate_outcome(y, RIGHT, m)
+            commit(i, j, x, y)
+            if events is not None:
+                events.append((len(events) + 1, "outcome", m))
+            # Each view is built as the plain tuple of its fields, in field
+            # order, which skips the named tuple's Python-level __new__.
+            if sequential:
+                blobs = {LEFT: left.collect_blob(m), RIGHT: right.collect_blob(m)}
+                left.deliver_broadcast(m, new_tuple(TrialView, (m, i, x, j, y, blobs)))
+                right.deliver_broadcast(m, new_tuple(TrialView, (m, j, y, i, x, blobs)))
+            else:
+                left.deliver_broadcast(m, new_tuple(TrialView, (m, i, x, None, None, NO_BLOBS)))
+                right.deliver_broadcast(m, new_tuple(TrialView, (m, j, y, None, None, NO_BLOBS)))
+            if events is not None:
+                events.append((len(events) + 1, "broadcast", m))
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:

@@ -99,6 +99,11 @@ class TrialView(NamedTuple):
     blobs: Mapping[str, bytes] = NO_BLOBS
 
 
+def _wing_uniforms(seed: int, n: int) -> dict[str, TrialUniforms]:
+    """Each wing's own seeded stream of n uniforms, keyed by side."""
+    return {LEFT: TrialUniforms(seed, ROLE_LEFT, n), RIGHT: TrialUniforms(seed, ROLE_RIGHT, n)}
+
+
 def wing_column(side: str, setting_index):
     """Where a wing's setting index falls among the four per-wing entries
     ordered (left 1, left 2, right 1, right 2): the bits (x1, x2, y1, y2) of
@@ -289,10 +294,7 @@ class IndependentCoinStrategy(Strategy):
 
     def prepare(self, *, seed, n, angles, mode):
         super().prepare(seed=seed, n=n, angles=angles, mode=mode)
-        self._coins = {
-            LEFT: TrialUniforms(seed, ROLE_LEFT, n),
-            RIGHT: TrialUniforms(seed, ROLE_RIGHT, n),
-        }
+        self._coins = _wing_uniforms(seed, n)
 
     def station_respond(self, side, setting_index, message, memory):
         self._require_prepared()
@@ -456,10 +458,7 @@ class RangeViolatorStrategy(Strategy):
 
     def prepare(self, *, seed, n, angles, mode):
         super().prepare(seed=seed, n=n, angles=angles, mode=mode)
-        self._values = {
-            LEFT: TrialUniforms(seed, ROLE_LEFT, n),
-            RIGHT: TrialUniforms(seed, ROLE_RIGHT, n),
-        }
+        self._values = _wing_uniforms(seed, n)
 
     def station_respond(self, side, setting_index, message, memory):
         self._require_prepared()

@@ -29,7 +29,14 @@ from bellbet.cli import (
 from bellbet.config import load_config
 from bellbet.core import OPTIMAL_ANGLES
 from bellbet.logfile import load_log
-from bellbet.net import KIND_CONFIG, KIND_LAMBDA, KIND_SETTING, encode_frame, recv_frame
+from bellbet.net import (
+    KIND_CONFIG,
+    KIND_LAMBDA,
+    KIND_SETTING,
+    MAX_TRIAL_TIMEOUT,
+    encode_frame,
+    recv_frame,
+)
 from bellbet.quantum import CORRELATION_SENSES
 from bellbet.referee import RefereeEngine, build_report, run_experiment, summarize, tally
 from bellbet.strategies import LOCAL_STRATEGY_NAMES
@@ -898,6 +905,64 @@ class TestNetworkCommandErrors:
         assert captured.err.startswith("config error: cannot write outputs: ")
         assert not (tmp_path / "bet.log").exists()
 
+    @pytest.mark.parametrize("out", [".", "/"])
+    def test_output_path_with_no_file_name_is_config_error(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # The report's path is the log's with ".report.json" appended, which
+        # any path takes; the log's own path is then refused as a directory.
+        def no_listener(*args, **kwargs):
+            raise AssertionError("serve listened with an unwritable output")
+
+        monkeypatch.setattr(socket, "create_server", no_listener)
+        monkeypatch.chdir(tmp_path)
+        config = write_config(
+            tmp_path,
+            side={"kind": "strategy", "strategy": "independent-coin", "params": {}},
+            output=out,
+        )
+        for argv in (["--out", out], []):
+            assert main(["serve", "--config", str(config), *argv]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: cannot write outputs: Is a directory")
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "1e10", "4294967.297"])
+    @pytest.mark.parametrize("command", ["serve", "station"])
+    def test_timeout_the_socket_cannot_keep_is_refused(
+        self, tmp_path, capsys, monkeypatch, command, timeout
+    ):
+        # 0 makes a socket non-blocking; -1, nan, inf and 1e10 make
+        # settimeout raise; 4294967.297 s wraps around to 1 ms in poll().
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a refused timeout reached the socket layer")
+
+        for name in ("create_connection", "create_server"):
+            monkeypatch.setattr(socket, name, no_socket)
+        config = write_config(
+            tmp_path, side={"kind": "strategy", "strategy": "independent-coin", "params": {}}
+        )
+        args = {
+            "serve": ["serve", "--config", str(config)],
+            "station": ["station", "--role", "left", "--endpoint", "127.0.0.1:1"],
+        }[command]
+        with pytest.raises(SystemExit) as exited:
+            main(args + ["--timeout", timeout])
+        assert exited.value.code == EXIT_CONFIG
+        refusal = f"must be a number of seconds above 0 and at most {MAX_TRIAL_TIMEOUT}"
+        assert f"argument --timeout: {refusal}" in capsys.readouterr().err
+
+    def test_longest_timeout_is_one_the_socket_keeps(self):
+        argv = ["station", "--role", "left", "--endpoint", "127.0.0.1:1"]
+        args = build_parser("station").parse_args(argv + ["--timeout", str(MAX_TRIAL_TIMEOUT)])
+        assert args.timeout == MAX_TRIAL_TIMEOUT
+        left, right = socket.socketpair()
+        with left, right:
+            left.settimeout(MAX_TRIAL_TIMEOUT)
+            sender = threading.Timer(0.2, right.sendall, (b"x",))
+            sender.start()
+            assert left.recv(1) == b"x"  # waited for the byte, did not time out
+            sender.join()
+
     def test_serve_quantum_side_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--print-config"]) == EXIT_OK
         config = tmp_path / "default.json"
@@ -949,6 +1014,8 @@ PARSER_ARGV = [
     ["run", "--seed", "1.5"],
     ["design", "--mu", "x"],
     ["serve", "--config", "c.json", "--timeout", "soon"],
+    ["serve", "--config", "c.json", "--timeout", "-1"],
+    ["station", "--role", "left", "--endpoint", "127.0.0.1:1", "--timeout", "nan"],
     ["run", "--bogus"],
     ["analyze", "--log", "x.log", "--verbose"],
     ["analyze", "--log", "x.log", "extra"],

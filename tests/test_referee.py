@@ -77,6 +77,12 @@ class TestValidateOutcome:
         with pytest.raises(OutcomeValidationError):
             validate_outcome(value)
 
+    def test_failure_names_side_and_trial(self):
+        with pytest.raises(OutcomeValidationError) as raised:
+            validate_outcome(2.0, "right", 7)
+        assert (raised.value.value, raised.value.side, raised.value.trial) == (2.0, "right", 7)
+        assert str(raised.value) == "outcome 2.0 from right at trial 7 is not a bit"
+
 
 class TestStatisticTrace:
     def test_small_case(self):
@@ -351,7 +357,7 @@ class AnswersAt(Strategy):
 
 
 class TestOutcomeValidationInEngine:
-    """What ``run_trial`` commits or refuses for each kind of raw outcome,
+    """What ``run`` commits or refuses for each kind of raw outcome,
     through the engine's exact-int fast path and the full validator."""
 
     @pytest.mark.parametrize(
@@ -371,15 +377,6 @@ class TestOutcomeValidationInEngine:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_non_bits_abort_naming_side_and_trial(self, side, value):
         config = make_config(strategy_side("constant"), n=20, seed=3)
-        engine = RefereeEngine(config, strategy=AnswersAt(side, 4, value))
-        for m in (1, 2, 3):
-            engine.run_trial(m)
-        with pytest.raises(OutcomeValidationError) as raised:
-            engine.run_trial(4)
-        assert (raised.value.side, raised.value.trial) == (side, 4)
-        assert raised.value.value is value
-        assert len(engine.log) == 3
-
         result = RefereeEngine(config, strategy=AnswersAt(side, 4, value)).run()
         assert result.abort.kind == ABORT_VALIDATION
         assert (result.abort.side, result.abort.trial) == (side, 4)
@@ -574,23 +571,13 @@ class TestEngineConstruction:
         with pytest.raises(ValueError):
             RefereeEngine(config, strategy=build_strategy("constant"))
 
-    def test_run_trial_requires_order(self):
-        from bellbet.referee import ProtocolAbort
-
-        config = make_config(strategy_side("constant"), n=10)
-        engine = RefereeEngine(config)
-        engine.run_trial(1)
-        with pytest.raises(ProtocolAbort):
-            engine.run_trial(3)
-
-    def test_run_trial_past_n_aborts(self):
-        from bellbet.referee import ProtocolAbort
-
-        engine = RefereeEngine(make_config(strategy_side("constant"), n=20))
-        for m in range(1, 21):
-            engine.run_trial(m)
-        with pytest.raises(ProtocolAbort):
-            engine.run_trial(21)
+    @pytest.mark.parametrize("side", [QUANTUM_SIDE, strategy_side("constant")])
+    def test_an_engine_runs_once(self, side):
+        engine = RefereeEngine(make_config(side, n=10))
+        first = engine.run()
+        with pytest.raises(RuntimeError, match="runs its experiment once"):
+            engine.run()
+        assert first.completed and len(engine.log) == 10
 
 
 class HistoryProbe(Strategy):
@@ -650,11 +637,23 @@ class TestLastRecord:
         "side", [QUANTUM_SIDE] + [strategy_side(name) for name in LOCAL_STRATEGY_NAMES]
     )
     def test_last_record_equals_rebuilt_log_at_every_trial(self, side):
+        # Each commit is checked as it lands: the live log's last record is
+        # the record of the trial just committed, as its own bytes read back.
         engine = RefereeEngine(make_config(side, n=30, seed=21))
-        for m in range(1, 31):
-            record = engine.run_trial(m)
-            assert engine.log[-1] == record
-            assert record == rebuilt_last(engine.log)
+        log, commit, committed = engine.log, engine.log.commit, []
+
+        def checked_commit(i, j, x, y):
+            commit(i, j, x, y)
+            record = log[-1]
+            assert (record.m, record.setting.i, record.setting.j, record.x, record.y) == (
+                len(log), i, j, x, y,
+            )
+            assert record == rebuilt_last(log)
+            committed.append(record.m)
+
+        log.commit = checked_commit
+        assert engine.run().completed
+        assert committed == list(range(1, 31))
 
     def test_last_record_after_abort(self):
         config = make_config(strategy_side("constant"), n=20, seed=21)
