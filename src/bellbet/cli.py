@@ -45,6 +45,7 @@ from .montecarlo import simulate_result
 from .net import (
     DEFAULT_TRIAL_TIMEOUT,
     MAX_TRIAL_TIMEOUT,
+    checked_timeout,
     parse_endpoint,
     referee_serve,
     station_client,
@@ -104,18 +105,27 @@ def _report_path(log_path) -> Path:
     return Path(f"{Path(log_path)}.report.json")
 
 
+def _bet_outputs(out_path) -> list:
+    """The files a bet writes at ``out_path``: the log and its report, or
+    none without a path."""
+    return [out_path, _report_path(out_path)] if out_path else []
+
+
 def _check_writable(paths) -> None:
-    """Raise OSError unless each of ``paths`` can be written: its directory
-    is made, and the file opened for appending, then removed if this check
-    created it. A path that passes can be opened in place, so ``replace_file``
-    writes it too."""
+    """Raise OSError unless each of ``paths`` can be written: the file is
+    opened for appending, after its directory is made if there is no file
+    yet, and removed if this check created it. A path that passes can be
+    opened in place, so ``replace_file`` writes it too. A dangling symlink
+    stays a link: the file its opening created is its target, and that is
+    what is removed. ``run`` checks before every bet, so an existing file
+    costs two system calls, a stat and an open."""
     for path in map(Path, paths):
-        path.parent.mkdir(parents=True, exist_ok=True)
         existed = path.exists()
-        with open(path, "ab"):
-            pass
         if not existed:
-            path.unlink()
+            path.parent.mkdir(parents=True, exist_ok=True)
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
+        if not existed:
+            os.unlink(os.path.realpath(path))
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -167,8 +177,14 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # Check the outputs before the bet, which may run 10**9 trials.
+    out_path = args.out or config.output
+    try:
+        _check_writable(_bet_outputs(out_path))
+    except OSError as exc:
+        return _cannot_write(exc)
     result = simulate_result(config) if _settles_by_kernel(config) else run_experiment(config)
-    return _finish(result, args.out or config.output)
+    return _finish(result, out_path)
 
 
 def cmd_design(args) -> int:
@@ -320,7 +336,7 @@ def cmd_serve(args) -> int:
     # A path found unwritable after the bet would lose a bet both stations
     # were told the verdict of; check every output before listening.
     out_path = args.out or config.output
-    outputs = [out_path, _report_path(out_path)] if out_path else []
+    outputs = _bet_outputs(out_path)
     if args.transcript:
         outputs.append(args.transcript)
     try:
@@ -385,18 +401,15 @@ def _validate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _timeout(text: str) -> float:
-    """A socket timeout in seconds: a number above 0 and at most
-    ``MAX_TRIAL_TIMEOUT``, so never one that makes the socket non-blocking,
-    overflows it or wraps around."""
+    """A ``--timeout`` argument: a number that ``net.checked_timeout``
+    accepts, so never one that makes the socket non-blocking, overflows it
+    or wraps around."""
     try:
-        seconds = float(text)
-    except ValueError:
-        seconds = math.nan
-    if not 0 < seconds <= MAX_TRIAL_TIMEOUT:  # nan fails too
+        return checked_timeout(float(text))
+    except ValueError:  # not a number, or a ConfigError
         raise argparse.ArgumentTypeError(
             f"must be a number of seconds above 0 and at most {MAX_TRIAL_TIMEOUT}, got {text!r}"
-        )
-    return seconds
+        ) from None
 
 
 def _serve_arguments(p: argparse.ArgumentParser) -> None:

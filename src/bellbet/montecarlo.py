@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import MAX_TRIALS
 from .config import SIDE_QUANTUM, ExperimentConfig, SideSpec
 from .core import AngleConfig, setting_indices
 from .logfile import TrialLog
 from .quantum import OracleSampler, QuantumModel
-from .referee import RunResult, StatisticTrace, log_header
+from .referee import RunResult, log_header, statistic_deltas
 from .rng import settings_cells
 from .strategies import build_strategy
 
@@ -55,19 +56,48 @@ def simulate_run(
     return cells, x, y
 
 
+# Trials settled by one scan in ``simulate_many``: its int32 running sums
+# then take at most 128 KiB, glibc's default mmap threshold, so the scan
+# leaves the threshold, and with it the serving of later large buffers, as
+# it found them.
+_SCAN_TRIALS = 2**15
+
+
 def simulate_many(
     side: SideSpec,
     angles: AngleConfig,
     n: int,
     seeds,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Final and supremum statistics over a batch of experiment seeds."""
-    finals = np.empty(len(seeds), dtype=np.int64)
-    sups = np.empty(len(seeds), dtype=np.int64)
-    for idx, seed in enumerate(seeds):
-        trace = StatisticTrace.from_columns(*simulate_run(side, angles, n, int(seed)))
-        finals[idx] = trace.statistic
-        sups[idx] = trace.sup
+    """Final and supremum statistics over a batch of experiment seeds.
+
+    Each seed's run comes from ``simulate_run`` and equals the per-seed
+    ``StatisticTrace.from_columns(*simulate_run(...))`` values. The runs are
+    copied into (rows, n) uint8 blocks of about ``_SCAN_TRIALS`` trials, and
+    a block is settled in one pass: the trace's mask rule gives every
+    increment, one int32 running sum along the trial axis gives S_m for all
+    rows, S_n is its last row and sup S_m its column maxima. int32 is exact
+    since |S_m| <= n <= ``MAX_TRIALS`` < 2**31; a larger n is a
+    ``ValueError``. At n = 2 000 one scan settles 16 runs, which saves most
+    of the fixed cost of settling each run alone. A side with no whole-run
+    rule raises ``StrategyError`` for any seed, n = 0 included.
+    """
+    if n > MAX_TRIALS:
+        raise ValueError(f"n must be at most {MAX_TRIALS}, got {n}")
+    finals = np.zeros(len(seeds), dtype=np.int64)
+    sups = np.zeros(len(seeds), dtype=np.int64)
+    rows = max(1, _SCAN_TRIALS // max(n, 1))
+    cells, x, y = np.empty((3, rows, n), dtype=np.uint8)
+    for start in range(0, len(seeds), rows):
+        block = seeds[start : start + rows]
+        for row, seed in enumerate(block):
+            cells[row], x[row], y[row] = simulate_run(side, angles, n, int(seed))
+        if n:
+            k = len(block)
+            deltas = statistic_deltas(cells[:k], x[:k], y[:k])
+            running = np.cumsum(deltas.T, axis=0, dtype=np.int32)
+            finals[start : start + k] = running[-1]
+            sups[start : start + k] = running.max(axis=0)
     return finals, sups
 
 

@@ -80,6 +80,24 @@ MAX_FRAME_BYTES = 1 << 22
 _RECV_BYTES = 4096
 
 
+def checked_timeout(seconds: float) -> float:
+    """``seconds`` as a float if a socket keeps it as a timeout: a number
+    above 0 and at most ``MAX_TRIAL_TIMEOUT``. Anything else is a
+    ``ConfigError``: 0 would make the socket non-blocking, a negative, nan
+    or overflowing number makes ``settimeout`` raise, and one past the
+    maximum wraps around in poll()."""
+    try:
+        kept = 0 < seconds <= MAX_TRIAL_TIMEOUT  # nan fails too
+    except TypeError:  # not a number
+        kept = False
+    if not kept:
+        raise ConfigError(
+            f"timeout must be a number of seconds above 0 and at most {MAX_TRIAL_TIMEOUT}, "
+            f"got {seconds!r}"
+        )
+    return float(seconds)
+
+
 class FrameError(ProtocolAbort):
     """Malformed frame or broken transport."""
 
@@ -413,8 +431,11 @@ def referee_serve(
     receives the bound (host, port)), waits for both stations, then executes
     the same engine as the in-process run, so the trial log is byte-identical
     for equal configs. The source runs inside the referee process; stations
-    receive the hidden message only via LAMBDA frames.
+    receive the hidden message only via LAMBDA frames. A ``trial_timeout``
+    that ``checked_timeout`` refuses is a ``ConfigError``, raised before
+    anything listens.
     """
+    trial_timeout = checked_timeout(trial_timeout)
     if config.side.kind != SIDE_STRATEGY:
         raise ConfigError("networked runs need a strategy side (the oracle runs in-referee only)")
     host, port = parse_endpoint(endpoint)
@@ -492,7 +513,7 @@ class StationClient:
             raise ValueError(f"role must be one of {SIDES}, got {role!r}")
         self.role = role
         self.host, self.port = parse_endpoint(endpoint)
-        self.timeout = timeout
+        self.timeout = checked_timeout(timeout)
         self._strategy = strategy
         self.trials_completed = 0
         self.verdict: dict | None = None
@@ -578,8 +599,8 @@ def station_client(
 ) -> int:
     """Convenience wrapper: run a station to completion, return exit status
     (0 verdict received, 2 config error or mismatch, 3 protocol abort). A
-    role or endpoint no station can take is a config error, found before any
-    socket is opened."""
+    role, endpoint or timeout no station can take is a config error, found
+    before any socket is opened."""
     try:
         client = StationClient(role, endpoint, strategy=strategy, timeout=timeout)
     except ValueError:

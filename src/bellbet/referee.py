@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import ProtocolDesign, design_for
 from .config import ExperimentConfig, SIDE_QUANTUM
 from .core import (
-    CELL_WEIGHTS,
+    PRIVILEGED_CELL,
     SETTINGS_BY_CELL,
     CountMatrix,
     cell_code,
@@ -96,9 +96,23 @@ def validate_outcome(value, side: str | None = None, trial: int | None = None) -
     raise OutcomeValidationError(value, side=side, trial=trial)
 
 
-_CELL_WEIGHTS = np.array(CELL_WEIGHTS, dtype=np.int8)
 # The (i, j) setting indices of cell codes 0..3.
 _INDICES_BY_CELL = tuple(map(setting_indices, range(4)))
+
+
+def statistic_deltas(cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The statistic's int8 increments, elementwise on columns of any shape:
+    +1 where the outcomes coincide on the privileged cell, -1 where they
+    coincide on another cell, 0 where they differ (``CELL_WEIGHTS`` times
+    the coincidence). With no lookup table: on int8 views of two bool masks,
+    privileged - (coincided ^ privileged), which is 1 - 0, 1 - 1, 0 - 1 and
+    0 - 0 in those cases. The masks are worked in place."""
+    coincided = x == y
+    privileged = cells == PRIVILEGED_CELL
+    coincided ^= privileged
+    deltas = privileged.view(np.int8)
+    deltas -= coincided.view(np.int8)
+    return deltas
 
 
 @dataclass(frozen=True)
@@ -120,7 +134,7 @@ class StatisticTrace:
 
     @classmethod
     def from_columns(cls, cells: np.ndarray, x: np.ndarray, y: np.ndarray) -> "StatisticTrace":
-        deltas = _CELL_WEIGHTS.take(cells) * (x == y)
+        deltas = statistic_deltas(cells, x, y)
         deltas.flags.writeable = False
         return cls(deltas)
 

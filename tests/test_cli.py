@@ -143,7 +143,12 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("out", ["{dir}", "{file}/x.log"], ids=["directory", "under-a-file"])
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys, out):
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch, out):
+        # Refused before the bet runs, which may take 10**9 trials.
+        def no_kernel(config):
+            raise AssertionError("run settled a bet with an unwritable output")
+
+        monkeypatch.setattr("bellbet.cli.simulate_result", no_kernel)
         config = write_config(tmp_path, n=100)
         out = out.format(dir=tmp_path, file=config)
         assert main(["run", "--config", str(config), "--out", out]) == EXIT_CONFIG
@@ -904,6 +909,23 @@ class TestNetworkCommandErrors:
         assert "listening on" not in captured.out
         assert captured.err.startswith("config error: cannot write outputs: ")
         assert not (tmp_path / "bet.log").exists()
+
+    def test_output_check_keeps_a_dangling_symlink(self, tmp_path, capsys, monkeypatch):
+        # The check opens the link, which creates its target; it removes
+        # that target, not the link.
+        def no_listener(*args, **kwargs):
+            raise OSError("no listener")
+
+        monkeypatch.setattr(socket, "create_server", no_listener)
+        target, link = tmp_path / "target.log", tmp_path / "link.log"
+        link.symlink_to(target)
+        config = write_config(
+            tmp_path, side={"kind": "strategy", "strategy": "independent-coin", "params": {}}
+        )
+        assert main(["serve", "--config", str(config), "--out", str(link)]) == EXIT_ABORT
+        assert "protocol abort: no listener" in capsys.readouterr().err
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert not target.exists() and not (tmp_path / "link.log.report.json").exists()
 
     @pytest.mark.parametrize("out", [".", "/"])
     def test_output_path_with_no_file_name_is_config_error(

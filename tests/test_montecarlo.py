@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bellbet.bounds import MAX_TRIALS
 from bellbet.config import SideSpec, config_from_dict
 from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig
 from bellbet.montecarlo import simulate_many, simulate_result, simulate_run
@@ -104,7 +105,42 @@ class TestBatchHelpers:
             trace = StatisticTrace.from_columns(cells, x, y)
             assert (finals[idx], sups[idx]) == (trace.statistic, trace.sup)
 
-    def test_unknown_strategy_rejected(self):
-        # The range violator has no local whole-run rule.
+    @pytest.mark.parametrize(
+        "n, seeds",
+        [
+            (2000, range(40, 60)),  # 16 runs per scan: a full block, then 4
+            (5000, np.arange(3, 12, dtype=np.uint64)),  # 6 runs per scan, then 3
+            (2**15 + 1, [7, 8]),  # one run per scan
+            (0, [1, 2]),
+            (0, []),
+            (250, []),
+        ],
+        ids=["partial-last-block", "array-seeds", "one-row", "no-trials", "nothing", "no-seeds"],
+    )
+    @pytest.mark.parametrize("name", LOCAL_STRATEGY_NAMES)
+    def test_block_scan_matches_per_seed_traces(self, name, n, seeds):
+        side = SideSpec(kind="strategy", strategy=name)
+        finals, sups = simulate_many(side, OPTIMAL_ANGLES, n, seeds)
+        traces = [
+            StatisticTrace.from_columns(*simulate_run(side, OPTIMAL_ANGLES, n, int(seed)))
+            for seed in seeds
+        ]
+        assert finals.dtype == sups.dtype == np.int64
+        assert finals.tolist() == [trace.statistic for trace in traces]
+        assert sups.tolist() == [trace.sup for trace in traces]
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_unknown_strategy_rejected(self, n):
+        # The range violator has no local whole-run rule, not even for an
+        # empty run.
+        side = SideSpec(kind="strategy", strategy="range-violator")
         with pytest.raises(StrategyError):
-            simulate_run(SideSpec(kind="strategy", strategy="range-violator"), OPTIMAL_ANGLES, 10, 1)
+            simulate_run(side, OPTIMAL_ANGLES, n, 1)
+        with pytest.raises(StrategyError):
+            simulate_many(side, OPTIMAL_ANGLES, n, [1])
+
+    def test_trial_count_past_the_cap_refused(self):
+        # The scan's int32 running sums are exact up to MAX_TRIALS < 2**31.
+        side = SideSpec(kind="strategy", strategy="constant")
+        with pytest.raises(ValueError, match="at most"):
+            simulate_many(side, OPTIMAL_ANGLES, MAX_TRIALS + 1, [1])

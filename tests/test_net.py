@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellbet.config import config_from_dict
+from bellbet.config import ConfigError, config_from_dict
 from bellbet.core import OPTIMAL_ANGLES
 from bellbet.net import (
     KIND_ABORT,
@@ -25,6 +25,7 @@ from bellbet.net import (
     KIND_SETTING,
     KIND_VERDICT,
     MAX_FRAME_BYTES,
+    MAX_TRIAL_TIMEOUT,
     PROTOCOL_VERSION,
     FrameError,
     FrameReader,
@@ -1249,6 +1250,46 @@ class TestServeCli:
         assert audit_transcript(Transcript.read(transcript_path)).ok
         # After the banner, stdout is the report file's text and a newline.
         assert out == (tmp_path / "net.log.report.json").read_text() + "\n"
+
+
+# Timeouts no socket keeps: 0 makes it non-blocking, -1, nan, inf and 1e10
+# make settimeout raise, 4294967.297 s wraps around to about 2 ms in poll(),
+# and a string is no number.
+REFUSED_TIMEOUTS = [0, -1, float("nan"), float("inf"), 1e10, 4294967.297, "30"]
+
+
+class TestTimeoutRule:
+    @pytest.mark.parametrize("timeout", REFUSED_TIMEOUTS)
+    def test_serve_refuses_before_listening(self, monkeypatch, timeout):
+        def no_listener(*args, **kwargs):
+            raise AssertionError("serve listened with a refused timeout")
+
+        monkeypatch.setattr(socket, "create_server", no_listener)
+        with pytest.raises(ConfigError, match="timeout must be a number of seconds above 0"):
+            referee_serve(make_config(), "127.0.0.1:0", trial_timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", REFUSED_TIMEOUTS)
+    def test_station_refuses_before_connecting(self, monkeypatch, timeout):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("station connected with a refused timeout")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        with pytest.raises(ConfigError, match="timeout must be a number of seconds above 0"):
+            StationClient("left", "127.0.0.1:1", timeout=timeout)
+        assert station_client("left", "127.0.0.1:1", timeout=timeout) == 2
+
+    def test_longest_timeout_is_accepted(self, monkeypatch):
+        class Listening(Exception):
+            pass
+
+        def listener(*args, **kwargs):
+            raise Listening
+
+        monkeypatch.setattr(socket, "create_server", listener)
+        with pytest.raises(Listening):
+            referee_serve(make_config(), "127.0.0.1:0", trial_timeout=MAX_TRIAL_TIMEOUT)
+        client = StationClient("left", "127.0.0.1:1", timeout=MAX_TRIAL_TIMEOUT)
+        assert client.timeout == MAX_TRIAL_TIMEOUT
 
 
 class TestServeValidation:

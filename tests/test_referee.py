@@ -1,6 +1,7 @@
 """Referee engine: ordering, validation, adjudication, drift, replay."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
 from bellbet.core import (
+    CELL_WEIGHTS,
     OPTIMAL_ANGLES,
     CountMatrix,
     cell_code,
@@ -99,6 +101,22 @@ class TestStatisticTrace:
         # The running sum is computed on its first read and kept.
         assert trace.running_sum is trace.running_sum
         assert not trace.running_sum.flags.writeable
+
+    def test_deltas_are_the_cell_weights_on_coincidences(self):
+        # All 16 (cell, x, y): CELL_WEIGHTS[cell] where x == y, else 0, on
+        # one column, on a (4, 4) block and on its transposed view.
+        cells, x, y = (
+            np.array(column, dtype=np.uint8)
+            for column in zip(*itertools.product(range(4), (0, 1), (0, 1)))
+        )
+        reference = np.array([CELL_WEIGHTS[c] * (a == b) for c, a, b in zip(cells, x, y)])
+        assert StatisticTrace.from_columns(cells, x, y).deltas.tolist() == reference.tolist()
+        block = [column.reshape(4, 4) for column in (cells, x, y)]
+        deltas = StatisticTrace.from_columns(*block).deltas
+        assert deltas.dtype == np.int8
+        assert deltas.tolist() == reference.reshape(4, 4).tolist()
+        transposed = StatisticTrace.from_columns(*(column.T for column in block)).deltas
+        assert transposed.tolist() == reference.reshape(4, 4).T.tolist()
 
     def test_empty_trace_aggregates_are_zero(self):
         no_trials = np.zeros(0, dtype=np.uint8)
