@@ -93,8 +93,7 @@ def replace_file(path, data) -> None:
 
 def cell_code(i, j):
     """The cell code 2*(i-1) + (j-1) of setting indices i, j in {1, 2}:
-    (1,1)->0, (1,2)->1, (2,1)->2, (2,2)->3. Elementwise on int arrays; on
-    uint8 columns every step stays in range."""
+    (1,1)->0, (1,2)->1, (2,1)->2, (2,2)->3. Elementwise on int arrays."""
     return 2 * i + j - 3
 
 

@@ -26,7 +26,8 @@ file is read in one vectorized pass: the header line with ``json``; the
 count from the length of the rest, the one count of at most n whose record
 lines fill it exactly, so there is no scan for newlines; then i, j, x and y
 of every record through the same block views, mapped into their allowed
-values. The result is accepted only if it serializes back to the file's
+values and held as a log holds every trial: its cell code 2(i-1) + (j-1),
+as drawn, and x and y. The result is accepted only if it serializes back to the file's
 exact bytes: the serialization buffer and the file's bytes are compared in
 one memcmp, and neither is copied. That equality proves what the
 per-record validator checks (field set, integer types, bit and setting
@@ -162,7 +163,7 @@ def _blocks(count: int) -> Iterator[tuple[int, int, bytes]]:
     lo..hi-1 that print m with it and their common line, with m = lo."""
     lo = 1
     while lo <= count:
-        yield lo, min(10 * lo, count + 1), _RECORD_LINE % (0, 0, lo, 0, 0)
+        yield lo, min(10 * lo, count + 1), _RECORD_LINE % (1, 1, lo, 0, 0)
         lo *= 10
 
 
@@ -204,8 +205,7 @@ class TrialLog(Sequence):
         self.header = header
         # One byte per trial in each column: ``commit`` is a plain store, and
         # ``columns`` views the committed prefix as uint8 arrays.
-        self._i = bytearray(header.n)
-        self._j = bytearray(header.n)
+        self._cells = bytearray(header.n)
         self._x = bytearray(header.n)
         self._y = bytearray(header.n)
         self._count = 0
@@ -217,22 +217,21 @@ class TrialLog(Sequence):
     def complete(self) -> bool:
         return self._count == self.header.n
 
-    def commit(self, i: int, j: int, x: int, y: int) -> None:
-        """Append the next trial from its setting indices and outcome bits,
-        which the caller has checked: the one way a trial enters a log. No
-        record is built; ``record`` builds one when it is read. A full log
-        raises IndexError."""
+    def commit(self, cell: int, x: int, y: int) -> None:
+        """Append the next trial from its cell code and outcome bits, which
+        the caller has checked: the one way a trial enters a log. No record
+        is built; ``record`` builds one when it is read. A full log raises
+        IndexError."""
         idx = self._count
-        self._i[idx] = i
-        self._j[idx] = j
+        self._cells[idx] = cell
         self._x[idx] = x
         self._y[idx] = y
         self._count = idx + 1
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, x, y) arrays for the committed trials, in order."""
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cells, x, y) arrays for the committed trials, in order."""
         c = self._count
-        cols = self._i, self._j, self._x, self._y
+        cols = self._cells, self._x, self._y
         return tuple(np.frombuffer(col, dtype=np.uint8, count=c) for col in cols)
 
     def record(self, m: int) -> TrialRecord:
@@ -240,9 +239,7 @@ class TrialLog(Sequence):
         if not 1 <= m <= self._count:
             raise IndexError(f"trial {m} outside 1..{self._count}")
         idx = m - 1
-        return TrialRecord(
-            m, SETTINGS_BY_CELL[cell_code(self._i[idx], self._j[idx])], self._x[idx], self._y[idx]
-        )
+        return TrialRecord(m, SETTINGS_BY_CELL[self._cells[idx]], self._x[idx], self._y[idx])
 
     def __getitem__(self, index: int) -> TrialRecord:
         return self.record(index + 1 if index >= 0 else self._count + index + 1)
@@ -266,48 +263,52 @@ class TrialLog(Sequence):
         count = len(raw_records)
         if count > header.n:
             raise ValueError(f"{count} records exceed the header's {header.n} trials")
-        return cls._holding(header, *(bytes([doc[name] for doc in raw_records]) for name in "ijxy"))
+        cells = bytes([cell_code(doc["i"], doc["j"]) for doc in raw_records])
+        x, y = (bytes([doc[name] for doc in raw_records]) for name in "xy")
+        return cls._holding(header, cells, x, y)
 
     @classmethod
     def from_columns(
-        cls,
-        header: LogHeader,
-        i: np.ndarray,
-        j: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
+        cls, header: LogHeader, cells: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> "TrialLog":
-        """Build a complete log directly from per-trial column arrays."""
-        count = len(i)
-        if not (len(j) == len(x) == len(y) == count) or count != header.n:
+        """A complete log of per-trial columns of cell codes 0..3 and bits, of
+        integer or bool dtype; anything else is a ValueError naming the column."""
+        count = len(cells)
+        if not (len(x) == len(y) == count) or count != header.n:
             raise ValueError("column lengths must all equal header.n")
-        arrays = [np.asarray(col) for col in (i, j, x, y)]
-        for name, arr, allowed in zip("ijxy", arrays, ((1, 2), (1, 2), (0, 1), (0, 1))):
-            lo, hi = allowed
-            if not ((arr == lo) | (arr == hi)).all():
-                raise ValueError(f"column {name} holds values outside {allowed}")
-        return cls._holding(header, *(arr.astype(np.uint8, copy=False) for arr in arrays))
+        arrays = []
+        for name, col, top in zip(("cells", "x", "y"), (cells, x, y), (3, 1, 1)):
+            arr = np.asarray(col)
+            if arr.dtype.kind not in "biu":
+                raise ValueError(f"column {name} holds {arr.dtype} values, not integers")
+            if arr.dtype.kind == "i":  # one max: as unsigned, a negative is large
+                arr = arr.view(arr.dtype.str.replace("i", "u"))
+            if count and arr.max() > top:
+                raise ValueError(f"column {name} holds values outside 0..{top}")
+            arrays.append(arr.astype(np.uint8, copy=False))
+        return cls._holding(header, *arrays)
 
     @classmethod
-    def _holding(cls, header: LogHeader, i, j, x, y) -> "TrialLog":
-        """A log of exactly the trials in four equal-length byte columns of
+    def _holding(cls, header: LogHeader, cells, x, y) -> "TrialLog":
+        """A log of exactly the trials in three equal-length byte columns of
         checked values, sized by them rather than by ``header.n``: a log read
         from disk may name any n in its header."""
         log = cls.__new__(cls)
         log.header = header
-        log._i, log._j, log._x, log._y = (bytearray(col) for col in (i, j, x, y))
-        log._count = len(log._i)
+        log._cells, log._x, log._y = (bytearray(col) for col in (cells, x, y))
+        log._count = len(log._cells)
         return log
 
 
 def _serialize(log: TrialLog) -> bytearray:
-    """The log's file bytes: the header line, then
-    ``_RECORD_LINE % (i, j, m, x, y)`` for m = 1..len(log),
-    laid out by ``_record_rows`` and filled through a uint8 view. Each value
-    is one digit, as the columns of a log only hold settings and bits."""
+    """The log's file bytes: the header line, then ``_RECORD_LINE % (i, j,
+    m, x, y)`` for m = 1..len(log), laid out by ``_record_rows`` and filled
+    through a uint8 view. Each value is one digit, its line's lower one plus
+    a bit: the cell code's high bit for i, its low bit for j."""
     head = json.dumps(log.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     head = head.encode("ascii")
-    columns = log.columns()
+    cells, x, y = log.columns()
+    columns = cells >> 1, cells & 1, x, y
     count = len(log)
     out = bytearray(len(head) + _body_size(count))
     out[: len(head)] = head
@@ -382,9 +383,10 @@ def _canonical_log(data: bytes) -> TrialLog | None:
     the rest of ``data`` exactly; each record's i, j, x and y are then read
     through ``_record_rows`` and mapped into their allowed values (a byte
     other than "2" reads as 1 for a setting, one other than "1" as 0 for a
-    bit), so the columns hold a valid log whatever the file says. Then the
-    writer's own output decides: ``_serialize``'s buffer must equal ``data``,
-    one memcmp with no copy, so the reader adds no rule of its own.
+    bit) and i and j folded into the cell code, so the columns hold a valid
+    log whatever the file says. Then the writer's own output decides:
+    ``_serialize``'s buffer must equal ``data``, one memcmp with no copy, so
+    the reader adds no rule of its own.
     """
     end = data.find(b"\n")
     if end < 0:
@@ -397,11 +399,12 @@ def _canonical_log(data: bytes) -> TrialLog | None:
     if count is None:
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
-    columns = np.empty((4, count), dtype=np.uint8)
+    high = np.empty((4, count), dtype=np.uint8)  # i, j, x and y at their higher value
     for trials, rows, _ in _record_rows(body, count):
-        columns[:, trials] = (rows[:, _FIELDS_AT] == _HIGH).T
-    columns[:2] += 1
-    log = TrialLog._holding(header, *columns)
+        high[:, trials] = (rows[:, _FIELDS_AT] == _HIGH).T
+    high[0] <<= 1
+    high[0] |= high[1]
+    log = TrialLog._holding(header, high[0], high[2], high[3])
     return log if _serialize(log) == data else None
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import MAX_TRIALS
 from .config import SIDE_QUANTUM, ExperimentConfig, SideSpec
-from .core import AngleConfig, setting_indices
+from .core import AngleConfig
 from .logfile import TrialLog
 from .quantum import OracleSampler, QuantumModel
 from .referee import RunResult, log_header, statistic_deltas
@@ -105,9 +105,8 @@ def simulate_result(config: ExperimentConfig) -> RunResult:
     """A RunResult equal to what the referee engine produces for this config
     (the equality is pinned by contract tests)."""
     cells, x, y = simulate_run(config.side, config.angles, config.n, config.seed, config.mode)
-    i, j = setting_indices(cells)
     return RunResult(
-        log=TrialLog.from_columns(log_header(config), i, j, x, y),
+        log=TrialLog.from_columns(log_header(config), cells, x, y),
         design=config.design,
         abort=None,
     )

@@ -37,7 +37,6 @@ from .core import (
     PRIVILEGED_CELL,
     SETTINGS_BY_CELL,
     CountMatrix,
-    cell_code,
     chsh_count_statistic,
     setting_indices,
 )
@@ -96,7 +95,7 @@ def validate_outcome(value, side: str | None = None, trial: int | None = None) -
     raise OutcomeValidationError(value, side=side, trial=trial)
 
 
-# The (i, j) setting indices of cell codes 0..3.
+# The (i, j) setting indices of cell codes 0..3, which stations are told.
 _INDICES_BY_CELL = tuple(map(setting_indices, range(4)))
 
 
@@ -259,8 +258,7 @@ def log_header(config: ExperimentConfig) -> LogHeader:
 def tally(log: TrialLog) -> tuple[CountMatrix, StatisticTrace]:
     """The cell counts and the statistic trace of the committed trials,
     from the log's uint8 columns without widening them."""
-    i, j, x, y = log.columns()
-    cells = cell_code(i, j)
+    cells, x, y = log.columns()
     return CountMatrix.from_columns(cells, x, y), StatisticTrace.from_columns(cells, x, y)
 
 
@@ -433,9 +431,8 @@ class RefereeEngine:
             if events is not None:
                 events.append((len(events) + 1, "settings", m))
             cell = cells.item(m - 1)
-            i, j = _INDICES_BY_CELL[cell]
             x, y = sample(m, SETTINGS_BY_CELL[cell])
-            commit(i, j, x, y)
+            commit(cell, x, y)
             if events is not None:
                 events.append((len(events) + 1, "outcome", m))
 
@@ -466,7 +463,8 @@ class RefereeEngine:
             right.deliver_lambda(m, message)
             if events is not None:
                 events.append((len(events) + 1, "settings", m))
-            i, j = _INDICES_BY_CELL[cells.item(m - 1)]
+            cell = cells.item(m - 1)
+            i, j = _INDICES_BY_CELL[cell]
             left.post_setting(m, i)
             right.post_setting(m, j)
             x, y = left.get_outcome(m), right.get_outcome(m)
@@ -474,7 +472,7 @@ class RefereeEngine:
                 x = validate_outcome(x, LEFT, m)
             if type(y) is not int or not 0 <= y <= 1:
                 y = validate_outcome(y, RIGHT, m)
-            commit(i, j, x, y)
+            commit(cell, x, y)
             if events is not None:
                 events.append((len(events) + 1, "outcome", m))
             # Each view is built as the plain tuple of its fields, in field
@@ -554,8 +552,7 @@ def replay_verify(
     """
     header = log.header
     expected_cells = settings_cells(header.seed, len(log))  # the stream is prefix-stable
-    i, j, _, _ = log.columns()
-    mismatches = np.nonzero(cell_code(i, j) != expected_cells)[0]
+    mismatches = np.nonzero(log.columns()[0] != expected_cells)[0]
     if mismatches.size:
         trial = int(mismatches[0]) + 1
         return ReplayReport(False, f"settings diverge from seed at trial {trial}", trial)

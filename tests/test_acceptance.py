@@ -404,10 +404,10 @@ def test_criterion_9_replay_integrity(bet_runs, network_run):
 
     # A single flipped outcome bit must be caught.
     target = bet_runs["quantum"][0]
-    i, j, x, y = target.log.columns()
+    cells, x, y = target.log.columns()
     y = y.copy()
     y[12_345] ^= 1
-    tampered = TrialLog.from_columns(target.header, i, j, x, y)
+    tampered = TrialLog.from_columns(target.header, cells, x, y)
     replay = replay_verify(tampered, build_report(target))
     assert not replay.ok
     return f"{verified} logs replay bit-exactly; flipped bit detected ({replay.failure})"

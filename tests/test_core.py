@@ -207,7 +207,7 @@ class TestCountStatistic:
 
     @staticmethod
     def _log(trials):
-        """A log of (i, j, x, y) trials."""
+        """A log of (cell, x, y) trials."""
         header = LogHeader(
             config_hash="0" * 64,
             seed=1,
@@ -217,16 +217,15 @@ class TestCountStatistic:
             critical_value=3,
         )
         log = TrialLog(header)
-        for i, j, x, y in trials:
-            log.commit(i, j, x, y)
+        for cell, x, y in trials:
+            log.commit(cell, x, y)
         return log
 
     def _assert_columns_match_records(self, log):
-        i, j, x, y = log.columns()
-        uint8_cells = cell_code(i, j)
+        uint8_cells, x, y = log.columns()
         assert uint8_cells.dtype == np.uint8
         # The log's own uint8 codes and the widened int64 ones count alike.
-        for cells in (uint8_cells, cell_code(i, j).astype(np.int64)):
+        for cells in (uint8_cells, uint8_cells.astype(np.int64)):
             from_columns = CountMatrix.from_columns(cells, x, y)
             assert from_columns == CountMatrix.from_records(log.records())
             assert from_columns.total_trials == len(log)
@@ -234,7 +233,7 @@ class TestCountStatistic:
     @pytest.mark.parametrize("count", [0, 1, 37])
     def test_from_columns_matches_from_records(self, count):
         rng = np.random.default_rng(count)
-        trials = [(i + 1, j + 1, x, y) for i, j, x, y in rng.integers(0, 2, size=(count, 4)).tolist()]
+        trials = [(2 * i + j, x, y) for i, j, x, y in rng.integers(0, 2, size=(count, 4)).tolist()]
         self._assert_columns_match_records(self._log(trials))
 
     @pytest.mark.parametrize("count", [0, 1, 2000])
@@ -252,8 +251,7 @@ class TestCountStatistic:
 
     @pytest.mark.parametrize("cell", range(4))
     def test_from_columns_one_cell(self, cell):
-        i, j = setting_indices(cell)
-        log = self._log([(i, j, x, y) for x, y in itertools.product((0, 1), repeat=2)] * 3)
+        log = self._log([(cell, x, y) for x, y in itertools.product((0, 1), repeat=2)] * 3)
         self._assert_columns_match_records(log)
         counts = CountMatrix.from_records(log.records())
         assert counts.trials == tuple(12 if c == cell else 0 for c in range(4))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from json_texts import JSON_TEXTS
 
 from bellbet import cli, logfile
+from bellbet.core import SETTINGS_BY_CELL
 from bellbet.logfile import (
     LogFormatError,
     LogHeader,
@@ -25,10 +26,8 @@ from bellbet.logfile import (
 )
 
 
-# One trial's (i, j, x, y).
-TRIAL = st.tuples(
-    st.sampled_from((1, 2)), st.sampled_from((1, 2)), st.sampled_from((0, 1)), st.sampled_from((0, 1))
-)
+# One trial's (cell, x, y).
+TRIAL = st.tuples(st.integers(0, 3), st.sampled_from((0, 1)), st.sampled_from((0, 1)))
 
 
 def make_header(n=4, seed=9):
@@ -43,10 +42,17 @@ def make_header(n=4, seed=9):
 
 
 def small_log():
+    # (i, j) = (1, 2), (2, 1), (1, 1) and (2, 2).
     log = TrialLog(make_header())
-    for i, j, x, y in [(1, 2, 1, 1), (2, 1, 0, 1), (1, 1, 0, 0), (2, 2, 1, 0)]:
-        log.commit(i, j, x, y)
+    for cell, x, y in [(1, 1, 1), (2, 0, 1), (0, 0, 0), (3, 1, 0)]:
+        log.commit(cell, x, y)
     return log
+
+
+def trial_doc(m, cell, x, y):
+    """Trial m's record as a dict, with the setting indices of its cell."""
+    setting = SETTINGS_BY_CELL[cell]
+    return {"m": m, "i": setting.i, "j": setting.j, "x": x, "y": y}
 
 
 class TestRoundTrip:
@@ -72,12 +78,9 @@ class TestRoundTrip:
         # Partial logs included: the committed count ranges over 0..n.
         n, trials = design
         log = TrialLog(make_header(n=n))
-        for i, j, x, y in trials:
-            log.commit(i, j, x, y)
-        docs = [log.header.to_dict()] + [
-            {"m": m, "i": i, "j": j, "x": x, "y": y}
-            for m, (i, j, x, y) in enumerate(trials, 1)
-        ]
+        for cell, x, y in trials:
+            log.commit(cell, x, y)
+        docs = [log.header.to_dict()] + [trial_doc(m, *trial) for m, trial in enumerate(trials, 1)]
         reference = "".join(
             json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs
         )
@@ -146,65 +149,78 @@ class TestRoundTrip:
     def test_commit_on_a_full_log_raises(self):
         full = small_log()
         with pytest.raises(IndexError):
-            full.commit(1, 1, 0, 0)
+            full.commit(0, 0, 0)
         assert len(full) == 4
 
     def test_from_columns_validates(self):
         header = make_header(n=3)
-        good = TrialLog.from_columns(
-            header,
-            np.array([1, 2, 1]),
-            np.array([2, 1, 1]),
-            np.array([0, 1, 0]),
-            np.array([0, 1, 1]),
-        )
+        x, y = np.array([0, 1, 0]), np.array([0, 1, 1])
+        good = TrialLog.from_columns(header, np.array([1, 2, 0]), x, y)
         assert len(good) == 3
-        assert [col.tolist() for col in good.columns()] == [[1, 2, 1], [2, 1, 1], [0, 1, 0], [0, 1, 1]]
+        assert [col.tolist() for col in good.columns()] == [[1, 2, 0], [0, 1, 0], [0, 1, 1]]
         assert all(col.dtype == np.uint8 for col in good.columns())
         with pytest.raises(ValueError):
-            TrialLog.from_columns(
-                header,
-                np.array([1, 2, 3]),
-                np.array([2, 1, 1]),
-                np.array([0, 1, 0]),
-                np.array([0, 1, 1]),
-            )
+            TrialLog.from_columns(header, np.array([1, 2, 4]), x, y)
 
     # Each column's allowed values; np.isin is the reference membership test
-    # that from_columns' equality check must agree with.
-    ALLOWED = {"i": (1, 2), "j": (1, 2), "x": (0, 1), "y": (0, 1)}
-    GOOD = {"i": [1, 2, 1], "j": [2, 1, 1], "x": [0, 1, 0], "y": [0, 1, 1]}
+    # that from_columns' check must agree with on integer and bool columns.
+    ALLOWED = {"cells": (0, 1, 2, 3), "x": (0, 1), "y": (0, 1)}
+    GOOD = {"cells": [1, 2, 0], "x": [0, 1, 0], "y": [0, 1, 1]}
 
     def _columns_with(self, name, column):
-        return [column if key == name else np.array(self.GOOD[key]) for key in "ijxy"]
+        return [column if key == name else np.array(self.GOOD[key]) for key in self.GOOD]
 
     @pytest.mark.parametrize(
-        "name, value",
-        [(name, value) for name in "ij" for value in (0, 3)]
-        + [(name, value) for name in "xy" for value in (2, -1)]
-        + [(name, value) for name in "ijxy" for value in (1.5, math.nan)],
+        "name, value, dtype",
+        [("cells", value, np.int64) for value in (4, 255, -1)]
+        + [(name, value, np.int64) for name in "xy" for value in (2, -1)]
+        + [(name, -1, np.int8) for name in ("cells", "x", "y")]
+        + [(name, 4, ">i8") for name in ("cells", "x", "y")]
+        + [(name, 2**16 + 1, np.uint32) for name in ("cells", "x", "y")],
     )
-    def test_from_columns_rejects_what_isin_rejects(self, name, value):
-        column = np.array(self.GOOD[name], dtype=type(value))
+    def test_from_columns_rejects_what_isin_rejects(self, name, value, dtype):
+        # A negative, past the top or, in a wider type, a valid uint8 value
+        # plus a multiple of 256.
+        column = np.array(self.GOOD[name], dtype=dtype)
         column[1] = value
         assert not np.isin(column, self.ALLOWED[name]).all()
-        with pytest.raises(ValueError, match=f"column {name} "):
+        top = max(self.ALLOWED[name])
+        with pytest.raises(ValueError, match=f"column {name} holds values outside 0..{top}"):
             TrialLog.from_columns(make_header(n=3), *self._columns_with(name, column))
 
-    @pytest.mark.parametrize("name", "ijxy")
-    @pytest.mark.parametrize("kind", ["float", "bool"])
-    def test_from_columns_accepts_what_isin_accepts(self, name, kind):
-        if kind == "float":
-            column = np.array(self.GOOD[name], dtype=np.float64)
-        elif name in "xy":
-            column = np.array(self.GOOD[name], dtype=bool)
+    @pytest.mark.parametrize("name", ["cells", "x", "y"])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, ">i8", np.uint64])
+    def test_from_columns_accepts_what_isin_accepts(self, name, dtype):
+        if dtype is bool and name == "cells":
+            column = np.ones(3, dtype=bool)  # True == 1, a valid cell code
         else:
-            column = np.ones(3, dtype=bool)  # True == 1, a valid setting
+            column = np.array(self.GOOD[name], dtype=dtype)
         assert np.isin(column, self.ALLOWED[name]).all()
         log = TrialLog.from_columns(make_header(n=3), *self._columns_with(name, column))
-        held = log.columns()["ijxy".index(name)]
+        held = log.columns()[list(self.GOOD).index(name)]
         assert held.dtype == np.uint8
         assert held.tolist() == column.astype(np.uint8).tolist()
+
+    @pytest.mark.parametrize("name", ["cells", "x", "y"])
+    @pytest.mark.parametrize("value", [None, 1.5, math.nan])
+    def test_from_columns_refuses_float_columns(self, name, value):
+        # Even one of allowed values, which np.isin accepts: a float is no
+        # cell code or bit, and casting it would hide a caller's error.
+        column = np.array(self.GOOD[name], dtype=np.float64)
+        if value is not None:
+            column[1] = value
+        else:
+            assert np.isin(column, self.ALLOWED[name]).all()
+        with pytest.raises(ValueError, match=f"column {name} holds float64 values, not integers"):
+            TrialLog.from_columns(make_header(n=3), *self._columns_with(name, column))
+
+    def test_from_columns_of_no_trials(self):
+        empty = np.array([], dtype=np.float64)
+        no_bits = empty == 0
+        log = TrialLog.from_columns(make_header(n=0), np.array([], dtype=np.int64), no_bits, no_bits)
+        assert len(log) == 0 and log.complete and log.to_bytes().count(b"\n") == 1
+        with pytest.raises(ValueError, match="column cells holds float64"):
+            TrialLog.from_columns(make_header(n=0), empty, no_bits, no_bits)
 
 
 class TestValidation:
@@ -459,8 +475,8 @@ class TestReplaceFile:
 
 
 def random_columns(rng, n):
-    """Random (i, j, x, y) columns of n valid trials."""
-    return [rng.integers(low, low + 2, n) for low in (1, 1, 0, 0)]
+    """Random (cells, x, y) columns of n valid trials."""
+    return [rng.integers(0, top + 1, n) for top in (3, 1, 1)]
 
 
 def per_line_read(path):
@@ -487,11 +503,9 @@ def log_columns(log):
 
 
 def serialized(n, trials):
-    """A log file's bytes written with ``json.dumps``, not with the writer;
-    ``trials`` may hold more than n."""
-    docs = [make_header(n=n).to_dict()] + [
-        {"m": m, "i": i, "j": j, "x": x, "y": y} for m, (i, j, x, y) in enumerate(trials, 1)
-    ]
+    """A log file's bytes written with ``json.dumps``, not with the writer,
+    from (cell, x, y) trials; ``trials`` may hold more than n."""
+    docs = [make_header(n=n).to_dict()] + [trial_doc(m, *trial) for m, trial in enumerate(trials, 1)]
     lines = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs)
     return "".join(lines).encode()
 
@@ -516,8 +530,8 @@ def boundary_trials():
     columns = random_columns(np.random.default_rng(18), BOUNDARY_COUNTS[-1])
     trials = zip(*(col.tolist() for col in columns))
     lines = [
-        '{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}\n' % (i, j, m, x, y)
-        for m, (i, j, x, y) in enumerate(trials, 1)
+        '{"i":%(i)d,"j":%(j)d,"m":%(m)d,"x":%(x)d,"y":%(y)d}\n' % trial_doc(m, *trial)
+        for m, trial in enumerate(trials, 1)
     ]
     ends = np.cumsum([0] + [len(line) for line in lines])
     return columns, "".join(lines).encode("ascii"), ends
@@ -585,7 +599,7 @@ class TestReadLog:
         # A 12-trial log, so m has two widths, with up to three edits; each
         # line a key -> JSON text map until it is cut short. Lines left
         # whole stay canonical, so both paths are reached.
-        data = serialized(12, [(1, 2, 1, 0), (2, 2, 0, 1), (2, 1, 1, 1)] * 4).decode()
+        data = serialized(12, [(1, 1, 0), (3, 0, 1), (2, 1, 1)] * 4).decode()
         lines = [
             {key: json.dumps(value, separators=(",", ":")) for key, value in json.loads(line).items()}
             for line in data.splitlines()
@@ -621,17 +635,18 @@ class TestReadLog:
         # widths or two. Each byte after the header set to each of
         # "0123 \n": the one-pass read gives a log exactly when the edit
         # swaps a setting between 1 and 2, or a bit between 0 and 1, and
-        # that log differs from the original in that one entry.
+        # that log differs from the original in that one entry: the cell's
+        # high bit for i, its low bit for j.
         columns = [col.tolist() for col in random_columns(np.random.default_rng(105), count)]
         data = serialized(105, zip(*columns))
         start = data.index(b"\n") + 1
-        swaps = {}  # byte position -> (column, trial index, the other value)
+        swaps = {}  # byte position -> (field, trial index, the other value)
         at = start
         for index, line in enumerate(data[start:].decode().splitlines(keepends=True)):
             doc = json.loads(line)
-            for column, name in enumerate("ijxy"):
+            for name in "ijxy":
                 other = 3 - doc[name] if name in "ij" else 1 - doc[name]
-                swaps[at + line.index(f'"{name}":') + 4] = column, index, other
+                swaps[at + line.index(f'"{name}":') + 4] = name, index, other
             at += len(line)
         assert len(swaps) == 4 * count
         for pos in range(start, len(data)):
@@ -643,9 +658,12 @@ class TestReadLog:
                 if swap is None or byte != ord(str(swap[2])):
                     assert log is None, (pos, chr(byte))
                     continue
-                column, index, other = swap
+                name, index, other = swap
                 expected = [list(col) for col in columns]
-                expected[column][index] = other
+                if name in "ij":
+                    expected[0][index] ^= 2 if name == "i" else 1
+                else:
+                    expected[1 if name == "x" else 2][index] = other
                 assert log is not None, (pos, chr(byte))
                 assert log.header == make_header(n=105) and log_columns(log) == expected
 
@@ -707,7 +725,7 @@ class TestReadLog:
         header, log, validation = read_log(path)
         assert per_line_calls == []
         assert header.n == 0 and len(log) == 0 and log.complete and validation.ok
-        path.write_bytes(serialized(0, [(1, 1, 0, 0)]))
+        path.write_bytes(serialized(0, [(0, 0, 0)]))
         assert read_log(path)[1] is None
         assert per_line_calls == [1]
         assert one_pass_read(path) == per_line_read(path)
@@ -764,6 +782,38 @@ class TestReadLog:
         assert per_line_calls == []
         assert header == log.header and log_columns(read) == log_columns(log)
         assert validation.last_valid == count and validation.incomplete == partial
+
+
+class TestCellOracle:
+    """The bytes of a log of cell codes against a pure-Python writer that
+    prints i and j from each code, at lengths on both sides of each width
+    of m."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 999, 1000, 10_000, 10_001])
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1), st.sampled_from("ij"))
+    @settings(max_examples=8, deadline=None)
+    def test_bytes_read_back_and_one_digit_swap(self, n, seed, where, name):
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, 4, n, dtype=np.uint8)
+        x, y = rng.integers(0, 2, (2, n), dtype=np.uint8)
+        data = TrialLog.from_columns(make_header(n=n), cells, x, y).to_bytes()
+        lines = [
+            b'{"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}\n' % (1 + (c >> 1), 1 + (c & 1), m, xm, ym)
+            for m, (c, xm, ym) in enumerate(zip(cells.tolist(), x.tolist(), y.tolist()), 1)
+        ]
+        head = data.index(b"\n") + 1
+        assert data[head:] == b"".join(lines)
+        columns = [cells.tolist(), x.tolist(), y.tolist()]
+        assert log_columns(logfile._canonical_log(data)) == columns
+        if not n:
+            return
+        # One i or j digit of one trial swapped between 1 and 2: a canonical
+        # log whose columns differ in that trial's cell code alone.
+        trial = where % n
+        at = head + sum(map(len, lines[:trial])) + lines[trial].index(b'"%s":' % name.encode()) + 4
+        swapped = data[:at] + (b"1" if data[at] == ord("2") else b"2") + data[at + 1 :]
+        columns[0][trial] ^= 2 if name == "i" else 1
+        assert log_columns(logfile._canonical_log(swapped)) == columns
 
 
 def read_raw_records_from(log):

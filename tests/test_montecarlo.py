@@ -9,10 +9,11 @@ import pytest
 
 from bellbet.bounds import MAX_TRIALS
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig
+from bellbet.core import MODES, OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig
+from bellbet.logfile import read_log
 from bellbet.montecarlo import simulate_many, simulate_result, simulate_run
 from bellbet.quantum import CORRELATION_SENSES
-from bellbet.referee import StatisticTrace, build_report, run_experiment
+from bellbet.referee import RefereeEngine, StatisticTrace, build_report, run_experiment
 from bellbet.strategies import LOCAL_STRATEGY_NAMES, StrategyError
 
 # Both quantum senses, every honest registry strategy with its default
@@ -21,6 +22,11 @@ SIDES = [
     *({"kind": "quantum", "correlation_sense": sense} for sense in CORRELATION_SENSES),
     *({"kind": "strategy", "strategy": name, "params": {}} for name in LOCAL_STRATEGY_NAMES),
     {"kind": "strategy", "strategy": "constant", "params": {"bit": 0}},
+]
+# The quantum side and every honest registry strategy, with its defaults.
+DEFAULT_SIDES = [
+    {"kind": "quantum", "correlation_sense": "equal-polarization"},
+    *({"kind": "strategy", "strategy": name, "params": {}} for name in LOCAL_STRATEGY_NAMES),
 ]
 SEEDS = (1, 2, 3)
 # Multiples of pi added to OPTIMAL_ANGLES (a1, a2, b1, b2): the left wing's
@@ -90,6 +96,27 @@ class TestEngineEquality:
             seed=17,
         )
         assert_kernel_matches_engine(config)
+
+
+class TestAcrossWidthBlocks:
+    # 10 001 trials: m reaches five digits, and the log's last width block
+    # starts at the 10 000 edge.
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("side", DEFAULT_SIDES, ids=side_id)
+    def test_kernel_matches_engine_and_reads_back(self, tmp_path, side, mode):
+        config = make_config(side, n=10_001, seed=23, mode=mode, critical_value=400)
+        kernel_result = simulate_result(config)
+        engine_result = RefereeEngine(config).run()
+        assert kernel_result.log.to_bytes() == engine_result.log.to_bytes()
+        assert build_report(kernel_result) == build_report(engine_result)
+        path = tmp_path / "wide.log"
+        kernel_result.log.write(path)
+        header, log, validation = read_log(path)
+        assert validation.ok and header == kernel_result.header
+        columns = simulate_run(config.side, config.angles, config.n, config.seed, config.mode)
+        for got, want in zip(log.columns(), columns, strict=True):
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBatchHelpers:

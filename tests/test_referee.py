@@ -14,7 +14,6 @@ from bellbet.core import (
     CELL_WEIGHTS,
     OPTIMAL_ANGLES,
     CountMatrix,
-    cell_code,
     chsh_count_statistic,
 )
 from bellbet.logfile import TrialLog
@@ -386,7 +385,7 @@ class TestOutcomeValidationInEngine:
         config = make_config(strategy_side("constant"), n=20, seed=3)
         result = RefereeEngine(config, strategy=AnswersAt(side, 4, value)).run()
         assert result.abort is None
-        _, _, x, y = (column.tolist() for column in result.log.columns())
+        _, x, y = (column.tolist() for column in result.log.columns())
         assert (x if side == "left" else y) == [1, 1, 1, bit] + [1] * 16
         record = result.log.record(4)
         assert type(record.x) is int and type(record.y) is int
@@ -435,8 +434,8 @@ class TestReplay:
         # codes are the reference for both the counts and the trace.
         log = self._run(n=n)[0].log if n else TrialLog(log_header(make_config(QUANTUM_SIDE)))
         counts, trace = tally(log)
-        i, j, x, y = log.columns()
-        reference = StatisticTrace.from_columns(cell_code(i, j).astype(np.int64), x, y)
+        cells, x, y = log.columns()
+        reference = StatisticTrace.from_columns(cells.astype(np.int64), x, y)
         assert trace.deltas.dtype == reference.deltas.dtype == np.int8
         assert trace.deltas.tolist() == reference.deltas.tolist()
         assert len(trace.deltas) == len(log)
@@ -452,24 +451,26 @@ class TestReplay:
         result, report = self._run()
         from bellbet.logfile import TrialLog
 
-        i, j, x, y = result.log.columns()
+        cells, x, y = result.log.columns()
         x = x.copy()
         x[137] ^= 1
-        tampered = TrialLog.from_columns(result.header, i, j, x, y)
+        tampered = TrialLog.from_columns(result.header, cells, x, y)
         replay = replay_verify(tampered, report)
         assert not replay.ok
 
-    def test_flipped_setting_detected_with_trial_index(self):
+    @pytest.mark.parametrize("trial, flip", [(21, 2), (400, 1)], ids=["i", "last-j"])
+    def test_flipped_setting_detected_with_trial_index(self, trial, flip):
+        # flip 2 swaps the trial's i between 1 and 2, flip 1 its j.
         result, report = self._run()
         from bellbet.logfile import TrialLog
 
-        i, j, x, y = result.log.columns()
-        i = i.copy()
-        i[20] = 3 - i[20]
-        tampered = TrialLog.from_columns(result.header, i, j, x, y)
+        cells, x, y = result.log.columns()
+        cells = cells.copy()
+        cells[trial - 1] ^= flip
+        tampered = TrialLog.from_columns(result.header, cells, x, y)
         replay = replay_verify(tampered, report)
         assert not replay.ok
-        assert replay.trial == 21
+        assert replay.trial == trial
 
     def test_report_design_must_match_header(self):
         result, report = self._run()
@@ -576,7 +577,7 @@ class TestRunResult:
         partial = TrialLog(complete.header)
         for m in range(1, 61):
             record = complete.log.record(m)
-            partial.commit(record.setting.i, record.setting.j, record.x, record.y)
+            partial.commit(record.setting.cell, record.x, record.y)
         result = RunResult(log=partial, design=complete.design, abort=None)
         assert result.verdict is None
         assert result.trace.n == 60
@@ -660,12 +661,10 @@ class TestLastRecord:
         engine = RefereeEngine(make_config(side, n=30, seed=21))
         log, commit, committed = engine.log, engine.log.commit, []
 
-        def checked_commit(i, j, x, y):
-            commit(i, j, x, y)
+        def checked_commit(cell, x, y):
+            commit(cell, x, y)
             record = log[-1]
-            assert (record.m, record.setting.i, record.setting.j, record.x, record.y) == (
-                len(log), i, j, x, y,
-            )
+            assert (record.m, record.setting.cell, record.x, record.y) == (len(log), cell, x, y)
             assert record == rebuilt_last(log)
             committed.append(record.m)
 
@@ -741,8 +740,11 @@ class TestClonedSourceMode:
         assert result.verdict is not None
         # No cross-wing data in cloned broadcasts: every view holds only its
         # own wing's setting and outcome.
-        i, j, x, y = (column.tolist() for column in result.log.columns())
-        for side, own in (("left", zip(i, x)), ("right", zip(j, y))):
+        records = list(result.log)
+        for side, own in (
+            ("left", [(record.setting.i, record.x) for record in records]),
+            ("right", [(record.setting.j, record.y) for record in records]),
+        ):
             views = tracker.views[side]
             assert [view.m for view in views] == list(range(1, 301))
             assert [(v.own_setting, v.own_outcome) for v in views] == list(own)
