@@ -30,9 +30,9 @@ SQRT3 = math.sqrt(3.0)
 _CEILING_TOL = 1e-12
 
 # The most trials one experiment may hold. ``design_protocol`` returns no
-# larger n, and a config that names one is refused. The referee keeps at
-# least 12 bytes per trial in memory (an 8-byte settings code and four
-# one-byte log columns), so an experiment at the cap needs 12 GB or more.
+# larger n, and a config that names one is refused. The referee holds every
+# trial in memory: the engine the cell code it drew, the log one-byte columns
+# of that code and both outcomes, so an experiment at the cap needs gigabytes.
 MAX_TRIALS = 10**9
 
 

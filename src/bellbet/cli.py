@@ -178,13 +178,12 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # Check the outputs before the bet, which may run 10**9 trials.
-    out_path = args.out or config.output
     try:
-        _check_writable(_bet_outputs(out_path))
+        _check_writable(_bet_outputs(config.output))
     except OSError as exc:
         return _cannot_write(exc)
     result = simulate_result(config) if _settles_by_kernel(config) else run_experiment(config)
-    return _finish(result, out_path)
+    return _finish(result, config.output)
 
 
 def cmd_design(args) -> int:
@@ -335,8 +334,7 @@ def cmd_serve(args) -> int:
         return EXIT_CONFIG
     # A path found unwritable after the bet would lose a bet both stations
     # were told the verdict of; check every output before listening.
-    out_path = args.out or config.output
-    outputs = _bet_outputs(out_path)
+    outputs = _bet_outputs(config.output)
     if args.transcript:
         outputs.append(args.transcript)
     try:
@@ -361,7 +359,7 @@ def cmd_serve(args) -> int:
     except (ProtocolAbort, OSError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    return _finish(result, out_path)
+    return _finish(result, config.output)
 
 
 def cmd_station(args) -> int:

@@ -11,13 +11,12 @@ of the protocol).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import MAX_TRIALS, ProtocolDesign, midpoint_critical_value
-from .core import MODES, AngleConfig, clipped, parse_json, shown
+from .core import CANONICAL_JSON, MODES, AngleConfig, clipped, parse_json, shown
 from .quantum import (
     CORRELATION_SENSES,
     EQUAL_POLARIZATION,
@@ -181,7 +180,7 @@ class ExperimentConfig:
     def canonical_json(self) -> str:
         doc = self.to_dict()
         doc.pop("output", None)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return CANONICAL_JSON.encode(doc)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()

@@ -1,6 +1,6 @@
 """Domain types and pure mathematics of the CHSH coincidence statistic, the
-one JSON decoder of configs, reports, logs and wire frames, and the one
-writer of output files.
+one JSON decoder of configs, reports, logs and wire frames, the one
+canonical JSON encoder, and the one writer of output files.
 
 Everything here but ``replace_file`` is deterministic and side-effect free:
 angle configurations, settings and their cell codes, trial records,
@@ -37,6 +37,10 @@ QUANTUM_CEILING = (math.sqrt(2.0) - 1.0) / 4.0
 # How settings reach the stations: each trial's full data is broadcast to
 # both (sequential), or each wing learns only its own (cloned-source).
 MODES = ("sequential", "cloned-source")
+
+# Canonical JSON, sorted keys and no whitespace: the log's header line, the
+# text a config hash is taken of and a wire frame's envelope fields.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # What json.loads raises on bad text.
 JSON_ERRORS = (ValueError, RecursionError)

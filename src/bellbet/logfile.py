@@ -11,13 +11,14 @@ log's columns with the fixed template
     {"i":%d,"j":%d,"m":%d,"x":%d,"y":%d}
 
 For int fields that template is byte-identical to the canonical JSON
-(sorted keys, no whitespace) that the header line gets from ``json.dumps``.
+(sorted keys, no whitespace) that the header line gets from
+``core.CANONICAL_JSON``.
 So two runs that commit the same trials produce byte-identical files; replay
 verification relies on that.
 
 Writer and reader share one layout, fixed by the trial count alone: after
 the header line, one block per width of m, each a run of equal-length rows
-(``_record_rows``). The writer fills one byte buffer through it, each
+(``_layout``). The writer fills one byte buffer through it, each
 block one digit group of m at a time (``_serialize``), and hands the buffer
 to the file. ``read_log`` is the one reader. A file is canonical when it is
 byte-equal to the serialization of the log it holds: the writer's output,
@@ -48,6 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
+    CANONICAL_JSON,
     JSON_ERRORS,
     MODES,
     SETTINGS_BY_CELL,
@@ -158,40 +160,28 @@ _HIGH = np.frombuffer(b"2211", dtype=np.uint8)
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
-def _blocks(count: int) -> Iterator[tuple[int, int, bytes]]:
-    """The layout of record lines 1..count: for each width of m, the trials
-    lo..hi-1 that print m with it and their common line, with m = lo."""
-    lo = 1
+def _layout(count: int) -> list[tuple[slice, slice, bytes]]:
+    """The layout of record lines 1..count, one block per width of m: the
+    trials lo..hi-1 that print m with it as a slice of trial indices, their
+    span of bytes after the header line and their common line, with m = lo."""
+    blocks, lo, start = [], 1, 0
     while lo <= count:
-        yield lo, min(10 * lo, count + 1), _RECORD_LINE % (1, 1, lo, 0, 0)
-        lo *= 10
-
-
-def _body_size(count: int) -> int:
-    """Bytes of record lines 1..count."""
-    return sum((hi - lo) * len(line) for lo, hi, line in _blocks(count))
+        hi = min(10 * lo, count + 1)
+        line = _RECORD_LINE % (1, 1, lo, 0, 0)
+        stop = start + (hi - lo) * len(line)
+        blocks.append((slice(lo - 1, hi - 1), slice(start, stop), line))
+        lo, start = 10 * lo, stop
+    return blocks
 
 
 def _count_of(size: int, n: int) -> int | None:
     """The count of at most n whose record lines take exactly ``size``
     bytes, or None; the size grows with the count, so there is at most one."""
-    for lo, hi, line in _blocks(n):
-        if size <= (hi - lo) * len(line):
-            rows, rest = divmod(size, len(line))
-            return None if rest else lo - 1 + rows
-        size -= (hi - lo) * len(line)
-    return None if size else n
-
-
-def _record_rows(body: np.ndarray, count: int) -> Iterator[tuple[slice, np.ndarray, bytes]]:
-    """Record lines 1..count laid out from the start of the uint8 array
-    ``body``, one block per width of m: the block's slice of trial indices,
-    its (rows, line length) view into ``body`` and its line with m = lo."""
-    start = 0
-    for lo, hi, line in _blocks(count):
-        stop = start + (hi - lo) * len(line)
-        yield slice(lo - 1, hi - 1), body[start:stop].reshape(hi - lo, len(line)), line
-        start = stop
+    for trials, span, line in _layout(n):
+        if size <= span.stop:
+            rows, rest = divmod(size - span.start, len(line))
+            return None if rest else trials.start + rows
+    return None if size else 0
 
 
 class TrialLog(Sequence):
@@ -302,18 +292,18 @@ class TrialLog(Sequence):
 
 def _serialize(log: TrialLog) -> bytearray:
     """The log's file bytes: the header line, then ``_RECORD_LINE % (i, j,
-    m, x, y)`` for m = 1..len(log), laid out by ``_record_rows`` and filled
+    m, x, y)`` for m = 1..len(log), laid out by ``_layout`` and filled
     through a uint8 view. Each value is one digit, its line's lower one plus
     a bit: the cell code's high bit for i, its low bit for j."""
-    head = json.dumps(log.header.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-    head = head.encode("ascii")
+    head = (CANONICAL_JSON.encode(log.header.to_dict()) + "\n").encode("ascii")
     cells, x, y = log.columns()
     columns = cells >> 1, cells & 1, x, y
-    count = len(log)
-    out = bytearray(len(head) + _body_size(count))
+    layout = _layout(len(log))
+    out = bytearray(len(head) + (layout[-1][1].stop if layout else 0))
     out[: len(head)] = head
     body = np.frombuffer(out, dtype=np.uint8)[len(head) :]
-    for trials, rows, line in _record_rows(body, count):
+    for trials, span, line in layout:
+        rows = body[span].reshape(-1, len(line))
         # Row t prints m = lo + t with lo a power of ten. Once the first
         # 10^p rows are done, the next groups of 10^p rows, up to nine, are
         # one broadcast copy of them and differ in the digit for 10^p alone,
@@ -381,7 +371,7 @@ def _canonical_log(data: bytes) -> TrialLog | None:
 
     The count is the one of at most the header's n whose record lines fill
     the rest of ``data`` exactly; each record's i, j, x and y are then read
-    through ``_record_rows`` and mapped into their allowed values (a byte
+    through ``_layout`` and mapped into their allowed values (a byte
     other than "2" reads as 1 for a setting, one other than "1" as 0 for a
     bit) and i and j folded into the cell code, so the columns hold a valid
     log whatever the file says. Then the writer's own output decides:
@@ -400,7 +390,8 @@ def _canonical_log(data: bytes) -> TrialLog | None:
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
     high = np.empty((4, count), dtype=np.uint8)  # i, j, x and y at their higher value
-    for trials, rows, _ in _record_rows(body, count):
+    for trials, span, line in _layout(count):
+        rows = body[span].reshape(-1, len(line))
         high[:, trials] = (rows[:, _FIELDS_AT] == _HIGH).T
     high[0] <<= 1
     high[0] |= high[1]

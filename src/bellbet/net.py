@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass
 
 from .config import ConfigError, ExperimentConfig, SIDE_STRATEGY, config_from_dict
-from .core import parse_json, replace_file
+from .core import CANONICAL_JSON, parse_json, replace_file, shown
 from .referee import LocalStation, ProtocolAbort, RefereeEngine, RunResult
 from .strategies import (
     LEFT,
@@ -102,18 +102,15 @@ class FrameError(ProtocolAbort):
     """Malformed frame or broken transport."""
 
 
-_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _json_field(value) -> str:
-    """One envelope field, exactly as json.dumps(envelope, sort_keys=True,
-    separators=(",", ":")) writes it inside the whole envelope; a trial
-    number or a missing field skips the encoder's general path."""
+    """One envelope field, exactly as ``CANONICAL_JSON`` writes it inside
+    the whole envelope; a trial number or a missing field skips the
+    encoder's general path."""
     if value is None:
         return "null"
     if type(value) is int:  # not a bool
         return int.__repr__(value)
-    return _json_encode(value)
+    return CANONICAL_JSON.encode(value)
 
 
 def encode_frame(kind: str, trial: int | None = None, side: str | None = None, body: bytes = b"") -> bytes:
@@ -627,11 +624,17 @@ def audit_transcript(entries: list[dict]) -> AuditReport:
     A station writes the kind, trial and side of the frames it sends, so a
     received frame whose kind is not a string, whose trial is not an exact
     int or whose side is not a side is named as a failure and left out of
-    the ordering."""
+    the ordering. So is an entry, say of an edited or cut transcript, that
+    is no object holding an exact int ``seq``, a ``dir`` and a ``kind``."""
     failures: list[str] = []
     first: dict[tuple[str, str, int], int] = {}
     outcome_seq: dict[tuple[str, int], int] = {}
-    for entry in entries:
+    for index, entry in enumerate(entries, 1):
+        if not (
+            type(entry) is dict and type(entry.get("seq")) is int and {"dir", "kind"} <= entry.keys()
+        ):
+            failures.append(f"entry {index}: {shown(entry)} is no transcript entry")
+            continue
         kind, trial, side = entry["kind"], entry.get("trial"), entry.get("side")
         if (
             type(kind) is not str

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_texts import JSON_TEXTS
 
-from bellbet.bounds import MAX_TRIALS
+from bellbet.bounds import MAX_TRIALS, design_protocol
 from bellbet.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -131,6 +131,21 @@ class TestRun:
         assert json.loads(text)["verdict"]["winner"] == "quantum-claimant"
         # Stdout is the report file's text, to the byte, and a newline.
         assert capsys.readouterr().out == text + "\n"
+
+    def test_out_overrides_the_config_output(self, tmp_path, capsys, monkeypatch):
+        # --out replaces the config's "output": the bet is written there
+        # alone, and nothing at the config's path.
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, n=100, output="a.log")
+        assert main(["run", "--config", str(config), "--out", "b.log"]) == EXIT_OK
+        report = (tmp_path / "b.log.report.json").read_text()
+        assert capsys.readouterr().out == report + "\n"
+        assert load_log(tmp_path / "b.log").complete
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "b.log",
+            "b.log.report.json",
+            "config.json",
+        ]
 
     def test_print_config(self, capsys):
         assert main(["run", "--print-config"]) == EXIT_OK
@@ -321,6 +336,20 @@ class TestDesign:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] <= 65_000
         assert doc["critical_value"] == round(doc["n"] / 32)
+
+    def test_design_with_both_side_flags(self, capsys):
+        argv = ["design", "--mu", "0.0625", "--target-error", "1e-3"]
+        argv += ["--quantum-target-error", "1e-9", "--critical-fraction", "0.25"]
+        assert main(argv) == EXIT_OK
+        expected = design_protocol(0.0625, 1e-3, quantum_target_error=1e-9, critical_fraction=0.25)
+        assert json.loads(capsys.readouterr().out) == expected.as_dict()
+
+    def test_critical_fraction_of_one_is_config_error(self, capsys):
+        argv = ["design", "--mu", "0.0625", "--critical-fraction", "1.0"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: critical_fraction must be in (0, 1)")
 
     def test_target_error_one_is_config_error(self, capsys):
         assert main(["design", "--mu", "0.1", "--target-error", "1.0"]) == EXIT_CONFIG

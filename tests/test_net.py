@@ -254,6 +254,51 @@ READERS = {
 }
 
 
+def one_trial_transcript():
+    """The entries of one well-ordered trial: each side's SETTING sent, then
+    each side's OUTCOME received."""
+    transcript = Transcript()
+    for direction, kind in (("send", KIND_SETTING), ("recv", KIND_OUTCOME)):
+        for side in ("left", "right"):
+            transcript.add(direction, kind, 1, side)
+    return transcript.entries
+
+
+class TestAuditTranscript:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"seq": 1},
+            {"dir": "recv", "kind": KIND_OUTCOME, "trial": 1, "side": "left"},
+            {"seq": 9, "kind": KIND_OUTCOME, "trial": 1, "side": "left"},
+            {"seq": 9, "dir": "recv", "trial": 1, "side": "left"},
+            {"seq": "9", "dir": "recv", "kind": KIND_OUTCOME, "trial": 1, "side": "left"},
+            {"seq": 9.0, "dir": "recv", "kind": KIND_OUTCOME, "trial": 1, "side": "left"},
+            [1, "recv", KIND_OUTCOME],
+            None,
+            "x" * 1000,
+            7,
+        ],
+        ids=["seq-only", "no-seq", "no-dir", "no-kind", "str-seq", "float-seq", "list", "null", "long-str", "int"],
+    )
+    def test_malformed_entry_is_a_failure(self, entry):
+        # An edited or cut entry is named by its place in the transcript and
+        # left out of the ordering, which the other entries still pass.
+        entries = one_trial_transcript()
+        assert audit_transcript(entries).ok
+        entries.insert(2, entry)
+        audit = audit_transcript(entries)
+        assert not audit.ok
+        assert len(audit.failures) == 1
+        assert audit.failures[0].startswith("entry 3: ")
+        assert audit.failures[0].endswith(" is no transcript entry")
+        assert len(audit.failures[0]) < 120
+
+    def test_lone_seq_is_a_failure(self):
+        audit = audit_transcript([{"seq": 1}])
+        assert audit.failures == ("entry 1: {'seq': 1} is no transcript entry",)
+
+
 @pytest.fixture
 def socket_pair():
     left, right = socket.socketpair()
