@@ -231,6 +231,16 @@ class TrialRecord:
         if self.x not in (0, 1) or self.y not in (0, 1):
             raise ValueError(f"outcomes must be bits, got x={self.x!r}, y={self.y!r}")
 
+    @classmethod
+    def checked(cls, m: int, setting: Setting, x: int, y: int) -> "TrialRecord":
+        """The record of fields the caller has already checked, built without
+        running those checks again or the frozen ``__init__``'s per-field
+        ``object.__setattr__``: a log's reader builds one per trial read."""
+        record = object.__new__(cls)
+        fields = record.__dict__
+        fields["m"], fields["setting"], fields["x"], fields["y"] = m, setting, x, y
+        return record
+
     @property
     def coincided(self) -> bool:
         return self.x == self.y

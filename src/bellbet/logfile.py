@@ -225,11 +225,11 @@ class TrialLog(Sequence):
         return tuple(np.frombuffer(col, dtype=np.uint8, count=c) for col in cols)
 
     def record(self, m: int) -> TrialRecord:
-        """Trial m, built from the columns."""
+        """Trial m, built from the columns, which hold only checked values."""
         if not 1 <= m <= self._count:
             raise IndexError(f"trial {m} outside 1..{self._count}")
         idx = m - 1
-        return TrialRecord(m, SETTINGS_BY_CELL[self._cells[idx]], self._x[idx], self._y[idx])
+        return TrialRecord.checked(m, SETTINGS_BY_CELL[self._cells[idx]], self._x[idx], self._y[idx])
 
     def __getitem__(self, index: int) -> TrialRecord:
         return self.record(index + 1 if index >= 0 else self._count + index + 1)

@@ -290,9 +290,22 @@ class Transcript:
         replace_file(path, "".join(lines).encode("ascii"))
 
     @staticmethod
-    def read(path) -> list[dict]:
-        with open(path, "r", encoding="ascii") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+    def read(path) -> list:
+        """The entries of a transcript file, one per line that is not blank.
+        A line that is no JSON text, as in a file cut mid-line or edited, is
+        kept as its bytes, an entry ``audit_transcript`` names as no
+        transcript entry."""
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        return [_transcript_entry(line) for line in lines if line.strip()]
+
+
+def _transcript_entry(line: bytes):
+    """The JSON document on one transcript line, or the line itself."""
+    try:
+        return parse_json(line, ValueError, "transcript line")
+    except ValueError:
+        return line
 
 
 class RemoteStation:

@@ -30,6 +30,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
 
@@ -162,34 +163,67 @@ _TIE_BREAKS = np.arange(8)[:, None]
 _CELL_CODES = np.arange(4, dtype=np.uint8)[:, None]
 
 
-def angular_distance(a, b):
-    """Distance between orientations modulo pi, in [0, pi/2].
+def _double_at_most(value: Fraction) -> float:
+    """The largest double at or below the real ``value``."""
+    x = float(value)  # the nearest double, so at most one step off
+    return x if Fraction(x) <= value else math.nextafter(x, -math.inf)
 
-    Floats stay Python floats and arrays stay arrays, and both take the same
-    IEEE values (the remainder of d = |a - b| by pi, then the smaller of d
-    and pi - d), so scalar and array callers agree bit for bit. The
-    remainder is exact either way: Python's ``%`` is fmod with a sign fix
-    that d >= 0 never needs. An array whose every d is below 2 pi takes it
-    in place as d - pi where d >= pi: Sterbenz's lemma makes x - y exact for
-    y/2 <= x <= 2y, so for pi <= d < 2 pi the difference is exact and is
-    fmod's value, without fmod's cost. An array with a d of 2 pi or more, or
-    a NaN, falls back to ``np.fmod``.
-    """
-    d = abs(a - b)
-    if isinstance(d, np.ndarray):
-        if d.max(initial=0.0) < math.tau:
-            np.subtract(d, math.pi, out=d, where=d >= math.pi)
-        else:
-            np.fmod(d, math.pi, out=d)
-        return np.minimum(d, math.pi - d, out=d)
-    d %= math.pi
-    return min(d, math.pi - d)
+
+def _double_at_least(value: Fraction) -> float:
+    """The smallest double at or above the real ``value``."""
+    x = float(value)
+    return x if Fraction(x) >= value else math.nextafter(x, math.inf)
+
+
+# The polarizer's pass test on d = |theta - a| compares d with four
+# constants, each rounded once from exact arithmetic on pi = math.pi; see
+# polarizer_passes.
+_PI = Fraction(math.pi)
+_PASS_BELOW = math.pi / 4.0  # Q = pi/4, exact
+_FAIL_UP_TO = _double_at_most(_PI - _PI / 4)  # B
+_FAIL_FROM = _double_at_least(_PI + _PI / 4)  # C
+_PASS_ABOVE = _double_at_most(2 * _PI - _PI / 4)  # D
+
+
+def _passes_at(d: np.ndarray) -> np.ndarray:
+    """``polarizer_passes`` on an array of distances d = |theta - a|, which
+    it may overwrite: for d < 2 pi, (d < Q) | ((d > B) & (d < C)) | (d > D).
+    An array with a d of 2 pi or more, or a NaN, is first reduced mod pi by
+    ``np.fmod``, exactly, and then the same comparisons hold."""
+    if not d.max(initial=0.0) < math.tau:
+        np.fmod(d, math.pi, out=d)
+    passes = d < _PASS_BELOW
+    passes |= (d > _FAIL_UP_TO) & (d < _FAIL_FROM)
+    passes |= d > _PASS_ABOVE
+    return passes
 
 
 def polarizer_passes(theta, analyzer):
     """The threshold polarizer's answer: passes iff the analyzer lies within
-    pi/4 of the polarization theta, modulo pi. Elementwise on arrays."""
-    return angular_distance(theta, analyzer) < math.pi / 4.0
+    pi/4 of the polarization theta, modulo pi. Elementwise on arrays, and
+    the caller's arrays are left unchanged.
+
+    The rule, with pi the double ``math.pi``: for d = |theta - a| and its
+    remainder d' = d mod pi, pass iff min(d', pi - d') < pi/4 as IEEE
+    doubles. The remainder is exact, by Python's ``%`` or ``np.fmod``, and
+    so is d - pi for pi <= d < 2 pi: Sterbenz's lemma makes x - y exact for
+    y/2 <= x <= 2y. For the same reason pi - d' is exact when d' >= pi/2,
+    and when d' < pi/2 it rounds to at least pi/2, never below pi/4. So
+    the rule holds exactly when d' < pi/4 or d' > pi - pi/4 as real
+    numbers, and for d < 2 pi, where d' is d or d - pi, exactly when
+
+        d < Q  or  B < d < C  or  d > D,
+
+    with Q = pi/4 (exact), B the largest double <= pi - pi/4, C the
+    smallest double >= pi + pi/4 and D the largest double <= 2 pi - pi/4.
+    A float takes d' by ``%`` and tests d' < Q or d' > B; an array with
+    every d below 2 pi makes the four comparisons with no remainder at all.
+    """
+    d = abs(theta - analyzer)
+    if isinstance(d, np.ndarray):
+        return _passes_at(d)
+    d %= math.pi
+    return d < _PASS_BELOW or d > _FAIL_UP_TO
 
 
 class Strategy:
@@ -338,10 +372,13 @@ class ClassicalPolarizerStrategy(Strategy):
         self._require_prepared()
         theta = math.pi * self._polarizations.values
         analyzers = np.array(self._analyzers)
-        return tuple(
-            polarizer_passes(theta, analyzers[_CELL_COLUMNS[side]].take(cells)).view(np.uint8)
-            for side in SIDES
-        )
+        bits = []
+        for side in SIDES:
+            # d = |theta - a| in the analyzer column gathered for this wing.
+            d = analyzers[_CELL_COLUMNS[side]].take(cells)
+            np.subtract(theta, d, out=d)
+            bits.append(_passes_at(np.abs(d, out=d)).view(np.uint8))
+        return tuple(bits)
 
 
 class AssignmentStrategy(Strategy):

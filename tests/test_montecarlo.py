@@ -77,9 +77,9 @@ class TestEngineEquality:
     @pytest.mark.parametrize("mode", ["sequential", "cloned-source"])
     def test_polarizer_at_angles_shifted_by_multiples_of_pi(self, mode, fmod_calls):
         # Each optimal angle moved by a different multiple of pi: the left
-        # wing's |theta - a| reach past 2 pi, so the kernel's distance takes
-        # its fmod fallback there and the d - pi rule on the right wing,
-        # while the engine's stations take the scalar path.
+        # wing's |theta - a| reach past 2 pi, so the kernel's pass test takes
+        # its fmod fallback there and the four comparisons alone on the
+        # right wing, while the engine's stations take the scalar path.
         angles = AngleConfig(
             *(a + k * math.pi for a, k in zip(OPTIMAL_ANGLES.as_tuple(), SHIFTS))
         )

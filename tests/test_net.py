@@ -558,6 +558,26 @@ class TestLoopbackEquivalence:
         entries = Transcript.read(path)
         assert audit_transcript(entries).ok
         assert entries[0]["seq"] == 1
+        assert entries == [json.loads(line) for line in path.read_text(encoding="ascii").splitlines()]
+
+    def test_cut_or_edited_transcript_fails_the_audit_by_line(self, tmp_path):
+        # A transcript cut mid-line, or with a byte that is no UTF-8, reads
+        # without raising, and the audit names the line it cannot parse.
+        config = make_config(n=30, seed=4)
+        path = tmp_path / "wire.jsonl"
+        thread, box = serve_in_thread(config, trial_timeout=15.0, transcript_path=path)
+        run_stations(box["endpoint"], timeout=15.0)
+        thread.join(30)
+        lines = path.read_bytes().splitlines(keepends=True)
+        cut = b"".join(lines)[:150]
+        assert not cut.endswith(b"\n")
+        edited = [*lines[:4], lines[4][:10] + b"\xff" + lines[4][11:], *lines[5:]]
+        for data, line in ((cut, cut.count(b"\n") + 1), (b"".join(edited), 5)):
+            path.write_bytes(data)
+            audit = audit_transcript(Transcript.read(path))
+            assert not audit.ok
+            named = [f for f in audit.failures if f.startswith(f"entry {line}: b'")]
+            assert len(named) == 1 and named[0].endswith(" is no transcript entry"), audit.failures
 
     def test_transcript_write_over_a_longer_file(self, tmp_path):
         path = tmp_path / "wire.jsonl"

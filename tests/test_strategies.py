@@ -3,6 +3,7 @@
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from bellbet.strategies import (
     StationMemory,
     StrategyError,
     TrialView,
+    _FAIL_FROM,
+    _FAIL_UP_TO,
+    _PASS_ABOVE,
+    _PASS_BELOW,
     _SCORE_TABLE,
-    angular_distance,
     build_strategy,
     polarizer_passes,
 )
@@ -187,7 +191,6 @@ class TestClassicalPolarizer:
         from bellbet.core import AngleConfig
         from bellbet.config import SideSpec
         from bellbet.montecarlo import simulate_run
-        from bellbet.strategies import angular_distance
 
         angles = AngleConfig(0.3, 1.2, -0.5, 0.9)
         n = 400_000
@@ -197,12 +200,32 @@ class TestClassicalPolarizer:
         coincide = x == y
         for cell in range(4):
             i, j = (cell >> 1) + 1, (cell & 1) + 1
-            d = float(angular_distance(angles.left(i), angles.right(j)))
+            d = angular_distance(angles.left(i), angles.right(j))
             expected = 1.0 - 2.0 * d / math.pi
             mask = cells == cell
             freq = float(coincide[mask].mean())
             se = math.sqrt(expected * (1.0 - expected) / int(mask.sum()))
             assert abs(freq - expected) <= 4.0 * se, (cell, freq, expected)
+
+
+def angular_distance(a, b):
+    """Distance between orientations modulo pi, in [0, pi/2]: the floored
+    remainder d of |a - b| by pi, then the smaller of d and pi - d, in
+    Python floats."""
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+def reference_passes(theta, analyzer):
+    """The polarizer's rule as written: within pi/4 of theta, modulo pi."""
+    return angular_distance(theta, analyzer) < math.pi / 4
+
+
+def moved(value, ulps):
+    """``value`` moved by ``ulps`` floats, up for a positive count."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
 
 
 def bits(values):
@@ -212,67 +235,95 @@ def bits(values):
 
 def near(value):
     """``value`` and the floats one ulp either side of it."""
-    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+    return [moved(value, -1), value, moved(value, 1)]
 
 
 # Orientations with |a - b| up to 1e9, exact multiples of pi, the pi/4
 # thresholds on either side of 0, and pi and 2 pi each with its neighbours,
 # so differences of both signs occur and, against 0, differences at the
-# edges of the array path's d - pi rule.
+# edges of the array path's remainder-free range.
 EDGES = [*near(math.pi), *near(math.tau)]
 ORIENTATION = st.one_of(
     st.floats(-5e8, 5e8, allow_nan=False, allow_infinity=False),
     st.integers(-1000, 1000).map(lambda k: k * math.pi),
     st.sampled_from([0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi / 2, 5e8, -5e8, *EDGES]),
 )
+# The distances where the pass test's answer can change, or its remainder
+# step starts: Q, B, C, D, pi and 2 pi.
+THRESHOLDS = (_PASS_BELOW, _FAIL_UP_TO, _FAIL_FROM, _PASS_ABOVE, math.pi, math.tau)
+# (theta, analyzer) with theta within 6 ulps of analyzer +- a threshold.
+NEAR_THRESHOLD = st.builds(
+    lambda a, edge, sign, ulps: (moved(a + sign * edge, ulps), a),
+    ORIENTATION,
+    st.sampled_from(THRESHOLDS),
+    st.sampled_from((1.0, -1.0)),
+    st.integers(-6, 6),
+)
 
 
-class TestAngularDistance:
-    @given(st.lists(st.tuples(ORIENTATION, ORIENTATION), min_size=1, max_size=20))
-    @settings(max_examples=300)
-    def test_array_equals_scalar_bit_for_bit(self, pairs):
-        a, b = np.array(pairs).T
-        array = angular_distance(a, b)
-        assert bits(array) == bits(angular_distance(p, q) for p, q in pairs)
-        # The floored remainder % is the reference for the array path.
-        d = np.abs(a - b) % math.pi
-        assert bits(array) == bits(np.minimum(d, math.pi - d))
+def assert_one_rule(pairs):
+    """The array path, the scalar path and the reference agree on ``pairs``."""
+    thetas, analyzers = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    expected = [reference_passes(t, a) for t, a in pairs]
+    assert [polarizer_passes(t, a) for t, a in pairs] == expected
+    assert polarizer_passes(thetas, analyzers).tolist() == expected
+
+
+class TestPolarizerPasses:
+    @given(st.lists(st.one_of(st.tuples(ORIENTATION, ORIENTATION), NEAR_THRESHOLD), min_size=1, max_size=20))
+    @settings(max_examples=400)
+    def test_array_scalar_and_reference_agree(self, pairs):
+        assert_one_rule(pairs)
+
+    @pytest.mark.parametrize("analyzer", [0.0, -0.0, 1.0, -2.5, math.pi, -3 * math.pi, 1e3, -5e8])
+    def test_every_threshold_to_six_ulps(self, analyzer):
+        # theta at 6 ulps either side of analyzer +- each threshold, and the
+        # same distances, where exact, against an analyzer of 0.
+        offsets = [moved(edge, k) for edge in THRESHOLDS for k in range(-6, 7)]
+        pairs = [(analyzer + sign * d, analyzer) for d in offsets for sign in (1.0, -1.0)]
+        pairs += [(sign * d, 0.0) for d in offsets for sign in (1.0, -1.0)]
+        pairs += [(a, t) for t, a in pairs]
+        assert_one_rule(pairs)
+
+    def test_constants_are_directed_roundings(self):
+        pi = Fraction(math.pi)
+        assert Fraction(_PASS_BELOW) == pi / 4
+        for below, real in ((_FAIL_UP_TO, pi - pi / 4), (_PASS_ABOVE, 2 * pi - pi / 4)):
+            assert Fraction(below) <= real < Fraction(math.nextafter(below, math.inf))
+        real = pi + pi / 4
+        assert Fraction(math.nextafter(_FAIL_FROM, -math.inf)) < real <= Fraction(_FAIL_FROM)
 
     def test_multiples_of_pi(self):
-        k = np.arange(-50, 51, dtype=np.float64)
-        a = k * math.pi
+        a = (np.arange(-50, 51, dtype=np.float64) * math.pi).tolist()
         for b in (0.0, math.pi, -3 * math.pi):
-            array = angular_distance(a, np.full_like(a, b))
-            assert bits(array) == bits(angular_distance(p, b) for p in a.tolist())
+            assert_one_rule([(p, b) for p in a] + [(b, p) for p in a])
 
-    def test_below_two_pi_subtracts_pi_exactly(self, fmod_calls):
+    def test_below_two_pi_takes_no_remainder(self, fmod_calls):
         # Every difference of 0, pi and 2 pi (each with its neighbours)
-        # below 2 pi: the d - pi rule, no fmod, and the scalar's bits.
+        # below 2 pi: four comparisons, no fmod, and the scalar's answers.
         pairs = [(a, b) for a in [0.0, *EDGES] for b in [0.0, *EDGES] if abs(a - b) < math.tau]
         assert max(abs(a - b) for a, b in pairs) == math.nextafter(math.tau, 0.0)
-        a, b = np.array(pairs).T
-        array = angular_distance(a, b)
+        assert_one_rule(pairs)
         assert fmod_calls == []
-        assert bits(array) == bits(angular_distance(p, q) for p, q in pairs)
 
     def test_two_pi_and_above_fall_back_to_fmod(self, fmod_calls):
         # One d at or above 2 pi sends the whole array to fmod, which must
         # agree with the scalar on the differences below 2 pi too.
-        below = [0.0, *near(math.pi), math.nextafter(math.tau, 0.0)]
-        for far in near(math.tau)[1:] + [1e9]:
+        below = [0.0, *near(math.pi), *near(_FAIL_FROM), math.nextafter(math.tau, 0.0)]
+        for far in near(math.tau)[1:] + [math.tau + _FAIL_UP_TO, 1e9]:
             a = np.array([*below, far])
-            array = angular_distance(a, 0.0)
+            array = polarizer_passes(a, 0.0)
             assert len(fmod_calls) == 1
-            assert bits(array) == bits(angular_distance(p, 0.0) for p in a.tolist())
+            assert array.tolist() == [reference_passes(p, 0.0) for p in a.tolist()]
             fmod_calls.clear()
 
     def test_inputs_unchanged(self):
-        # Through the d - pi rule, then through fmod.
+        # With no remainder, then through fmod.
         for a in (np.array([0.0, *near(math.pi)]), np.array([0.0, 1e9])):
             b = a[::-1].copy()
             before = bits(a), bits(b)
             for pair in ((a, b), (a, 0.5), (0.5, b)):
-                angular_distance(*pair)
+                polarizer_passes(*pair)
             assert (bits(a), bits(b)) == before
 
     def test_polarizer_passes_at_the_threshold(self):
