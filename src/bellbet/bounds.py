@@ -7,6 +7,8 @@ centered differences bounded by 3/2, and conditional variances bounded by
 
 * Lenglart domination plus Chebyshev gives P{S_n >= k sqrt(n)} <= sqrt(3)/k,
   valid but polynomial (the independent-trials Chebyshev comparison is 1/k^2).
+  It is a comparison only: no verdict uses it, and the tests check it and
+  that the bound below is smaller from k = 3 on.
 * Freedman's martingale Bernstein inequality (Ann. Prob. 3, 1975, in its
   maximal form) gives the exponential bound
 
@@ -34,20 +36,6 @@ _CEILING_TOL = 1e-12
 # trial in memory: the engine the cell code it drew, the log one-byte columns
 # of that code and both outcomes, so an experiment at the cap needs gigabytes.
 MAX_TRIALS = 10**9
-
-
-def lenglart_chebyshev_bound(k: float) -> float:
-    """min(1, sqrt(3)/k), bounding P{S_n >= k sqrt(n)} for any local strategy."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return min(1.0, SQRT3 / k)
-
-
-def independent_chebyshev_bound(k: float) -> float:
-    """min(1, 1/k^2): the comparison bound when trials are independent."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return min(1.0, 1.0 / (k * k))
 
 
 def bernstein_sup_log_bound(n: int, threshold: float) -> float:
@@ -90,10 +78,6 @@ def quantum_side_error_log_bound(n: int, critical_value: float, qm_mean_per_tria
     if margin == 0:
         return 0.0
     return bernstein_sup_log_bound(n, margin)
-
-
-def quantum_side_error_bound(n: int, critical_value: float, qm_mean_per_trial: float) -> float:
-    return math.exp(quantum_side_error_log_bound(n, critical_value, qm_mean_per_trial))
 
 
 @dataclass(frozen=True)

@@ -256,10 +256,6 @@ def read_config_dict(path) -> dict:
     return doc
 
 
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_config_dict(path))
-
-
 def default_config_dict() -> dict:
     """The fully explicit default configuration (for --print-config)."""
     return {

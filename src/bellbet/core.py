@@ -4,10 +4,9 @@ canonical JSON encoder, and the one writer of output files.
 
 Everything here but ``replace_file`` is deterministic and side-effect free:
 angle configurations, settings and their cell codes, trial records,
-coincidence counts, joint bit distributions, the deterministic CHSH
-implication, the cos^2 coincidence law, the cell weights of the statistic
-N12 - N11 - N21 - N22, ``parse_json``, and ``shown``, how an error message
-quotes a value from outside.
+coincidence counts, the cos^2 coincidence law, the cell weights of the
+statistic N12 - N11 - N21 - N22, ``parse_json``, and ``shown``, how an error
+message quotes a value from outside.
 
 Conventions:
   * photon convention throughout: analyzer orientations live modulo pi;
@@ -26,9 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-
-# Tolerance for probability normalization checks.
-NORMALIZATION_TOL = 1e-12
 
 # Per-trial ceiling on the expected statistic under quantum mechanics
 # (Cirel'son bound in this four-coincidence formulation): (sqrt(2)-1)/4.
@@ -129,10 +125,6 @@ def chsh_combination(values):
     return total
 
 
-class InvalidDistributionError(ValueError):
-    """A joint bit distribution fails non-negativity or normalization."""
-
-
 @dataclass(frozen=True)
 class AngleConfig:
     """The four analyzer orientations, in radians (photon convention).
@@ -178,12 +170,6 @@ class AngleConfig:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
 
-# The two canonical angle sets. PI_THIRD_ANGLES gives per-trial mean 1/16;
-# OPTIMAL_ANGLES attains the quantum ceiling (sqrt(2)-1)/4.
-PI_THIRD_ANGLES = AngleConfig(0.0, math.pi / 3.0, -math.pi / 3.0, 0.0)
-OPTIMAL_ANGLES = AngleConfig(math.pi / 8.0, 3.0 * math.pi / 8.0, -math.pi / 4.0, 0.0)
-
-
 @dataclass(frozen=True)
 class Setting:
     """One trial's joint setting: i for the left wing, j for the right."""
@@ -198,11 +184,6 @@ class Setting:
         if self.i not in (1, 2) or self.j not in (1, 2):
             raise ValueError(f"setting indices must be in {{1,2}}, got ({self.i},{self.j})")
         object.__setattr__(self, "cell", cell_code(self.i, self.j))
-
-    @property
-    def privileged(self) -> bool:
-        """True for cell (1,2), the one whose coincidences count positively."""
-        return self.cell == PRIVILEGED_CELL
 
     @classmethod
     def from_cell(cls, cell: int) -> "Setting":
@@ -245,12 +226,6 @@ class TrialRecord:
     def coincided(self) -> bool:
         return self.x == self.y
 
-    @property
-    def delta(self) -> int:
-        """Per-trial statistic increment: the cell's weight on a coincidence,
-        0 otherwise."""
-        return CELL_WEIGHTS[self.setting.cell] if self.coincided else 0
-
 
 @dataclass(frozen=True)
 class CountMatrix:
@@ -270,10 +245,6 @@ class CountMatrix:
                 raise ValueError(
                     f"cell ({name[0]},{name[1]}) needs 0 <= coincidences <= trials, got {c}/{n}"
                 )
-
-    @property
-    def total_trials(self) -> int:
-        return sum(self.trials)
 
     @classmethod
     def from_records(cls, records: "Iterator[TrialRecord] | list[TrialRecord]") -> "CountMatrix":
@@ -316,71 +287,6 @@ class CountMatrix:
         return {f"N{name}": 2 * c - total for name, c in zip(CELL_NAMES, self.coincidences)}
 
 
-@dataclass(frozen=True)
-class JointBitDistribution:
-    """Joint law of four 0/1 variables (X1, X2, Y1, Y2).
-
-    ``p`` has shape (2,2,2,2), indexed [x1][x2][y1][y2]; entries are
-    non-negative and sum to 1 within NORMALIZATION_TOL.
-    """
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.p, dtype=float)
-        if arr.shape != (2, 2, 2, 2):
-            raise InvalidDistributionError(f"expected shape (2,2,2,2), got {arr.shape}")
-        if np.any(arr < -NORMALIZATION_TOL):
-            raise InvalidDistributionError("negative probability entries")
-        if abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise InvalidDistributionError(f"probabilities sum to {arr.sum()!r}, not 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
-
-    @classmethod
-    def point_mass(cls, x1: int, x2: int, y1: int, y2: int) -> "JointBitDistribution":
-        arr = np.zeros((2, 2, 2, 2))
-        arr[x1, x2, y1, y2] = 1.0
-        return cls(arr)
-
-    @classmethod
-    def uniform(cls) -> "JointBitDistribution":
-        return cls(np.full((2, 2, 2, 2), 1.0 / 16.0))
-
-    def probability_equal(self, left_index: int, right_index: int) -> float:
-        """P{X_a = Y_b} for a = left_index, b = right_index (each 1 or 2)."""
-        if left_index not in (1, 2) or right_index not in (1, 2):
-            raise ValueError("variable indices must be 1 or 2")
-        x_axis = left_index - 1          # axis 0 or 1
-        y_axis = 2 + (right_index - 1)   # axis 2 or 3
-        total = 0.0
-        for idx in np.ndindex(2, 2, 2, 2):
-            if idx[x_axis] == idx[y_axis]:
-                total += float(self.p[idx])
-        return total
-
-
-def deterministic_implication_holds(x1: int, x2: int, y1: int, y2: int) -> bool:
-    """Check x1=y2 => (x1=y1 or x2=y1 or x2=y2) for one bit assignment.
-
-    This is the deterministic core of the CHSH inequality; it holds for all
-    16 assignments (following the chain x1!=y1, y1!=x2, x2!=y2 forces y2!=x1).
-    """
-    for name, value in (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2)):
-        if value not in (0, 1):
-            raise ValueError(f"{name} must be a bit, got {value!r}")
-    return (x1 != y2) or (x1 == y1) or (x2 == y1) or (x2 == y2)
-
-
-def bell_inequality_slack(dist: JointBitDistribution) -> float:
-    """P{X1=Y2} - P{X1=Y1} - P{X2=Y1} - P{X2=Y2}; <= 0 for every joint law."""
-    total = float(np.asarray(dist.p).sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-    return chsh_combination([dist.probability_equal(s.i, s.j) for s in SETTINGS_BY_CELL])
-
-
 def coincidence_probability(delta: float) -> float:
     """Coincidence law for equally polarized photons: cos^2(delta).
 
@@ -391,31 +297,7 @@ def coincidence_probability(delta: float) -> float:
     return math.cos(delta) ** 2
 
 
-def spin_half_coincidence_probability(delta: float) -> float:
-    """Coincidence law for an anti-correlated spin-half pair: sin^2(delta/2).
-
-    Period 2*pi; used to check the photon-to-spin angle translation.
-    """
-    if not math.isfinite(delta):
-        raise ValueError(f"angle difference must be finite, got {delta!r}")
-    return math.sin(delta / 2.0) ** 2
-
-
 def chsh_count_statistic(counts: CountMatrix) -> int:
     """The adjudicated statistic N12 - N11 - N21 - N22."""
     return chsh_combination(counts.coincidences)
 
-
-def photon_to_spin_angles(angles: AngleConfig) -> AngleConfig:
-    """Translate photon analyzer angles to the spin-half experiment:
-    double every angle, then rotate the right wing by 180 degrees.
-
-    Applying the anti-correlated spin-half law sin^2(diff/2) to the result
-    reproduces the photon coincidence probabilities of the input.
-    """
-    return AngleConfig(
-        2.0 * angles.alpha1,
-        2.0 * angles.alpha2,
-        2.0 * angles.beta1 + math.pi,
-        2.0 * angles.beta2 + math.pi,
-    )

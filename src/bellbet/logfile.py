@@ -488,13 +488,3 @@ def read_log(path) -> tuple[LogHeader, TrialLog | None, LogValidation]:
     validation = validate_raw_records(header, records)
     log = None if validation.corrupt else TrialLog.from_raw(header, records)
     return header, log, validation
-
-
-def load_log(path) -> TrialLog:
-    """Read and structurally validate a complete log file."""
-    _, log, validation = read_log(path)
-    if not validation.ok:
-        raise LogFormatError(
-            f"{path}: invalid log: " + "; ".join(validation.violations[:5])
-        )
-    return log

@@ -407,24 +407,29 @@ class RemoteStation:
             pass  # already gone
 
 
-def _handshake(sock: socket.socket, transcript: Transcript) -> str:
+def _handshake(sock: socket.socket, transcript: Transcript) -> tuple[str, dict]:
+    """A station's role and HELLO frame. A refused frame is recorded when it
+    arrives; ``referee_serve`` records accepted ones in role order."""
     doc = recv_frame(sock)
-    transcript.add("recv", doc.get("kind"), doc.get("trial"), doc.get("side"))
-    if doc.get("kind") != KIND_HELLO:
-        raise ProtocolAbort(f"expected HELLO, got {doc.get('kind')}")
-    body = _json_body(doc["body"])
-    version = body.get("version")
-    role = body.get("role")
-    if type(version) is not int or version != PROTOCOL_VERSION:  # 2.0 is no version
-        reason = json.dumps({"reason": f"protocol version {version} unsupported"})
-        try:
-            sock.sendall(encode_frame(KIND_ABORT, None, None, reason.encode("ascii")))
-        except OSError as exc:  # a client gone already is dropped like any other
-            raise FrameError(f"cannot send to a station: {exc}") from exc
-        raise ProtocolAbort(f"station offered protocol version {version}")
-    if role not in SIDES:
-        raise ProtocolAbort(f"HELLO with unknown role {role!r}")
-    return role
+    try:
+        if doc.get("kind") != KIND_HELLO:
+            raise ProtocolAbort(f"expected HELLO, got {doc.get('kind')}")
+        body = _json_body(doc["body"])
+        version = body.get("version")
+        role = body.get("role")
+        if type(version) is not int or version != PROTOCOL_VERSION:  # 2.0 is no version
+            reason = json.dumps({"reason": f"protocol version {version} unsupported"})
+            try:
+                sock.sendall(encode_frame(KIND_ABORT, None, None, reason.encode("ascii")))
+            except OSError as exc:  # a client gone already is dropped like any other
+                raise FrameError(f"cannot send to a station: {exc}") from exc
+            raise ProtocolAbort(f"station offered protocol version {version}")
+        if role not in SIDES:
+            raise ProtocolAbort(f"HELLO with unknown role {role!r}")
+    except ProtocolAbort:
+        transcript.add("recv", doc.get("kind"), doc.get("trial"), doc.get("side"))
+        raise
+    return role, doc
 
 
 def referee_serve(
@@ -456,21 +461,29 @@ def referee_serve(
         listener.settimeout(trial_timeout)
         if ready_callback is not None:
             ready_callback(listener.getsockname()[:2])
-        while set(connections) != set(SIDES):
-            try:
-                sock, _addr = listener.accept()
-            except socket.timeout as exc:
-                raise ProtocolAbort("stations did not connect in time") from exc
-            _no_delay(sock).settimeout(trial_timeout)
-            try:
-                role = _handshake(sock, transcript)
-            except ProtocolAbort:
-                sock.close()
-                continue
-            if role in connections:
-                sock.close()
-                raise ProtocolAbort(f"duplicate HELLO for role {role}")
-            connections[role] = sock
+        hellos: dict[str, dict] = {}
+        try:
+            while set(connections) != set(SIDES):
+                try:
+                    sock, _addr = listener.accept()
+                except socket.timeout as exc:
+                    raise ProtocolAbort("stations did not connect in time") from exc
+                _no_delay(sock).settimeout(trial_timeout)
+                try:
+                    role, hello = _handshake(sock, transcript)
+                except ProtocolAbort:
+                    sock.close()
+                    continue
+                if role in connections:
+                    sock.close()
+                    transcript.add("recv", KIND_HELLO, hello.get("trial"), hello.get("side"))
+                    raise ProtocolAbort(f"duplicate HELLO for role {role}")
+                connections[role], hellos[role] = sock, hello
+        finally:
+            # In role order, whichever station connected first, so two serves
+            # of one config with the same answers write the same transcript.
+            for hello in (hellos[side] for side in SIDES if side in hellos):
+                transcript.add("recv", KIND_HELLO, hello.get("trial"), hello.get("side"))
 
         config_body = config.canonical_json().encode("ascii")
         stations = {}

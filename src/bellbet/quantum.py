@@ -43,29 +43,17 @@ class QuantumModel:
 
 def cell_coincidence_probability(model: QuantumModel, setting: Setting) -> float:
     """Exact coincidence probability for one cell; the same value drives
-    ``sample_pair``, which is the consistency contract between the two."""
+    ``OracleSampler``, which is the consistency contract between the two."""
     c = coincidence_probability(model.angles.difference(setting.i, setting.j))
     if model.correlation_sense == OPPOSITE_POLARIZATION:
         return 1.0 - c
     return c
 
 
-def sample_pair(model: QuantumModel, setting: Setting, u):
-    """Outcomes (x, y) by inverse CDF on the four-point law: ints for one
-    uniform, uint8 columns for an array of them.
-
-    Region layout: [0, c/2) -> (0,0); [c/2, c) -> (1,1); [c, (1+c)/2) ->
-    (0,1); [(1+c)/2, 1) -> (1,0).
-    """
-    x, y = _regions(cell_coincidence_probability(model, setting), u)
-    if isinstance(x, np.ndarray):
-        return x.view(np.uint8), y.view(np.uint8)
-    return int(x), int(y)
-
-
 def _regions(c, u):
-    """``sample_pair``'s region rule for coincidence probability ``c``, as
-    outcome bools. Comparisons and ``& | ^`` only, so a float ``u`` gives
+    """``OracleSampler``'s region rule for coincidence probability ``c``, by
+    inverse CDF on the four-point law: [0, c/2) -> (0,0); [c/2, c) -> (1,1);
+    [c, (1+c)/2) -> (0,1); [(1+c)/2, 1) -> (1,0), as outcome bools. Comparisons and ``& | ^`` only, so a float ``u`` gives
     Python bools and arrays give bool arrays from the same IEEE steps."""
     x = (0.5 * c <= u) & (u < c) | (u >= 0.5 * (1.0 + c))
     return x, x ^ (u >= c)

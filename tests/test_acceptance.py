@@ -19,23 +19,25 @@ import mpmath
 import numpy as np
 import pytest
 
-from bellbet.bounds import bernstein_sup_bound, quantum_side_error_bound
+from bellbet.bounds import bernstein_sup_bound, quantum_side_error_log_bound
 from bellbet.cli import EXIT_OK, EXIT_VALIDATION, main as cli_main
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import (
-    OPTIMAL_ANGLES,
-    PI_THIRD_ANGLES,
-    JointBitDistribution,
-    Setting,
-    bell_inequality_slack,
-    deterministic_implication_holds,
-)
+from bellbet.core import Setting, setting_indices
 from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.net import audit_transcript, referee_serve
-from bellbet.quantum import QuantumModel, cell_coincidence_probability, sample_pair
-from bellbet.referee import build_report, replay_verify, run_experiment
+from bellbet.quantum import QuantumModel, cell_coincidence_probability
+from bellbet.referee import build_report, replay_verify, run_experiment, statistic_deltas
 from bellbet.rng import ROLE_ORACLE, TrialUniforms, settings_cells
+from bellbet.strategies import ASSIGNMENT_BITS
+from theory import (
+    OPTIMAL_ANGLES,
+    PI_THIRD_ANGLES,
+    JointBitDistribution,
+    bell_inequality_slack,
+    deterministic_implication_holds,
+    sample_pair,
+)
 
 MU_OPTIMAL = (math.sqrt(2.0) - 1.0) / 4.0
 MU_PI_THIRD = 1.0 / 16.0
@@ -198,16 +200,26 @@ def network_run(tmp_path_factory):
 # --- criteria ----------------------------------------------------------------
 
 
-@criterion(1, "deterministic CHSH core")
+@criterion(1, "deterministic CHSH core, on the referee's own rule")
 def test_criterion_1_deterministic_core():
     for bits in itertools.product((0, 1), repeat=4):
         assert deterministic_implication_holds(*bits), bits
+    # Each deterministic assignment (x1, x2, y1, y2) answered in each cell
+    # (i, j): x from the left column i - 1, y from the right column j + 1.
+    # The referee's increments over the four cells sum to at most 0.
+    cells = np.arange(4, dtype=np.uint8)
+    i, j = setting_indices(cells)
+    sums = [int(statistic_deltas(cells, bits[i - 1], bits[j + 1]).sum()) for bits in ASSIGNMENT_BITS]
+    assert all(total <= 0 for total in sums), sums
+    assert max(sums) == 0
+    # The CHSH slack of each assignment's point mass is that same sum.
     slacks = [
         bell_inequality_slack(JointBitDistribution.point_mass(*bits))
-        for bits in itertools.product((0, 1), repeat=4)
+        for bits in ASSIGNMENT_BITS.tolist()
     ]
+    assert slacks == sums
     assert max(slacks) == 0.0
-    return "16/16 implications hold; max deterministic slack = 0 exactly"
+    return "16/16 implications hold; max over assignments of the referee's summed increments = 0 exactly"
 
 
 @criterion(2, "quantum coincidence law at both canonical angle sets")
@@ -263,7 +275,7 @@ def test_criterion_3_design(capsys):
         assert doc["local_realist_error_bound"] <= 1e-6
         assert doc["quantum_claimant_error_bound"] <= 1e-6
         assert bernstein_sup_bound(doc["n"], doc["critical_value"]) <= 1e-6
-        assert quantum_side_error_bound(doc["n"], doc["critical_value"], mu) <= 1e-6
+        assert math.exp(quantum_side_error_log_bound(doc["n"], doc["critical_value"], mu)) <= 1e-6
     return f"n={optimal['n']} (C={optimal['critical_value']}) and n={pi_third['n']} (C={pi_third['critical_value']})"
 
 

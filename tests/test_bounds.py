@@ -13,13 +13,11 @@ from bellbet.bounds import (
     bernstein_sup_log_bound,
     design_for,
     design_protocol,
-    independent_chebyshev_bound,
-    lenglart_chebyshev_bound,
     midpoint_critical_value,
-    quantum_side_error_bound,
     quantum_side_error_log_bound,
 )
 from bellbet.core import QUANTUM_CEILING
+from theory import independent_chebyshev_bound, lenglart_chebyshev_bound
 
 MU_OPTIMAL = (math.sqrt(2.0) - 1.0) / 4.0
 
@@ -121,14 +119,14 @@ class TestBernsteinSupBound:
 
 class TestQuantumSideBound:
     def test_canonical_design_point(self):
-        assert quantum_side_error_bound(25_000, 1250, MU_OPTIMAL) < 1e-6
+        assert math.exp(quantum_side_error_log_bound(25_000, 1250, MU_OPTIMAL)) < 1e-6
 
     def test_pi_third_design_point(self):
-        assert quantum_side_error_bound(65_000, 65_000 // 32, 1.0 / 16.0) < 1e-6
+        assert math.exp(quantum_side_error_log_bound(65_000, 65_000 // 32, 1.0 / 16.0)) < 1e-6
 
     def test_degenerate_threshold_returns_one(self):
         n, mu = 1000, 0.1
-        assert quantum_side_error_bound(n, n * mu, mu) == 1.0
+        assert math.exp(quantum_side_error_log_bound(n, n * mu, mu)) == 1.0
 
     def test_infeasible_threshold_rejected(self):
         with pytest.raises(ValueError):

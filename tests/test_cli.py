@@ -26,9 +26,8 @@ from bellbet.cli import (
     eval_angle,
     main,
 )
-from bellbet.config import load_config
-from bellbet.core import OPTIMAL_ANGLES
-from bellbet.logfile import load_log
+from bellbet.config import config_from_dict, read_config_dict
+from bellbet.logfile import read_log
 from bellbet.net import (
     KIND_CONFIG,
     KIND_LAMBDA,
@@ -40,6 +39,7 @@ from bellbet.net import (
 from bellbet.quantum import CORRELATION_SENSES
 from bellbet.referee import RefereeEngine, build_report, run_experiment, summarize, tally
 from bellbet.strategies import LOCAL_STRATEGY_NAMES
+from theory import OPTIMAL_ANGLES
 
 BAD_PARAMS = [
     ("constant", {"bit": 2}),
@@ -140,7 +140,8 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", "b.log"]) == EXIT_OK
         report = (tmp_path / "b.log.report.json").read_text()
         assert capsys.readouterr().out == report + "\n"
-        assert load_log(tmp_path / "b.log").complete
+        _, log, validation = read_log(tmp_path / "b.log")
+        assert validation.ok and log.complete
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "b.log",
             "b.log.report.json",
@@ -305,7 +306,7 @@ class TestRun:
         config = side_config(tmp_path, side, mode=mode, n=300, seed=5)
         out = tmp_path / "bet.log"
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
-        expected = RefereeEngine(load_config(config)).run()
+        expected = RefereeEngine(config_from_dict(read_config_dict(config))).run()
         report_text = json.dumps(build_report(expected), indent=2, sort_keys=True)
         assert out.read_bytes() == expected.log.to_bytes()
         assert (tmp_path / "bet.log.report.json").read_text() == report_text
@@ -406,7 +407,8 @@ class TestAnalyzeValidate:
         )
         main(["analyze", "--log", str(finished_run)])
         analysis = json.loads(capsys.readouterr().out)
-        log = load_log(finished_run)
+        _, log, validation = read_log(finished_run)
+        assert validation.ok
         shared = summarize(log, *tally(log))
         assert len(shared) == 11
         for key in shared:
@@ -669,7 +671,7 @@ class TestAnalyzeValidate:
         config = write_config(tmp_path, side=side, mode="cloned-source", n=400)
         out = tmp_path / "cloned.log"
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
-        batch_doc = {**load_config(config).to_dict(), "mode": "batch"}
+        batch_doc = {**config_from_dict(read_config_dict(config)).to_dict(), "mode": "batch"}
         canonical = json.dumps(batch_doc, sort_keys=True, separators=(",", ":"))
         header_line, records = out.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)

@@ -17,12 +17,13 @@ from bellbet.config import (
     SideSpec,
     config_from_dict,
     default_config_dict,
-    load_config,
     mean_per_trial,
+    read_config_dict,
 )
-from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig, Setting
+from bellbet.core import AngleConfig, Setting
 from bellbet.quantum import QuantumModel, cell_coincidence_probability, expected_statistic_per_trial
 from bellbet.strategies import LOCAL_STRATEGY_NAMES
+from theory import OPTIMAL_ANGLES, PI_THIRD_ANGLES
 
 
 def base_doc(**overrides):
@@ -191,7 +192,7 @@ class TestParsing:
         path = tmp_path / "config.json"
         path.write_bytes(data)
         with pytest.raises(ConfigError, match="is not valid JSON"):
-            load_config(path)
+            read_config_dict(path)
 
     def test_critical_value_must_be_attainable(self):
         with pytest.raises(ConfigError):

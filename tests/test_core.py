@@ -1,4 +1,5 @@
-"""Core math: deterministic CHSH implication, slack, coincidence laws."""
+"""Core math: domain types, coincidence laws, and the CHSH references in
+``theory`` (deterministic implication, slack, spin-half translation)."""
 
 import itertools
 import json
@@ -10,28 +11,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbet.core import (
-    OPTIMAL_ANGLES,
-    PI_THIRD_ANGLES,
+    PRIVILEGED_CELL,
     QUANTUM_CEILING,
     SETTINGS_BY_CELL,
     AngleConfig,
     CountMatrix,
-    InvalidDistributionError,
-    JointBitDistribution,
     Setting,
     TrialRecord,
-    bell_inequality_slack,
     cell_code,
     chsh_count_statistic,
     coincidence_probability,
-    deterministic_implication_holds,
     parse_json,
-    photon_to_spin_angles,
     setting_indices,
-    spin_half_coincidence_probability,
 )
 from bellbet.logfile import LogHeader, TrialLog
 from bellbet.quantum import QuantumModel, expected_statistic_per_trial
+from bellbet.referee import statistic_deltas
+from theory import (
+    OPTIMAL_ANGLES,
+    PI_THIRD_ANGLES,
+    InvalidDistributionError,
+    JointBitDistribution,
+    bell_inequality_slack,
+    deterministic_implication_holds,
+    photon_to_spin_angles,
+    spin_half_coincidence_probability,
+)
 
 
 def brute_force_slack(p: np.ndarray) -> float:
@@ -228,7 +233,7 @@ class TestCountStatistic:
         for cells in (uint8_cells, uint8_cells.astype(np.int64)):
             from_columns = CountMatrix.from_columns(cells, x, y)
             assert from_columns == CountMatrix.from_records(log.records())
-            assert from_columns.total_trials == len(log)
+            assert sum(from_columns.trials) == len(log)
 
     @pytest.mark.parametrize("count", [0, 1, 37])
     def test_from_columns_matches_from_records(self, count):
@@ -299,14 +304,21 @@ class TestDomainTypes:
 
     def test_setting_cells(self):
         assert [Setting.from_cell(v).cell for v in range(4)] == [0, 1, 2, 3]
-        assert Setting(1, 2).privileged
-        assert not Setting(2, 1).privileged
+        assert Setting(1, 2).cell == PRIVILEGED_CELL
+        assert Setting(2, 1).cell != PRIVILEGED_CELL
 
     def test_trial_record(self):
-        rec = TrialRecord(m=1, setting=Setting(1, 2), x=1, y=1)
-        assert rec.delta == 1
-        assert TrialRecord(m=2, setting=Setting(2, 2), x=0, y=0).delta == -1
-        assert TrialRecord(m=3, setting=Setting(1, 1), x=0, y=1).delta == 0
+        records = [
+            TrialRecord(m=1, setting=Setting(1, 2), x=1, y=1),
+            TrialRecord(m=2, setting=Setting(2, 2), x=0, y=0),
+            TrialRecord(m=3, setting=Setting(1, 1), x=0, y=1),
+        ]
+        # The referee's increments of these trials' cell, x and y columns.
+        columns = [
+            np.array(column, dtype=np.uint8)
+            for column in zip(*((rec.setting.cell, rec.x, rec.y) for rec in records))
+        ]
+        assert statistic_deltas(*columns).tolist() == [1, -1, 0]
         with pytest.raises(ValueError):
             TrialRecord(m=0, setting=Setting(1, 1), x=0, y=0)
         with pytest.raises(ValueError):

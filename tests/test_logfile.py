@@ -19,7 +19,6 @@ from bellbet.logfile import (
     LogFormatError,
     LogHeader,
     TrialLog,
-    load_log,
     read_log,
     read_raw_log,
     validate_raw_records,
@@ -60,7 +59,8 @@ class TestRoundTrip:
         log = small_log()
         path = tmp_path / "trial.log"
         log.write(path)
-        loaded = load_log(path)
+        _, loaded, validation = read_log(path)
+        assert validation.ok
         assert loaded.to_bytes() == log.to_bytes()
         assert loaded.header == log.header
         assert [r for r in loaded.records()] == [r for r in log.records()]
@@ -110,7 +110,8 @@ class TestRoundTrip:
         log = small_log()
         path = tmp_path / "trial.log"
         log.write(path)
-        loaded = load_log(path)
+        _, loaded, validation = read_log(path)
+        assert validation.ok
         for got, want in zip(loaded.columns(), log.columns()):
             assert got.dtype == want.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
@@ -403,8 +404,9 @@ class TestFileErrors:
         path = tmp_path / "truncated.log"
         lines = log.to_bytes().decode().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(LogFormatError):
-            load_log(path)
+        _, loaded, validation = read_log(path)
+        assert not validation.ok and validation.incomplete
+        assert len(loaded) == len(log) - 1
 
 
 def full_log(n, seed=0):

@@ -9,12 +9,13 @@ import pytest
 
 from bellbet.bounds import MAX_TRIALS
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import MODES, OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig
+from bellbet.core import MODES, AngleConfig
 from bellbet.logfile import read_log
 from bellbet.montecarlo import simulate_many, simulate_result, simulate_run
 from bellbet.quantum import CORRELATION_SENSES
 from bellbet.referee import RefereeEngine, StatisticTrace, build_report, run_experiment
 from bellbet.strategies import LOCAL_STRATEGY_NAMES, StrategyError
+from theory import OPTIMAL_ANGLES, PI_THIRD_ANGLES
 
 # Both quantum senses, every honest registry strategy with its default
 # parameters, and the constant strategy's other bit.

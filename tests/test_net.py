@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellbet.config import ConfigError, config_from_dict
-from bellbet.core import OPTIMAL_ANGLES
 from bellbet.net import (
     KIND_ABORT,
     KIND_BROADCAST,
@@ -45,6 +44,7 @@ from bellbet.net import (
 )
 from bellbet.referee import ABORT_PROTOCOL, ProtocolAbort, build_report, run_experiment
 from bellbet.strategies import Strategy, TrialView
+from theory import OPTIMAL_ANGLES
 
 
 # A JSON value nested 100 000 deep: json.loads raises RecursionError on it.
@@ -510,12 +510,13 @@ class TestFrameProperties:
     @settings(max_examples=150, deadline=None)
     def test_handshake_ends_in_a_role_or_a_protocol_abort(self, data):
         sock = BytesSocket(data)
+        transcript = Transcript()
         try:
-            role = _handshake(sock, Transcript())
+            role, hello = _handshake(sock, transcript)
         except ProtocolAbort:
             return
-        assert role in ("left", "right")
-        assert sock.sent == []
+        assert role in ("left", "right") and hello["kind"] == KIND_HELLO
+        assert sock.sent == [] and transcript.entries == []
 
 
 class TestLoopbackEquivalence:
@@ -559,6 +560,38 @@ class TestLoopbackEquivalence:
         assert audit_transcript(entries).ok
         assert entries[0]["seq"] == 1
         assert entries == [json.loads(line) for line in path.read_text(encoding="ascii").splitlines()]
+
+    def test_transcript_does_not_depend_on_which_station_connects_first(self, tmp_path):
+        # One serve has the right station connected before the left one
+        # starts, the other the left before the right: the referee records
+        # the two HELLOs in role order, so the transcripts are equal bytes.
+        config = make_config(n=30, seed=4)
+        transcripts = []
+        for first, second in (("right", "left"), ("left", "right")):
+            path = tmp_path / f"{first}-first.jsonl"
+            thread, box = serve_in_thread(config, trial_timeout=15.0, transcript_path=path)
+            clients = {role: StationClient(role, box["endpoint"], timeout=15.0) for role in (first, second)}
+            statuses = {}
+
+            def run(role):
+                statuses[role] = clients[role].run()
+
+            threads = {role: threading.Thread(target=run, args=(role,), daemon=True) for role in clients}
+            threads[first].start()
+            deadline = time.monotonic() + 10.0
+            while clients[first].sock is None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert clients[first].sock is not None, f"{first} station did not connect"
+            threads[second].start()
+            for worker in (*threads.values(), thread):
+                worker.join(30)
+                assert not worker.is_alive()
+            assert "error" not in box, box.get("error")
+            assert statuses == {"left": 0, "right": 0}
+            transcripts.append(path.read_bytes())
+        hellos = [json.loads(line) for line in transcripts[0].splitlines()[:2]]
+        assert [(e["kind"], e["side"]) for e in hellos] == [(KIND_HELLO, "left"), (KIND_HELLO, "right")]
+        assert transcripts[0] == transcripts[1]
 
     def test_cut_or_edited_transcript_fails_the_audit_by_line(self, tmp_path):
         # A transcript cut mid-line, or with a byte that is no UTF-8, reads

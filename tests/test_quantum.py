@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bellbet.core import OPTIMAL_ANGLES, PI_THIRD_ANGLES, AngleConfig, Setting
+from bellbet.core import AngleConfig, Setting
 from bellbet.quantum import (
     OPPOSITE_POLARIZATION,
     OracleSampler,
     QuantumModel,
     cell_coincidence_probability,
-    sample_pair,
 )
 from bellbet.rng import ROLE_ORACLE, TrialUniforms, settings_cells
+from theory import OPTIMAL_ANGLES, PI_THIRD_ANGLES, sample_pair
 
 PI_THIRD_MODEL = QuantumModel(PI_THIRD_ANGLES)
 OPTIMAL_MODEL = QuantumModel(OPTIMAL_ANGLES)

@@ -10,12 +10,7 @@ import pytest
 
 from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import (
-    CELL_WEIGHTS,
-    OPTIMAL_ANGLES,
-    CountMatrix,
-    chsh_count_statistic,
-)
+from bellbet.core import CELL_WEIGHTS, CountMatrix, chsh_count_statistic
 from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.referee import (
@@ -40,6 +35,7 @@ from bellbet.strategies import (
     Strategy,
     build_strategy,
 )
+from theory import OPTIMAL_ANGLES
 
 ANGLES = list(OPTIMAL_ANGLES.as_tuple())
 

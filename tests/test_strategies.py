@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bellbet.core import OPTIMAL_ANGLES, Setting, TrialRecord
+from bellbet.core import Setting, TrialRecord
 from bellbet.strategies import (
     ASSIGNMENT_BITS,
     ASSIGNMENT_VALUES,
@@ -33,6 +33,7 @@ from bellbet.strategies import (
     build_strategy,
     polarizer_passes,
 )
+from theory import OPTIMAL_ANGLES, JointBitDistribution, bell_inequality_slack
 
 
 def prepared(name, seed=11, n=64, mode="sequential", params=None):
@@ -349,14 +350,10 @@ def reference_assignment_bits(k):
 class TestDeterministicOptimal:
     def test_assignment_attains_zero_slack(self):
         x1, x2, y1, y2 = (int(b) for b in ASSIGNMENT_BITS[OPTIMAL_ASSIGNMENT])
-        from bellbet.core import JointBitDistribution, bell_inequality_slack
-
         assert bell_inequality_slack(JointBitDistribution.point_mass(x1, x2, y1, y2)) == 0.0
 
     def test_optimal_assignment_is_first_maximizer(self):
         # Reference: the slack of each of the 16 point masses.
-        from bellbet.core import JointBitDistribution, bell_inequality_slack
-
         slacks = [
             bell_inequality_slack(JointBitDistribution.point_mass(*reference_assignment_bits(k)))
             for k in range(16)
