@@ -108,6 +108,12 @@ PRIVILEGED_CELL = 1
 # "11", "12", "21", "22": each cell code's name in count documents.
 CELL_NAMES = tuple(f"{i}{j}" for i, j in map(setting_indices, range(4)))
 
+# Each wing's column per cell code among the angles (alpha1, alpha2, beta1,
+# beta2) of ``AngleConfig.as_tuple``: row 0 holds the left wing's i - 1 and
+# row 1 the right wing's j + 1, the two terms of the cell's alpha_i - beta_j.
+CELL_COLUMNS = np.array([(i - 1, j + 1) for i, j in map(setting_indices, range(4))]).T
+CELL_COLUMNS.flags.writeable = False
+
 # The statistic's weight per cell code: +1 for the privileged cell, -1 for
 # the other three, so S = N12 - N11 - N21 - N22 = sum of weight * N_cell.
 CELL_WEIGHTS = tuple(1 if cell == PRIVILEGED_CELL else -1 for cell in range(4))
@@ -146,26 +152,6 @@ class AngleConfig:
             if not number or not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite, got {value!r}")
 
-    def left(self, index: int) -> float:
-        """Left-station orientation for setting index 1 or 2."""
-        if index == 1:
-            return self.alpha1
-        if index == 2:
-            return self.alpha2
-        raise ValueError(f"setting index must be 1 or 2, got {index}")
-
-    def right(self, index: int) -> float:
-        """Right-station orientation for setting index 1 or 2."""
-        if index == 1:
-            return self.beta1
-        if index == 2:
-            return self.beta2
-        raise ValueError(f"setting index must be 1 or 2, got {index}")
-
-    def difference(self, i: int, j: int) -> float:
-        """Orientation difference alpha_i - beta_j for cell (i, j)."""
-        return self.left(i) - self.right(j)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
@@ -177,7 +163,7 @@ class Setting:
     i: int
     j: int
     # The cell code in 0..3 (see ``cell_code``), computed once: the oracle
-    # and the adaptive tracker read it on every trial.
+    # reads it on every trial.
     cell: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -211,16 +197,6 @@ class TrialRecord:
             raise ValueError(f"trial index must be >= 1, got {self.m}")
         if self.x not in (0, 1) or self.y not in (0, 1):
             raise ValueError(f"outcomes must be bits, got x={self.x!r}, y={self.y!r}")
-
-    @classmethod
-    def checked(cls, m: int, setting: Setting, x: int, y: int) -> "TrialRecord":
-        """The record of fields the caller has already checked, built without
-        running those checks again or the frozen ``__init__``'s per-field
-        ``object.__setattr__``: a log's reader builds one per trial read."""
-        record = object.__new__(cls)
-        fields = record.__dict__
-        fields["m"], fields["setting"], fields["x"], fields["y"] = m, setting, x, y
-        return record
 
     @property
     def coincided(self) -> bool:

@@ -42,7 +42,6 @@ message and ``last_valid`` comes from that path alone.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -184,21 +183,19 @@ def _count_of(size: int, n: int) -> int | None:
     return None if size else 0
 
 
-class TrialLog(Sequence):
-    """In-memory trial log backed by compact per-column arrays.
-
-    As a ``Sequence[TrialRecord]`` it indexes from 0 (negative indices count
-    from the end), so ``log[-1]`` is the last committed trial.
-    """
+class TrialLog:
+    """In-memory trial log: each committed trial is its drawn cell code and
+    both outcome bits, one byte each in three columns read by ``columns``."""
 
     def __init__(self, header: LogHeader):
+        self._hold(header, bytearray(header.n), bytearray(header.n), bytearray(header.n), 0)
+
+    def _hold(self, header: LogHeader, cells: bytearray, x: bytearray, y: bytearray, count: int):
+        """Hold three byte columns, ``count`` trials committed; ``commit`` stores into them."""
         self.header = header
-        # One byte per trial in each column: ``commit`` is a plain store, and
-        # ``columns`` views the committed prefix as uint8 arrays.
-        self._cells = bytearray(header.n)
-        self._x = bytearray(header.n)
-        self._y = bytearray(header.n)
-        self._count = 0
+        self._cells, self._x, self._y = cells, x, y
+        self._count = count
+        self._views = None  # made by the first ``columns`` call
 
     def __len__(self) -> int:
         return self._count
@@ -209,9 +206,8 @@ class TrialLog(Sequence):
 
     def commit(self, cell: int, x: int, y: int) -> None:
         """Append the next trial from its cell code and outcome bits, which
-        the caller has checked: the one way a trial enters a log. No record
-        is built; ``record`` builds one when it is read. A full log raises
-        IndexError."""
+        the caller has checked: the one way a trial enters a log. A full log
+        raises IndexError."""
         idx = self._count
         self._cells[idx] = cell
         self._x[idx] = x
@@ -219,24 +215,23 @@ class TrialLog(Sequence):
         self._count = idx + 1
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cells, x, y) arrays for the committed trials, in order."""
+        """(cells, x, y) read-only uint8 arrays of the committed trials, in
+        order, which later commits leave unchanged: slices of views made by
+        the first call, once per log, so building a log makes none."""
+        if self._views is None:
+            # dtype is passed by position: frombuffer parses a keyword slowly.
+            self._views = [np.frombuffer(col, np.uint8) for col in (self._cells, self._x, self._y)]
+            for view in self._views:
+                view.flags.writeable = False
         c = self._count
-        cols = self._cells, self._x, self._y
-        return tuple(np.frombuffer(col, dtype=np.uint8, count=c) for col in cols)
-
-    def record(self, m: int) -> TrialRecord:
-        """Trial m, built from the columns, which hold only checked values."""
-        if not 1 <= m <= self._count:
-            raise IndexError(f"trial {m} outside 1..{self._count}")
-        idx = m - 1
-        return TrialRecord.checked(m, SETTINGS_BY_CELL[self._cells[idx]], self._x[idx], self._y[idx])
-
-    def __getitem__(self, index: int) -> TrialRecord:
-        return self.record(index + 1 if index >= 0 else self._count + index + 1)
+        cells, x, y = self._views
+        return cells[:c], x[:c], y[:c]
 
     def records(self) -> Iterator[TrialRecord]:
-        for m in range(1, self._count + 1):
-            yield self.record(m)
+        """Each committed trial as a ``TrialRecord``, built from the columns."""
+        columns = (col.tolist() for col in self.columns())
+        for m, (cell, x, y) in enumerate(zip(*columns), start=1):
+            yield TrialRecord(m, SETTINGS_BY_CELL[cell], x, y)
 
     # --- serialization ---------------------------------------------------
 
@@ -284,9 +279,7 @@ class TrialLog(Sequence):
         checked values, sized by them rather than by ``header.n``: a log read
         from disk may name any n in its header."""
         log = cls.__new__(cls)
-        log.header = header
-        log._cells, log._x, log._y = (bytearray(col) for col in (cells, x, y))
-        log._count = len(log._cells)
+        log._hold(header, *(bytearray(col) for col in (cells, x, y)), len(cells))
         return log
 
 

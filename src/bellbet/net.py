@@ -407,9 +407,10 @@ class RemoteStation:
             pass  # already gone
 
 
-def _handshake(sock: socket.socket, transcript: Transcript) -> tuple[str, dict]:
-    """A station's role and HELLO frame. A refused frame is recorded when it
-    arrives; ``referee_serve`` records accepted ones in role order."""
+def _handshake(sock: socket.socket, transcript: Transcript, taken: dict) -> tuple[str, dict]:
+    """A station's role and HELLO frame; a role in ``taken`` is refused. A
+    refused frame is recorded when it arrives; ``referee_serve`` records
+    accepted ones in role order."""
     doc = recv_frame(sock)
     try:
         if doc.get("kind") != KIND_HELLO:
@@ -426,6 +427,8 @@ def _handshake(sock: socket.socket, transcript: Transcript) -> tuple[str, dict]:
             raise ProtocolAbort(f"station offered protocol version {version}")
         if role not in SIDES:
             raise ProtocolAbort(f"HELLO with unknown role {role!r}")
+        if role in taken:
+            raise ProtocolAbort(f"duplicate HELLO for role {role}")
     except ProtocolAbort:
         transcript.add("recv", doc.get("kind"), doc.get("trial"), doc.get("side"))
         raise
@@ -470,14 +473,10 @@ def referee_serve(
                     raise ProtocolAbort("stations did not connect in time") from exc
                 _no_delay(sock).settimeout(trial_timeout)
                 try:
-                    role, hello = _handshake(sock, transcript)
+                    role, hello = _handshake(sock, transcript, connections)
                 except ProtocolAbort:
                     sock.close()
                     continue
-                if role in connections:
-                    sock.close()
-                    transcript.add("recv", KIND_HELLO, hello.get("trial"), hello.get("side"))
-                    raise ProtocolAbort(f"duplicate HELLO for role {role}")
                 connections[role], hellos[role] = sock, hello
         finally:
             # In role order, whichever station connected first, so two serves

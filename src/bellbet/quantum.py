@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SETTINGS_BY_CELL, AngleConfig, Setting, chsh_combination, coincidence_probability
+from .core import CELL_COLUMNS, AngleConfig, Setting, chsh_combination, coincidence_probability
 from .rng import ROLE_ORACLE, TrialUniforms
 
 EQUAL_POLARIZATION = "equal-polarization"
@@ -41,10 +41,13 @@ class QuantumModel:
             )
 
 
-def cell_coincidence_probability(model: QuantumModel, setting: Setting) -> float:
-    """Exact coincidence probability for one cell; the same value drives
-    ``OracleSampler``, which is the consistency contract between the two."""
-    c = coincidence_probability(model.angles.difference(setting.i, setting.j))
+def cell_coincidence_probability(model: QuantumModel, cell: int) -> float:
+    """Exact coincidence probability for cell code 0..3, at the angle
+    difference alpha_i - beta_j; the same value drives ``OracleSampler``,
+    which is the consistency contract between the two."""
+    left, right = CELL_COLUMNS[:, cell].tolist()
+    angles = model.angles.as_tuple()
+    c = coincidence_probability(angles[left] - angles[right])
     if model.correlation_sense == OPPOSITE_POLARIZATION:
         return 1.0 - c
     return c
@@ -61,7 +64,7 @@ def _regions(c, u):
 
 def cell_probabilities(model: QuantumModel) -> np.ndarray:
     """``cell_coincidence_probability`` for cell codes 0..3 (11, 12, 21, 22)."""
-    return np.array([cell_coincidence_probability(model, s) for s in SETTINGS_BY_CELL])
+    return np.array([cell_coincidence_probability(model, cell) for cell in range(4)])
 
 
 def expected_statistic_per_trial(model: QuantumModel) -> float:

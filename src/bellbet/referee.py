@@ -12,9 +12,10 @@ One experiment is one logical sequential loop. Per trial the referee:
   4. runs the between-trial broadcast (full trial data in sequential mode;
      own-wing data only in cloned-source mode).
 
-The committed log is the engine's only record of the trials: the source's
-history in sequential mode is the log itself, and counts, the statistic and
-its running supremum are computed from the log's columns.
+The committed log, each trial's drawn cell code and outcome bits, is the
+engine's only record of the trials: the source's history in sequential mode
+is the log itself, and counts, the statistic and its running supremum are
+computed from its read-only columns.
 
 Settings come from a private, documented counter-based stream (Philox keyed
 by the experiment seed), so a finished log can be replayed bit-exactly. The
@@ -153,9 +154,9 @@ class StatisticTrace:
         """sup_{m<=n} S_m (0 for an empty trace)."""
         return int(self.running_sum.max()) if self.n else 0
 
-    def variance_budget(self, m: int | None = None) -> float:
-        """Upper bound on the predictable variance V_m: 3/4 per trial."""
-        return 0.75 * (self.n if m is None else m)
+    def variance_budget(self) -> float:
+        """Upper bound on the predictable variance V_n: 3/4 per trial."""
+        return 0.75 * self.n
 
 
 @dataclass(frozen=True)
@@ -453,7 +454,7 @@ class RefereeEngine:
         commit, source_emit = log.commit, self.strategy.source_emit
         left, right = self._stations
         sequential = self.mode == "sequential"
-        history = log if sequential else ()
+        history = log if sequential else TrialLog.from_raw(log.header, [])
         new_tuple = tuple.__new__
         for m in range(1, self.n + 1):
             message = source_emit(m, history)

@@ -32,11 +32,12 @@ import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
+from typing import Any, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import CELL_WEIGHTS, AngleConfig, TrialRecord, setting_indices
+from .core import CELL_COLUMNS, CELL_WEIGHTS, AngleConfig
+from .logfile import TrialLog
 from .rng import ROLE_LEFT, ROLE_RIGHT, ROLE_SOURCE, TrialUniforms
 
 LEFT = "left"
@@ -108,14 +109,10 @@ def _wing_uniforms(seed: int, n: int) -> dict[str, TrialUniforms]:
 def wing_column(side: str, setting_index):
     """Where a wing's setting index falls among the four per-wing entries
     ordered (left 1, left 2, right 1, right 2): the bits (x1, x2, y1, y2) of
-    an assignment and the angles (alpha1, alpha2, beta1, beta2) of
-    ``AngleConfig.as_tuple``. Elementwise on index arrays."""
+    an assignment and the angles of ``AngleConfig.as_tuple``. Per cell code,
+    both wings' columns are ``core.CELL_COLUMNS``."""
     return setting_index - 1 if side == LEFT else setting_index + 1
 
-
-# Each wing's column for cell codes 0..3, the whole-run form of wing_column:
-# [0, 0, 1, 1] on the left and [2, 3, 2, 3] on the right.
-_CELL_COLUMNS = dict(zip(SIDES, map(wing_column, SIDES, setting_indices(np.arange(4)))))
 
 # Deterministic assignment k in 0..15 -> bits (x1, x2, y1, y2), one row per k.
 ASSIGNMENT_BITS = np.array(
@@ -126,7 +123,7 @@ ASSIGNMENT_BITS.flags.writeable = False
 # _ANSWERS[side][4*k + cell] = the bit that wing answers under assignment k
 # when cell is drawn: ASSIGNMENT_BITS at the wing's column, flattened so a
 # whole run reads it with one index per trial.
-_ANSWERS = {side: ASSIGNMENT_BITS[:, _CELL_COLUMNS[side]].ravel() for side in SIDES}
+_ANSWERS = {side: ASSIGNMENT_BITS[:, columns].ravel() for side, columns in zip(SIDES, CELL_COLUMNS)}
 
 # values[k, cell] = statistic increment when cell is drawn and both stations
 # answer per deterministic assignment k (cell codes 11, 12, 21, 22).
@@ -258,9 +255,10 @@ class Strategy:
 
     # --- source role ---------------------------------------------------
 
-    def source_emit(self, m: int, history: Sequence[TrialRecord]) -> SourceMessage:
-        """Hidden message for trial m. ``history`` holds all committed trials
-        in sequential mode and is empty in cloned-source mode."""
+    def source_emit(self, m: int, history: TrialLog) -> SourceMessage:
+        """Hidden message for trial m. ``history`` is the log of the committed
+        trials in sequential mode and a log of none in cloned-source mode; a
+        source reads ``len(history)`` and its read-only ``columns()``."""
         return _EMPTY_MESSAGE
 
     # --- station role --------------------------------------------------
@@ -373,9 +371,9 @@ class ClassicalPolarizerStrategy(Strategy):
         theta = math.pi * self._polarizations.values
         analyzers = np.array(self._analyzers)
         bits = []
-        for side in SIDES:
-            # d = |theta - a| in the analyzer column gathered for this wing.
-            d = analyzers[_CELL_COLUMNS[side]].take(cells)
+        for columns in CELL_COLUMNS:
+            # d = |theta - a| in the analyzer column gathered for each wing.
+            d = analyzers[columns].take(cells)
             np.subtract(theta, d, out=d)
             bits.append(_passes_at(np.abs(d, out=d)).view(np.uint8))
         return tuple(bits)
@@ -463,11 +461,10 @@ class AdaptiveFrequencyTracker(AssignmentStrategy):
         # previous call. Any other history is scored afresh.
         seen = len(history)
         if seen == self._scored + 1:
-            column = SCORE_COLUMNS[history[-1].setting.cell]
+            column = SCORE_COLUMNS[history.columns()[0][-1]]
             self._scores = list(map(operator.add, self._scores, column))
         elif seen != self._scored:
-            cells = np.fromiter((record.setting.cell for record in history), np.int64, seen)
-            self._scores = (np.bincount(cells, minlength=4) @ _SCORE_TABLE).tolist()
+            self._scores = (np.bincount(history.columns()[0], minlength=4) @ _SCORE_TABLE).tolist()
         self._scored = seen
         scores = self._scores
         return _ASSIGNMENT_MESSAGES[scores.index(max(scores))]

@@ -229,9 +229,9 @@ def test_criterion_2_coincidence_law():
     expected = {(1, 1): 0.25, (1, 2): 1.0, (2, 1): 0.25, (2, 2): 0.25}
     for (i, j), p in expected.items():
         setting = Setting(i, j)
-        assert cell_coincidence_probability(model, setting) == pytest.approx(p, abs=1e-12)
+        assert cell_coincidence_probability(model, setting.cell) == pytest.approx(p, abs=1e-12)
         u = TrialUniforms(52_000 + setting.cell, ROLE_ORACLE, n).values
-        x, y = sample_pair(model, setting, u)
+        x, y = sample_pair(model, setting.cell, u)
         freq = float((x == y).mean())
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(freq - p) <= 4.0 * se, (i, j, freq)
@@ -245,10 +245,10 @@ def test_criterion_2_coincidence_law():
     deltas = np.zeros(n, dtype=np.int8)
     for cell in range(4):
         mask = cells == cell
-        x, y = sample_pair(opt, Setting.from_cell(cell), u[mask])
+        x, y = sample_pair(opt, cell, u[mask])
         sign = 1 if cell == 1 else -1
         deltas[mask] = np.where(x == y, sign, 0)
-    probs = [cell_coincidence_probability(opt, Setting.from_cell(c)) for c in range(4)]
+    probs = [cell_coincidence_probability(opt, c) for c in range(4)]
     variance = 0.25 * sum(probs) - MU_OPTIMAL**2
     se = math.sqrt(variance / n)
     mean = float(deltas.mean())

@@ -375,7 +375,7 @@ def reference_mu(side, angles):
         )
     model = QuantumModel(angles, side["correlation_sense"])
     probs = {
-        (i, j): cell_coincidence_probability(model, Setting(i, j)) for i in (1, 2) for j in (1, 2)
+        (i, j): cell_coincidence_probability(model, Setting(i, j).cell) for i in (1, 2) for j in (1, 2)
     }
     return 0.25 * (probs[(1, 2)] - probs[(1, 1)] - probs[(2, 1)] - probs[(2, 2)])
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbet.core import (
+    CELL_COLUMNS,
     PRIVILEGED_CELL,
     QUANTUM_CEILING,
     SETTINGS_BY_CELL,
@@ -32,6 +33,7 @@ from theory import (
     PI_THIRD_ANGLES,
     InvalidDistributionError,
     JointBitDistribution,
+    angle_difference,
     bell_inequality_slack,
     deterministic_implication_holds,
     photon_to_spin_angles,
@@ -279,8 +281,8 @@ class TestPhotonToSpin:
         spin = photon_to_spin_angles(photon)
         for i in (1, 2):
             for j in (1, 2):
-                photon_prob = coincidence_probability(photon.difference(i, j))
-                spin_prob = spin_half_coincidence_probability(spin.difference(i, j))
+                photon_prob = coincidence_probability(angle_difference(photon, i, j))
+                spin_prob = spin_half_coincidence_probability(angle_difference(spin, i, j))
                 assert spin_prob == pytest.approx(photon_prob, abs=1e-12), (i, j)
 
     @given(st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4))
@@ -291,8 +293,8 @@ class TestPhotonToSpin:
         for i in (1, 2):
             for j in (1, 2):
                 assert spin_half_coincidence_probability(
-                    spin.difference(i, j)
-                ) == pytest.approx(coincidence_probability(photon.difference(i, j)), abs=1e-9)
+                    angle_difference(spin, i, j)
+                ) == pytest.approx(coincidence_probability(angle_difference(photon, i, j)), abs=1e-9)
 
 
 class TestDomainTypes:
@@ -337,6 +339,16 @@ class TestCellCode:
             assert cell_code(i, j) == cell
             assert (i, j) == (SETTINGS_BY_CELL[cell].i, SETTINGS_BY_CELL[cell].j)
             assert Setting(i, j).cell == cell and Setting.from_cell(cell) == Setting(i, j)
+
+    @given(st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4))
+    def test_cell_columns_give_each_cells_analyzer_difference(self, raw):
+        angles = AngleConfig(*raw)
+        values = angles.as_tuple()
+        for cell in range(4):
+            left, right = CELL_COLUMNS[:, cell]
+            difference = angle_difference(angles, *setting_indices(cell))
+            assert values[left] - values[right] == difference
+        assert not CELL_COLUMNS.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_round_trip_on_arrays(self, dtype):

@@ -135,17 +135,29 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             TrialLog.from_raw(make_header(n=3), records)
 
-    def test_sequence_indexing(self):
-        log = small_log()
-        records = list(log.records())
-        assert [log[k] for k in range(4)] == records
-        assert [log[k] for k in range(-4, 0)] == records
-        assert list(log) == records
-        for index in (4, -5):
-            with pytest.raises(IndexError):
-                log[index]
-        with pytest.raises(IndexError):
-            TrialLog(make_header())[-1]
+    def test_records_are_built_from_the_columns(self):
+        records = list(small_log().records())
+        assert [(r.m, r.setting, r.x, r.y) for r in records] == [
+            (m, SETTINGS_BY_CELL[cell], x, y)
+            for m, (cell, x, y) in enumerate([(1, 1, 1), (2, 0, 1), (0, 0, 0), (3, 1, 0)], 1)
+        ]
+        assert all(type(r.x) is int and type(r.y) is int for r in records)
+        assert list(TrialLog(make_header()).records()) == []
+
+    def test_columns_are_read_only_and_keep_their_trials(self):
+        # A view taken before later commits never changes, and no write
+        # through one reaches the log.
+        log = TrialLog(make_header())
+        log.commit(1, 1, 1)
+        early = log.columns()
+        for cell, x, y in [(2, 0, 1), (0, 0, 0), (3, 1, 0)]:
+            log.commit(cell, x, y)
+        assert [col.tolist() for col in early] == [[1], [1], [1]]
+        before = log.to_bytes()
+        for col in (*early, *log.columns()):
+            with pytest.raises(ValueError):
+                col[0] = 0
+        assert log.to_bytes() == before == small_log().to_bytes()
 
     def test_commit_on_a_full_log_raises(self):
         full = small_log()

@@ -512,7 +512,7 @@ class TestFrameProperties:
         sock = BytesSocket(data)
         transcript = Transcript()
         try:
-            role, hello = _handshake(sock, transcript)
+            role, hello = _handshake(sock, transcript, {})
         except ProtocolAbort:
             return
         assert role in ("left", "right") and hello["kind"] == KIND_HELLO
@@ -713,6 +713,34 @@ class TestHandshake:
 
         with pytest.raises(ProtocolAbort, match="stations did not connect in time"):
             referee_serve(make_config(n=20), trial_timeout=0.5, ready_callback=stray)
+
+    def test_duplicate_hello_is_dropped(self):
+        # A second well-formed HELLO for a role that a station holds hangs
+        # up on its sender; the bet goes on as if it never came.
+        config = make_config(n=20, seed=5)
+        thread, box = serve_in_thread(config, trial_timeout=10.0)
+        left = StationClient("left", box["endpoint"], timeout=10.0)
+        statuses = {}
+        left_thread = threading.Thread(target=lambda: statuses.update(left=left.run()), daemon=True)
+        left_thread.start()
+        deadline = time.monotonic() + 10.0
+        while left.sock is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert left.sock is not None, "left station did not connect"
+        host, port = parse_endpoint(box["endpoint"])
+        with socket.create_connection((host, port), timeout=10.0) as stray:
+            hello = json.dumps({"role": "left", "version": PROTOCOL_VERSION}).encode()
+            stray.sendall(encode_frame(KIND_HELLO, None, "left", hello))
+            assert stray.recv(1) == b""  # the referee hangs up
+        statuses.update(run_stations(box["endpoint"], roles=("right",), timeout=10.0))
+        for worker in (left_thread, thread):
+            worker.join(30)
+        assert "error" not in box, box.get("error")
+        assert statuses == {"left": 0, "right": 0}
+        result, transcript = box["result"]
+        assert result.log.to_bytes() == run_experiment(config).log.to_bytes()
+        audit = audit_transcript(transcript.entries)
+        assert audit.ok, audit.failures
 
     def test_serve_aborted_before_trial_1_writes_its_transcript(self, tmp_path):
         path = tmp_path / "wire.jsonl"

@@ -10,7 +10,7 @@ import pytest
 
 from bellbet.bounds import design_for
 from bellbet.config import SideSpec, config_from_dict
-from bellbet.core import CELL_WEIGHTS, CountMatrix, chsh_count_statistic
+from bellbet.core import CELL_WEIGHTS, CountMatrix, chsh_count_statistic, setting_indices
 from bellbet.logfile import TrialLog
 from bellbet.montecarlo import simulate_many, simulate_result
 from bellbet.referee import (
@@ -92,7 +92,6 @@ class TestStatisticTrace:
         assert trace.statistic == -1
         assert trace.sup == 1
         assert trace.variance_budget() == 3.0
-        assert trace.variance_budget(2) == 1.5
         # The running sum is computed on its first read and kept.
         assert trace.running_sum is trace.running_sum
         assert not trace.running_sum.flags.writeable
@@ -383,7 +382,7 @@ class TestOutcomeValidationInEngine:
         assert result.abort is None
         _, x, y = (column.tolist() for column in result.log.columns())
         assert (x if side == "left" else y) == [1, 1, 1, bit] + [1] * 16
-        record = result.log.record(4)
+        record = list(result.log.records())[3]
         assert type(record.x) is int and type(record.y) is int
 
     @pytest.mark.parametrize("value", [1.0, 0.0, 2, -1, None, "1"])
@@ -571,9 +570,8 @@ class TestRunResult:
         from bellbet.logfile import TrialLog
 
         partial = TrialLog(complete.header)
-        for m in range(1, 61):
-            record = complete.log.record(m)
-            partial.commit(record.setting.cell, record.x, record.y)
+        for trial in zip(*(col[:60].tolist() for col in complete.log.columns())):
+            partial.commit(*trial)
         result = RunResult(log=partial, design=complete.design, abort=None)
         assert result.verdict is None
         assert result.trace.n == 60
@@ -605,8 +603,7 @@ class HistoryProbe(Strategy):
         self.shown = []
 
     def source_emit(self, m, history):
-        last = history[-1].m if len(history) else None
-        self.shown.append((m, history, len(history), last))
+        self.shown.append((m, history, len(history), history.columns()[0].tolist()))
         return super().source_emit(m, history)
 
     def station_respond(self, side, setting_index, message, memory):
@@ -619,61 +616,78 @@ class TestTrialState:
         probe = HistoryProbe()
         engine = RefereeEngine(config, strategy=probe)
         engine.run()
-        for m, history, length, last in probe.shown:
+        cells = engine.log.columns()[0].tolist()
+        for m, history, length, shown_cells in probe.shown:
             assert history is engine.log
-            assert (length, last) == (m - 1, m - 1 if m > 1 else None)
+            assert (length, shown_cells) == (m - 1, cells[: m - 1])
 
     def test_cloned_source_sees_no_history(self):
         config = make_config(strategy_side("constant"), n=12, seed=13, mode="cloned-source")
         probe = HistoryProbe()
-        RefereeEngine(config, strategy=probe).run()
-        assert all(history == () for _, history, _, _ in probe.shown)
+        engine = RefereeEngine(config, strategy=probe)
+        engine.run()
+        first = probe.shown[0][1]
+        assert first is not engine.log and first.header == engine.log.header
+        for _, history, length, shown_cells in probe.shown:
+            assert history is first
+            assert (length, shown_cells) == (0, [])
 
-    def test_tracker_reads_one_trial_per_trial(self):
+    def test_tracker_reads_one_trial_per_trial(self, monkeypatch):
         # The tracker's cache grows by the log's last trial each time; a
-        # recount over the whole history would make the engine O(m) per trial.
+        # recount of the whole history (a bincount of its cell column) would
+        # make the engine O(m) per trial.
         config = make_config(strategy_side("adaptive-frequency-tracker"), n=200, seed=4)
         engine = RefereeEngine(config)
-        read = []
-        record = engine.log.record
-        engine.log.record = lambda m: read.append(m) or record(m)
+        recounts, bincount = [], np.bincount
+        monkeypatch.setattr(
+            np, "bincount", lambda cells, **kw: recounts.append(len(cells)) or bincount(cells, **kw)
+        )
         engine.run()
-        assert read == list(range(1, 200))
+        assert recounts == []
+        # A tracker that has seen none of it recounts the whole log once.
+        fresh = build_strategy("adaptive-frequency-tracker")
+        fresh.prepare(seed=4, n=200, angles=config.angles, mode=config.mode)
+        fresh.source_emit(201, engine.log)
+        assert recounts == [200]
 
 
-def rebuilt_last(log):
-    """log[-1] of a fresh log parsed back from ``log``'s own bytes."""
+def rebuilt_columns(log):
+    """The columns of a fresh log parsed back from ``log``'s own bytes."""
     raw = [json.loads(line) for line in log.to_bytes().splitlines()[1:]]
-    return TrialLog.from_raw(log.header, raw)[-1]
+    return [col.tolist() for col in TrialLog.from_raw(log.header, raw).columns()]
 
 
-class TestLastRecord:
+class TestCommittedColumns:
     @pytest.mark.parametrize(
         "side", [QUANTUM_SIDE] + [strategy_side(name) for name in LOCAL_STRATEGY_NAMES]
     )
-    def test_last_record_equals_rebuilt_log_at_every_trial(self, side):
-        # Each commit is checked as it lands: the live log's last record is
-        # the record of the trial just committed, as its own bytes read back.
+    def test_columns_equal_rebuilt_log_at_every_trial(self, side):
+        # Each commit is checked as it lands: the live log's columns end in
+        # the trial just committed and equal its own bytes read back, and
+        # the columns read before it are unchanged.
         engine = RefereeEngine(make_config(side, n=30, seed=21))
         log, commit, committed = engine.log, engine.log.commit, []
 
         def checked_commit(cell, x, y):
+            before = log.columns()
+            kept = [col.tolist() for col in before]
             commit(cell, x, y)
-            record = log[-1]
-            assert (record.m, record.setting.cell, record.x, record.y) == (len(log), cell, x, y)
-            assert record == rebuilt_last(log)
-            committed.append(record.m)
+            columns = [col.tolist() for col in log.columns()]
+            assert [col[-1] for col in columns] == [cell, x, y]
+            assert columns == rebuilt_columns(log)
+            assert [col.tolist() for col in before] == kept
+            committed.append(len(log))
 
         log.commit = checked_commit
         assert engine.run().completed
         assert committed == list(range(1, 31))
 
-    def test_last_record_after_abort(self):
+    def test_columns_after_abort(self):
         config = make_config(strategy_side("constant"), n=20, seed=21)
         result = RefereeEngine(config, strategy=FailsAt(8)).run()
         assert result.abort.trial == 8 and len(result.log) == 7
-        assert result.log[-1].m == 7
-        assert result.log[-1] == rebuilt_last(result.log)
+        assert [len(col) for col in result.log.columns()] == [7, 7, 7]
+        assert [col.tolist() for col in result.log.columns()] == rebuilt_columns(result.log)
 
 
 class BlobCollector(Strategy):
@@ -736,11 +750,9 @@ class TestClonedSourceMode:
         assert result.verdict is not None
         # No cross-wing data in cloned broadcasts: every view holds only its
         # own wing's setting and outcome.
-        records = list(result.log)
-        for side, own in (
-            ("left", [(record.setting.i, record.x) for record in records]),
-            ("right", [(record.setting.j, record.y) for record in records]),
-        ):
+        cells, x, y = (col.tolist() for col in result.log.columns())
+        i, j = zip(*map(setting_indices, cells))
+        for side, own in (("left", zip(i, x)), ("right", zip(j, y))):
             views = tracker.views[side]
             assert [view.m for view in views] == list(range(1, 301))
             assert [(v.own_setting, v.own_outcome) for v in views] == list(own)

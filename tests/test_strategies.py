@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bellbet.core import Setting, TrialRecord
+from bellbet.core import Setting
+from bellbet.logfile import LogHeader, TrialLog
 from bellbet.strategies import (
     ASSIGNMENT_BITS,
     ASSIGNMENT_VALUES,
@@ -33,13 +34,30 @@ from bellbet.strategies import (
     build_strategy,
     polarizer_passes,
 )
-from theory import OPTIMAL_ANGLES, JointBitDistribution, bell_inequality_slack
+from theory import OPTIMAL_ANGLES, JointBitDistribution, angle_difference, bell_inequality_slack
 
 
 def prepared(name, seed=11, n=64, mode="sequential", params=None):
     strategy = build_strategy(name, params)
     strategy.prepare(seed=seed, n=n, angles=OPTIMAL_ANGLES, mode=mode)
     return strategy
+
+
+def log_of(cells, n=None):
+    """A log of n trials (by default as many as ``cells``) that holds the
+    trials of ``cells`` with both outcomes 0: a source's history."""
+    header = LogHeader(
+        config_hash="0" * 64,
+        seed=0,
+        mode="sequential",
+        angles=OPTIMAL_ANGLES.as_tuple(),
+        n=len(cells) if n is None else n,
+        critical_value=0,
+    )
+    log = TrialLog(header)
+    for cell in cells:
+        log.commit(cell, 0, 0)
+    return log
 
 
 class TestRegistry:
@@ -77,7 +95,7 @@ class TestLocalityByConstruction:
         # Evaluate both settings on identical (message, memory), twice: the
         # outputs are functions of own setting only.
         strategy = prepared(name)
-        message = strategy.source_emit(1, ())
+        message = strategy.source_emit(1, log_of([]))
         for side in (LEFT, RIGHT):
             memory = strategy.initial_memory(side)
             first = [strategy.station_respond(side, k, message, memory) for k in (1, 2)]
@@ -90,26 +108,23 @@ class TestLocalityByConstruction:
         for _ in range(2):
             strategy = prepared(name, seed=5, n=32)
             memory = {s: strategy.initial_memory(s) for s in (LEFT, RIGHT)}
-            history = []
+            history = log_of([], n=32)
             bits = []
             for m in range(1, 33):
                 message = strategy.source_emit(m, history)
-                x = strategy.station_respond(LEFT, 1 + (m % 2), message, memory[LEFT])
-                y = strategy.station_respond(RIGHT, 1 + ((m // 2) % 2), message, memory[RIGHT])
+                setting = Setting(1 + (m % 2), 1 + ((m // 2) % 2))
+                x = strategy.station_respond(LEFT, setting.i, message, memory[LEFT])
+                y = strategy.station_respond(RIGHT, setting.j, message, memory[RIGHT])
                 bits.append((x, y))
-                record = TrialRecord(
-                    m=m, setting=Setting(1 + (m % 2), 1 + ((m // 2) % 2)), x=int(x) & 1, y=int(y) & 1
-                )
-                history.append(record)
+                x, y = int(x) & 1, int(y) & 1
+                history.commit(setting.cell, x, y)
                 for side in (LEFT, RIGHT):
-                    own = record.setting.i if side == LEFT else record.setting.j
-                    other = record.setting.j if side == LEFT else record.setting.i
                     view = TrialView(
                         m=m,
-                        own_setting=own,
-                        own_outcome=record.x if side == LEFT else record.y,
-                        other_setting=other,
-                        other_outcome=record.y if side == LEFT else record.x,
+                        own_setting=setting.i if side == LEFT else setting.j,
+                        own_outcome=x if side == LEFT else y,
+                        other_setting=setting.j if side == LEFT else setting.i,
+                        other_outcome=y if side == LEFT else x,
                     )
                     memory[side] = strategy.update_memory(side, memory[side], view)
             outputs.append(bits)
@@ -119,8 +134,8 @@ class TestLocalityByConstruction:
 class TestConstant:
     def test_fixed_payload_and_bit(self):
         strategy = prepared("constant")
-        assert strategy.source_emit(1, ()).payload == b""
-        assert strategy.source_emit(9, ()).payload == b""
+        assert strategy.source_emit(1, log_of([])).payload == b""
+        assert strategy.source_emit(9, log_of([])).payload == b""
         assert strategy.station_respond(LEFT, 1, SourceMessage(b""), StationMemory()) == 1
         assert prepared("constant", params={"bit": 0}).station_respond(
             RIGHT, 2, SourceMessage(b""), StationMemory()
@@ -159,7 +174,7 @@ class TestClassicalPolarizer:
         strategy = prepared("classical-polarizer", seed=2026, n=100_000)
         thetas = np.array(
             [
-                struct.unpack("<d", strategy.source_emit(m, ()).payload)[0]
+                struct.unpack("<d", strategy.source_emit(m, log_of([])).payload)[0]
                 for m in range(1, 100_001)
             ]
         )
@@ -201,7 +216,7 @@ class TestClassicalPolarizer:
         coincide = x == y
         for cell in range(4):
             i, j = (cell >> 1) + 1, (cell & 1) + 1
-            d = angular_distance(angles.left(i), angles.right(j))
+            d = angular_distance(angle_difference(angles, i, j), 0.0)
             expected = 1.0 - 2.0 * d / math.pi
             mask = cells == cell
             freq = float(coincide[mask].mean())
@@ -376,7 +391,7 @@ class TestDeterministicOptimal:
 
     def test_responses_follow_assignment(self):
         strategy = prepared("deterministic-optimal")
-        message = strategy.source_emit(1, ())
+        message = strategy.source_emit(1, log_of([]))
         x1, x2, y1, y2 = reference_assignment_bits(message.payload[0])
         memory = StationMemory()
         assert strategy.station_respond(LEFT, 1, message, memory) == x1
@@ -386,16 +401,10 @@ class TestDeterministicOptimal:
 
 
 class TestAdaptiveTracker:
-    def _history(self, cells):
-        records = []
-        for m, cell in enumerate(cells, start=1):
-            records.append(TrialRecord(m=m, setting=Setting.from_cell(cell), x=0, y=0))
-        return records
-
     def test_payload_adapts_after_ten_trials(self):
         strategy = prepared("adaptive-frequency-tracker")
-        first = strategy.source_emit(1, ()).payload
-        history = self._history([0, 0, 3, 3, 0, 2, 3, 0, 0, 3])
+        first = strategy.source_emit(1, log_of([])).payload
+        history = log_of([0, 0, 3, 3, 0, 2, 3, 0, 0, 3])
         later = strategy.source_emit(11, history).payload
         assert later != first
 
@@ -407,10 +416,10 @@ class TestAdaptiveTracker:
         # whole-run rule pick the same assignment at every trial. The
         # engine's cloned-source source sees an empty history every trial.
         cells = np.random.default_rng(1000 + length).integers(0, 4, size=length)
-        history = self._history(cells.tolist())
+        empty = log_of([])
 
         def shown(m):
-            return history[: m - 1] if mode == "sequential" else ()
+            return log_of(cells[: m - 1].tolist()) if mode == "sequential" else empty
 
         grown = prepared("adaptive-frequency-tracker", mode=mode)
         stepped = [grown.source_emit(m, shown(m)).payload[0] for m in range(1, length + 1)]
@@ -422,10 +431,10 @@ class TestAdaptiveTracker:
         assert stepped == recounted == whole_run.tolist()
         # A history that is not one trial longer than the last one is
         # scored afresh, and an empty history scores every assignment 0.
-        jump = history[: length // 2]
+        jump = log_of(cells[: length // 2].tolist())
         fresh = prepared("adaptive-frequency-tracker", mode=mode)
         assert grown.source_emit(len(jump) + 1, jump) == fresh.source_emit(len(jump) + 1, jump)
-        assert grown.source_emit(1, ()).payload[0] == 0
+        assert grown.source_emit(1, empty).payload[0] == 0
 
     @given(
         st.one_of(

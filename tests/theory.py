@@ -5,8 +5,8 @@ Bernstein inequality in ``bounds``.
 
 Here are the paper's two canonical angle sets, the CHSH inequality on joint
 laws of four bits and its deterministic core, the Lenglart/Chebyshev
-comparison bounds, the photon-to-spin-half angle translation and the
-oracle's region rule on uniforms a test picks."""
+comparison bounds, each cell's analyzer difference, the photon-to-spin-half
+angle translation and the oracle's region rule on uniforms a test picks."""
 
 import math
 from dataclasses import dataclass
@@ -121,6 +121,12 @@ def spin_half_coincidence_probability(delta: float) -> float:
     return math.sin(delta / 2.0) ** 2
 
 
+def angle_difference(angles: AngleConfig, i: int, j: int) -> float:
+    """alpha_i - beta_j, the analyzer difference of cell (i, j), read from
+    the named fields."""
+    return (angles.alpha1, angles.alpha2)[i - 1] - (angles.beta1, angles.beta2)[j - 1]
+
+
 def photon_to_spin_angles(angles: AngleConfig) -> AngleConfig:
     """Translate photon analyzer angles to the spin-half experiment:
     double every angle, then rotate the right wing by 180 degrees.
@@ -136,16 +142,16 @@ def photon_to_spin_angles(angles: AngleConfig) -> AngleConfig:
     )
 
 
-def sample_pair(model, setting, u):
-    """Outcomes (x, y) of the oracle's region rule for ``setting``'s exact
-    coincidence probability: ints for one uniform, uint8 columns for an
+def sample_pair(model, cell, u):
+    """Outcomes (x, y) of the oracle's region rule for cell code ``cell``'s
+    exact coincidence probability: ints for one uniform, uint8 columns for an
     array of them. ``OracleSampler`` applies the same rule to the uniforms
     of its seeded stream.
 
     Region layout: [0, c/2) -> (0,0); [c/2, c) -> (1,1); [c, (1+c)/2) ->
     (0,1); [(1+c)/2, 1) -> (1,0).
     """
-    x, y = _regions(cell_coincidence_probability(model, setting), u)
+    x, y = _regions(cell_coincidence_probability(model, cell), u)
     if isinstance(x, np.ndarray):
         return x.view(np.uint8), y.view(np.uint8)
     return int(x), int(y)
